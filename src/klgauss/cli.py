@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--estimator", choices=("gh", "mc"), default="gh")
         p.add_argument("--logz", choices=("laplace", "quadrature"), default="laplace")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("-v", "--verbose", action="store_true")
 
     p_modes = sub.add_parser("modes", help="locate modes and Laplace weights")

@@ -16,11 +16,14 @@ Pinsker/total-variation consequence, and the expansion of E_eta log Z.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+# unused here since the posterior mode is found by Newton; kept because
+# perfbench/tracer.py patches this name in every BFGS-calling module
+from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from .gamma import RateFit, fit_rate
 from .measure import (
@@ -76,17 +79,48 @@ class EllipticProblem:
     def coefficient_derivative(self, q):
         return np.exp(q) if self.variant == "exp" else 2.0 * q
 
+    def coefficient_second_derivative(self, q):
+        return np.exp(q) if self.variant == "exp" else np.full_like(q, 2.0)
+
+
+def _solve(p: EllipticProblem, qs, rhs) -> np.ndarray:
+    """x = (A + diag(c(q)))^(-1) rhs for each row q of ``qs``, shape (n, M).
+
+    ``rhs`` has shape (n, M) or (n, M, k); a leading axis of length 1
+    broadcasts over the batch.  Thomas elimination on the scaled system
+    h^2 (A + diag(c)), whose off-diagonal is -1, vectorized over the batch
+    and the k columns.  The diagonal 2 + h^2 c is at least 2, so every pivot
+    is at least 1 and no pivoting is needed.  The grid axis is moved first so
+    that each elimination step works on contiguous rows.
+    """
+    h2 = p.h**2
+    b = np.swapaxes(np.asarray(rhs, dtype=float), 0, 1)
+    diag = 2.0 + h2 * p.coefficient(np.ascontiguousarray(qs.T))
+    diag = diag.reshape(diag.shape + (1,) * (b.ndim - 2))
+    inv_pivot = np.empty_like(diag)
+    x = np.empty(diag.shape[:2] + b.shape[2:])
+    inv_pivot[0] = 1.0 / diag[0]
+    x[0] = h2 * b[0] * inv_pivot[0]
+    for i in range(1, p.M):
+        inv_pivot[i] = 1.0 / (diag[i] - inv_pivot[i - 1])
+        x[i] = (h2 * b[i] + x[i - 1]) * inv_pivot[i]
+    for i in range(p.M - 2, -1, -1):
+        x[i] += inv_pivot[i] * x[i + 1]
+    return x.swapaxes(0, 1)
+
+
+def _jacobian_at(p: EllipticProblem, qs, u) -> np.ndarray:
+    """-(A+Q)^(-1) diag(u c'(q)), batched, given u = forward(p, qs)."""
+    du = u * p.coefficient_derivative(qs)
+    return -_solve(p, qs, np.eye(p.M)[None]) * du[:, None, :]
+
 
 def forward(p: EllipticProblem, q) -> np.ndarray:
     """u = (A + diag(c(q)))^(-1) f; batched over a leading axis of q."""
     q = np.asarray(q, dtype=float)
     single = q.ndim == 1
     qs = q[None, :] if single else q
-    n = qs.shape[0]
-    mats = np.broadcast_to(p.laplacian, (n, p.M, p.M)).copy()
-    idx = np.arange(p.M)
-    mats[:, idx, idx] += p.coefficient(qs)
-    u = np.linalg.solve(mats, np.broadcast_to(p.f, (n, p.M))[..., None])[..., 0]
+    u = _solve(p, qs, p.f[None, :])
     return u[0] if single else u
 
 
@@ -101,50 +135,29 @@ def jacobian(p: EllipticProblem, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     single = q.ndim == 1
     qs = q[None, :] if single else q
-    n = qs.shape[0]
-    mats = np.broadcast_to(p.laplacian, (n, p.M, p.M)).copy()
-    idx = np.arange(p.M)
-    mats[:, idx, idx] += p.coefficient(qs)
-    u = np.linalg.solve(mats, np.broadcast_to(p.f, (n, p.M))[..., None])[..., 0]
-    rhs = np.zeros((n, p.M, p.M))
-    rhs[:, idx, idx] = u * p.coefficient_derivative(qs)
-    J = -np.linalg.solve(mats, rhs)
+    # not via _forward_and_jacobian: perfbench/tracer.py counts the points of each
+    J = _jacobian_at(p, qs, _solve(p, qs, p.f[None, :]))
     return J[0] if single else J
 
 
 def _forward_and_jacobian(p, qs):
-    mats = np.broadcast_to(p.laplacian, (qs.shape[0], p.M, p.M)).copy()
-    idx = np.arange(p.M)
-    mats[:, idx, idx] += p.coefficient(qs)
-    u = np.linalg.solve(mats, np.broadcast_to(p.f, (qs.shape[0], p.M))[..., None])[
-        ..., 0
-    ]
-    rhs = np.zeros((qs.shape[0], p.M, p.M))
-    rhs[:, idx, idx] = u * p.coefficient_derivative(qs)
-    J = -np.linalg.solve(mats, rhs)
-    return u, J
-
-
-def second_derivative_tensor(p: EllipticProblem, q, h: float = 1e-5) -> np.ndarray:
-    """T[i, k, j] = d^2 G_k / dq_i dq_j by central differences of the Jacobian."""
-    q = np.asarray(q, dtype=float)
-    step = h * (1.0 + np.linalg.norm(q))
-    T = np.zeros((p.M, p.M, p.M))
-    for i in range(p.M):
-        e = np.zeros(p.M)
-        e[i] = step
-        T[i] = (jacobian(p, q + e) - jacobian(p, q - e)) / (2 * step)
-    return T
+    u = _solve(p, qs, p.f[None, :])
+    return u, _jacobian_at(p, qs, u)
 
 
 def misfit_potential(
     p: EllipticProblem, y, gauss_newton: bool = False, name: str = ""
 ) -> Potential:
-    """V1(q) = |y - G(q)|^2 / 2 with gradient and Hessian.
+    """V1(q) = |y - G(q)|^2 / 2 with exact gradient and Hessian.
 
-    The Hessian is J^T J plus the residual-weighted curvature of G (finite
-    differences of the Jacobian); ``gauss_newton`` drops the curvature term,
-    which is exact in the zero-residual limit the theorems use.
+    With w = (A+Q)^(-1) (y - G(q)) from one adjoint solve, the gradient is
+    u c'(q) w (J = -(A+Q)^(-1) diag(u c') and A+Q is symmetric), and with
+    b = w c'(q) the Hessian is
+
+        J^T J + diag(b) J + J^T diag(b) + diag(u w c''(q)).
+
+    ``gauss_newton`` keeps J^T J only, which is exact in the zero-residual
+    limit the theorems use.
     """
     y = np.asarray(y, dtype=float)
 
@@ -153,21 +166,19 @@ def misfit_potential(
         return 0.5 * np.sum(r * r, axis=1)
 
     def grad(x):
-        u, J = _forward_and_jacobian(p, x)
-        r = y - u
-        return -np.einsum("nkj,nk->nj", J, r)
+        u = forward(p, x)
+        return u * p.coefficient_derivative(x) * _solve(p, x, y - u)
 
     def hess(x):
-        out = np.empty((x.shape[0], p.M, p.M))
-        for i, q in enumerate(x):
-            J = jacobian(p, q)
-            H = J.T @ J
-            if not gauss_newton:
-                r = y - forward(p, q)
-                T = second_derivative_tensor(p, q)
-                H = H - np.einsum("k,ikj->ij", r, T)
-            out[i] = 0.5 * (H + H.T)
-        return out
+        u, J = _forward_and_jacobian(p, x)
+        H = np.einsum("nki,nkj->nij", J, J)
+        if not gauss_newton:
+            w = _solve(p, x, y - u)
+            bJ = (w * p.coefficient_derivative(x))[:, :, None] * J
+            H += bJ + bJ.transpose(0, 2, 1)
+            idx = np.arange(p.M)
+            H[:, idx, idx] += u * w * p.coefficient_second_derivative(x)
+        return 0.5 * (H + H.transpose(0, 2, 1))
 
     return Potential(
         dim=p.M,
@@ -419,6 +430,9 @@ class BvMLevel:
     aborted: bool
     kl_values: np.ndarray = field(repr=False, default=None)
     tv_values: np.ndarray = field(repr=False, default=None)
+    # failed draws by cause: the exception type name, "NotConverged" or
+    # "NonFiniteKL"
+    failure_causes: dict = field(default_factory=dict)
 
     def csv_row(self) -> str:
         return (
@@ -452,44 +466,72 @@ class BvMResult:
         return "\n".join(lines) + "\n"
 
 
-def _posterior_mode(mu: TargetMeasure, x0):
-    """Minimize V1/eps + V2 (BFGS + Newton polish); returns (x, D2V1 + eps*D2V2)."""
+def _posterior_mode(mu: TargetMeasure, x0, max_steps: int = 50):
+    """Minimize V1/eps + V2 by damped Newton from x0; returns (x, D2V1 + eps*D2V2).
+
+    Each step solves with the exact Hessian (its eigenvalues taken in
+    absolute value) and backtracks until the Armijo condition holds.  Raises
+    ArithmeticError when a Newton step is not a descent direction, the line
+    search cannot decrease the objective, or ``max_steps`` steps pass
+    without convergence.
+    """
     eps = mu.epsilon
 
     def fun(x):
         return mu.v1.value(x) / eps + mu.v2.value(x)
 
-    def jac(x):
-        return mu.v1.gradient(x) / eps + mu.v2.gradient(x)
+    x = np.asarray(x0, dtype=float)
+    fx = fun(x)
+    for _ in range(max_steps):
+        g = mu.v1.gradient(x) / eps + mu.v2.gradient(x)
+        h_eff = mu.v1.hessian(x) + eps * mu.v2.hessian(x)
+        h_eff = 0.5 * (h_eff + h_eff.T)
+        # away from the mode the exact Hessian can be indefinite; Newton then
+        # uses its absolute eigenvalues, which keeps the step a descent
+        # direction and equals the plain Newton step wherever it is definite
+        lam, vecs = np.linalg.eigh(h_eff)
+        step = eps * (vecs @ ((vecs.T @ g) / np.abs(lam)))
+        # before the descent test: an iterate can land on g = 0 exactly
+        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(x))):
+            return x, h_eff
+        slope = float(g @ step)
+        if not slope > 0.0:
+            raise ArithmeticError("Newton step is not a descent direction")
+        t, x_new = 1.0, x - step
+        f_new = fun(x_new)
+        # Armijo needs differences of fun above its rounding error, which
+        # grows like 1e-16 |y| |y - G| / eps; below a Newton decrement of
+        # 1e-9 (fun is a negative log density, so the step is then far
+        # inside the posterior's width) the full step is taken
+        while slope > 1e-9 and f_new > fx - 1e-4 * t * slope:
+            t *= 0.5
+            if t < 1e-10:
+                raise ArithmeticError("line search cannot decrease the objective")
+            x_new = x - t * step
+            f_new = fun(x_new)
+        x, fx = x_new, f_new
+    raise ArithmeticError(f"posterior mode not found in {max_steps} Newton steps")
 
-    res = _scipy_minimize(fun, np.asarray(x0, dtype=float), jac=jac, method="BFGS",
-                          options={"gtol": 1e-9, "maxiter": 500})
-    x = np.asarray(res.x, dtype=float)
-    for _ in range(3):
-        g = jac(x)
-        H = mu.v1.hessian(x) / eps + mu.v2.hessian(x)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)) or fun(x - step) > fun(x):
-            break
-        x = x - step
-    H_eff = mu.v1.hessian(x) + eps * mu.v2.hessian(x)
-    return x, 0.5 * (H_eff + H_eff.T)
 
+def _draw_posterior(p, truth, eta, eps, prior, j_truth_inv):
+    """Posterior of one noise draw and its mode set.
 
-def _bvm_draw(p, truth, eta, eps, prior, grid_spec, opt_cfg, j_truth_inv):
-    """One noise draw: oracle log Z, optimal Gaussian, KL and grid TV."""
-    family = posterior_family(p, truth, eta, prior)
-    mu = family.at(eps)
+    Newton starts from the linearized mode truth + sqrt(eps) DG(truth)^(-1) eta.
+    """
+    mu = posterior_family(p, truth, eta, prior).at(eps)
     x0 = truth + math.sqrt(eps) * (j_truth_inv @ eta)
     x_hat, h_eff = _posterior_mode(mu, x0)
-    local_ms = ModeSet(
+    ms = ModeSet(
         modes=x_hat[None, :],
         hessians=h_eff[None, :, :],
         v2_values=np.array([mu.v2.value(x_hat)]),
     )
+    return mu, ms
+
+
+def _bvm_draw(p, truth, eta, eps, prior, grid_spec, opt_cfg, j_truth_inv):
+    """One noise draw: oracle log Z, optimal Gaussian, KL and grid TV."""
+    mu, local_ms = _draw_posterior(p, truth, eta, eps, prior, j_truth_inv)
     if p.M <= 3:
         integral = quadrature_normalization(mu, grid_spec, mode_set=local_ms)
         log_z = integral.log_value
@@ -525,9 +567,10 @@ def bvm_experiment(
 
     Requires the exp (identifiable) variant and at least 30 draws per level.
     The same noise panel is reused across eps levels (common random numbers)
-    so the log-log fit sees a smooth curve.  Draws whose optimization fails
-    are excluded and counted; a level with more than 10% failures is marked
-    aborted and excluded from the fit.
+    so the log-log fit sees a smooth curve.  Draws whose mode search or
+    optimization fails are excluded and counted by cause
+    (``BvMLevel.failure_causes``); a level with more than 10% failures is
+    marked aborted and excluded from the fit.
     """
     if p.variant != "exp":
         raise ValueError("the KL-rate experiment requires the exp variant")
@@ -550,15 +593,23 @@ def bvm_experiment(
                 return _bvm_draw(
                     p, truth, eta, eps, prior, grid_spec, opt_cfg, j_truth_inv
                 )
-            except Exception:
-                return {"kl": math.nan, "tv": math.nan, "converged": False}
+            except (ArithmeticError, ValueError, RuntimeError) as exc:
+                return {"kl": math.nan, "tv": math.nan, "converged": False,
+                        "cause": type(exc).__name__}
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(run, etas))
         else:
             outcomes = [run(eta) for eta in etas]
-        ok = [o for o in outcomes if o["converged"] and math.isfinite(o["kl"])]
+        ok, causes = [], Counter()
+        for o in outcomes:
+            if not o["converged"]:
+                causes[o.get("cause", "NotConverged")] += 1
+            elif not math.isfinite(o["kl"]):
+                causes["NonFiniteKL"] += 1
+            else:
+                ok.append(o)
         failures = cfg.draws - len(ok)
         aborted = failures > 0.1 * cfg.draws
         kl = np.array([o["kl"] for o in ok])
@@ -585,6 +636,7 @@ def bvm_experiment(
                 aborted=aborted,
                 kl_values=kl,
                 tv_values=tv,
+                failure_causes=dict(sorted(causes.items())),
             )
         )
     usable = [lv for lv in levels if not lv.aborted]
@@ -655,15 +707,7 @@ def log_z_expectation_check(
     for eps in sorted(set(float(e) for e in eps_list), reverse=True):
         values = []
         for eta in etas:
-            family = posterior_family(p, truth, eta, prior)
-            mu = family.at(eps)
-            x0 = truth + math.sqrt(eps) * (j_truth_inv @ eta)
-            x_hat, h_eff = _posterior_mode(mu, x0)
-            ms = ModeSet(
-                modes=x_hat[None, :],
-                hessians=h_eff[None, :, :],
-                v2_values=np.array([mu.v2.value(x_hat)]),
-            )
+            mu, ms = _draw_posterior(p, truth, eta, eps, prior, j_truth_inv)
             values.append(quadrature_normalization(mu, grid_spec, mode_set=ms).log_value)
         values = np.asarray(values)
         ref = log_z_reference(p, truth, prior, eps)

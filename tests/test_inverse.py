@@ -6,7 +6,7 @@ import pytest
 import klgauss as kg
 from klgauss import inverse as inv
 from klgauss.optimizer import OptimizerConfig
-from klgauss.potentials import check_derivatives, quadratic
+from klgauss.potentials import check_derivatives, fd_hessian_from_grad, quadratic
 
 
 def problem(M=1, f=1.0, variant="exp"):
@@ -44,6 +44,19 @@ def test_forward_batched_matches_single(rng):
     batch = inv.forward(p, qs)
     for i in range(5):
         assert np.allclose(batch[i], inv.forward(p, qs[i]))
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 8])
+@pytest.mark.parametrize("variant", ["exp", "square"])
+def test_solve_matches_dense_solve(M, variant, rng):
+    p = problem(M=M, variant=variant)
+    qs = rng.uniform(-2, 2, size=(6, M))
+    mats = p.laplacian + p.coefficient(qs)[:, :, None] * np.eye(M)
+    for rhs in (rng.standard_normal((6, M)), rng.standard_normal((6, M, 3))):
+        dense = np.linalg.solve(mats, rhs.reshape(6, M, -1)).reshape(rhs.shape)
+        assert np.max(np.abs(inv._solve(p, qs, rhs) - dense)) <= 1e-12 * np.max(
+            np.abs(dense)
+        )
 
 
 def test_problem_validation():
@@ -137,6 +150,21 @@ def test_misfit_derivatives_match_finite_differences(rng):
     check_derivatives(pot, probes, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize("variant", ["exp", "square"])
+def test_misfit_hessian_matches_finite_differences(variant, rng):
+    p = problem(M=3, f=5.0, variant=variant)
+    truth = np.array([0.3, -0.2, 0.5])
+    y = inv.forward(p, truth) + 0.3 * rng.standard_normal(3)
+    full = inv.misfit_potential(p, y)
+    gn = inv.misfit_potential(p, y, gauss_newton=True)
+    for x in rng.uniform(-1, 1, size=(4, 3)):
+        H_fd = fd_hessian_from_grad(full, x)
+        assert np.linalg.norm(full.hessian(x) - H_fd) <= 1e-7 * np.linalg.norm(H_fd)
+        J = inv.jacobian(p, x)
+        assert np.allclose(gn.hessian(x), J.T @ J, rtol=1e-14, atol=0)
+        assert not np.allclose(full.hessian(x), J.T @ J, rtol=1e-3, atol=0)
+
+
 def test_large_data_completed_square_identity(rng):
     # posterior with N i.i.d. draws equals the small-noise form with the
     # mean noise, up to an x-independent constant
@@ -214,6 +242,37 @@ def test_normality_exp_zero_noise():
     assert errs[-1] <= 1e-3
 
 
+def test_posterior_mode_newton():
+    # eta = 0 with the truth at the prior mode: the gradient vanishes exactly
+    # at the truth, so Newton returns it unchanged with the exact Hessian
+    p = problem(M=2, f=100.0)
+    truth = np.zeros(2)
+    eps = 1e-2
+    mu = inv.posterior(p, truth, np.zeros(2), eps)
+    x_hat, h_eff = inv._posterior_mode(mu, truth)
+    assert np.array_equal(x_hat, truth)
+    J = inv.jacobian(p, truth)
+    assert np.allclose(h_eff, J.T @ J + eps * np.eye(2), rtol=1e-13, atol=0)
+    with pytest.raises(ArithmeticError):
+        inv._posterior_mode(mu, truth + 0.1, max_steps=1)
+
+
+def test_posterior_mode_from_indefinite_start():
+    # weak data (f = 10) and a large noise draw: the exact Hessian at the
+    # linearized start is indefinite, and Newton still descends to the mode
+    p = problem(M=2, f=10.0)
+    eps = 1e-2
+    eta = np.array([-2.3, -0.2])
+    mu = inv.posterior(p, np.zeros(2), eta, eps)
+    x0 = math.sqrt(eps) * np.linalg.solve(inv.jacobian(p, np.zeros(2)), eta)
+    h0 = mu.v1.hessian(x0) + eps * mu.v2.hessian(x0)
+    assert np.min(np.linalg.eigvalsh(h0)) < 0
+    x_hat, h_eff = inv._posterior_mode(mu, x0)
+    grad = mu.v1.gradient(x_hat) / eps + mu.v2.gradient(x_hat)
+    assert np.max(np.abs(grad)) <= 1e-10
+    assert np.min(np.linalg.eigvalsh(h_eff)) > 0
+
+
 def test_normality_exp_fixed_noise_converges():
     p = problem(M=2, f=1000.0)
     truth = np.zeros(2)
@@ -286,6 +345,32 @@ def test_bvm_thread_pool_deterministic():
     serial = inv.bvm_experiment(p, cfg, jobs=1)
     threaded = inv.bvm_experiment(p, cfg, jobs=4)
     assert np.array_equal(serial.levels[0].kl_values, threaded.levels[0].kl_values)
+
+
+def test_bvm_failed_draws_keep_their_cause(monkeypatch):
+    p = problem(M=1, f=100.0)
+    cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
+    draw = inv._bvm_draw
+
+    def failing_draw(p, truth, eta, *args):
+        if eta[0] > 1.0:
+            raise np.linalg.LinAlgError("singular")
+        return draw(p, truth, eta, *args)
+
+    monkeypatch.setattr(inv, "_bvm_draw", failing_draw)
+    level = inv.bvm_experiment(p, cfg).levels[0]
+    n_failed = int(np.sum(etas[:, 0] > 1.0))
+    assert n_failed > 0
+    assert level.failures == n_failed
+    assert level.failure_causes == {"LinAlgError": n_failed}
+
+    def broken_draw(*args):
+        raise TypeError("a programming error is not a failed draw")
+
+    monkeypatch.setattr(inv, "_bvm_draw", broken_draw)
+    with pytest.raises(TypeError):
+        inv.bvm_experiment(p, cfg)
 
 
 def test_bvm_validation():

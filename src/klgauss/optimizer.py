@@ -1,4 +1,4 @@
-"""Minimization of the KL objectives over Gaussians and constrained mixtures.
+"""Minimization of the KL objective over Gaussians and constrained mixtures.
 
 Parameterization makes the feasible sets unconstrained:
 
@@ -10,12 +10,11 @@ Parameterization makes the feasible sets unconstrained:
   above the floor xi1 by a logarithmic barrier, with mean separation
   enforced by an escalating quadratic hinge penalty.
 
-The single-Gaussian objective is evaluated by fixed-node Gauss-Hermite
-quadrature and differentiated analytically through the nodes; the mixture
-objective uses the same smooth deterministic estimator (including a
-Gauss-Hermite evaluation of the mixture entropy) with central-difference
-gradients.  Multistart globalization seeds means at the located modes with
-covariances from the inverse mode Hessians.
+A single Gaussian is the one-component mixture, and one objective serves
+both: fixed-node Gauss-Hermite quadrature of the potential and, for a
+mixture, of the entropy, differentiated exactly through the nodes and the
+responsibilities.  Multistart globalization seeds means at the located modes
+with covariances from the inverse mode Hessians.
 """
 
 from __future__ import annotations
@@ -29,9 +28,12 @@ from scipy.special import logsumexp
 
 from .gaussian import GaussianParams, MixtureParams
 from .measure import (
+    DegenerateModeError,
+    ModeSearchError,
     ModeSet,
     MultistartConfig,
     TargetMeasure,
+    _box_arrays,
     find_modes,
     log_laplace_normalization,
 )
@@ -39,6 +41,8 @@ from .potentials import EvaluationError
 from .quadrature import gauss_hermite
 
 _LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
+_SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
+_ONE = np.ones(1)  # the weights of a single Gaussian
 
 
 class InfeasibleConstraintError(ValueError):
@@ -178,7 +182,7 @@ def _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts):
     if mode_set is None and not extra_starts:
         try:
             mode_set = _locate_modes(mu, cfg)
-        except Exception:
+        except (ModeSearchError, DegenerateModeError):
             if log_z is None:
                 raise  # Laplace log Z needs the modes; starts alone do not
     if log_z is not None:
@@ -189,66 +193,176 @@ def _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts):
 
 
 # ---------------------------------------------------------------------------
-# single Gaussian
+# the KL objective
 # ---------------------------------------------------------------------------
 
 
-class _SingleObjective:
-    """F(theta) = KL(N(m, eps L L^T) || mu) via Gauss-Hermite, with gradient.
+class _Objective:
+    """G(theta) = KL(rho || mu) for an n-component mixture rho, with gradient.
 
-    The mean is optimized in concentration units, m = sqrt(eps) * theta_m,
-    which keeps every Hessian block of the objective O(1) as eps shrinks
-    (the raw mean curvature grows like 1/eps and ruins BFGS conditioning).
+    theta = [n-1 softmax logits, n means, n packed Cholesky factors]; rho has
+    weights softmax([0, logits]) and components N(m_i, eps L_i L_i^T).  The
+    means are optimized in concentration units, m = sqrt(eps) * theta_m,
+    which keeps every Hessian block of the objective O(1) as eps shrinks (the
+    raw mean curvature grows like 1/eps and ruins BFGS conditioning).
+
+    Expectations under each component use one fixed Gauss-Hermite rule, so
+    the objective is smooth and deterministic.  A single Gaussian (n = 1)
+    has its entropy in closed form.  For n > 1, log rho is integrated at
+    every component's nodes; given ``xi``, the logarithmic barrier keeps the
+    weights above xi1 and the quadratic hinge pushes the means apart.
+
+    The gradient is exact for the quadrature value.  Besides the path term
+    through the nodes, with grad log rho = -sum_j r_j Sigma_j^-1 (x - m_j),
+    it keeps the direct dependence of log rho on the weights, means and
+    factors through the responsibilities r_j: that part cancels under exact
+    integration but not under quadrature.
     """
 
-    def __init__(self, mu: TargetMeasure, log_z: float, order: int):
+    def __init__(self, mu, log_z, order, n=1, xi=None, barrier=0.0, separation_weight=0.0):
         self.mu = mu
         self.log_z = log_z
+        self.n = n
         self.d = mu.dim
+        self.xi = xi if n > 1 else None  # a single Gaussian meets any constraint
+        self.barrier = barrier
+        self.sep_weight = separation_weight
         self.z, self.w = gauss_hermite(order, self.d)
         self.sqrt_eps = math.sqrt(mu.epsilon)
         self.scale = math.sqrt(2.0 * mu.epsilon)
 
-    def pack(self, m, L):
-        return np.concatenate(
-            [np.asarray(m, dtype=float) / self.sqrt_eps, _pack_chol(L)]
-        )
-
     def split(self, theta):
-        return self.sqrt_eps * theta[: self.d], _unpack_chol(theta[self.d :], self.d)
+        n, d = self.n, self.d
+        means = self.sqrt_eps * theta[n - 1 : n - 1 + n * d].reshape(n, d)
+        off, k = n - 1 + n * d, _n_chol_params(d)
+        chols = [_unpack_chol(theta[off + i * k : off + (i + 1) * k], d) for i in range(n)]
+        if n == 1:
+            return _ONE, means, chols
+        logits = np.concatenate([[0.0], theta[: n - 1]])
+        return np.exp(logits - logsumexp(logits)), means, chols
+
+    def pack(self, alpha, means, chols):
+        logits = np.log(np.asarray(alpha, dtype=float))
+        parts = [
+            logits[1:] - logits[0],
+            np.asarray(means, dtype=float).ravel() / self.sqrt_eps,
+        ]
+        parts += [_pack_chol(L) for L in chols]
+        return np.concatenate(parts)
 
     def value_grad(self, theta):
-        d, eps = self.d, self.mu.epsilon
-        m, L = self.split(theta)
-        x = m + self.scale * (self.z @ L.T)
+        d, eps, w = self.d, self.mu.epsilon, self.w
+        alpha, means, chols = self.split(theta)
+        if self.xi is not None:
+            penalty, pen_alpha, pen_means = self._penalty(alpha, means)
+            if not np.isfinite(penalty):
+                return math.inf, np.zeros_like(theta)
+        nodes, pot, gx = [], [], []
         try:
-            v1 = self.mu.v1.value(x)
-            v2 = self.mu.v2.value(x)
-            g1 = self.mu.v1.gradient(x)
-            g2 = self.mu.v2.gradient(x)
+            for m, L in zip(means, chols):
+                x = m + self.scale * (self.z @ L.T)
+                v1 = self.mu.v1.value(x)
+                v2 = self.mu.v2.value(x)
+                g1 = self.mu.v1.gradient(x)
+                g2 = self.mu.v2.gradient(x)
+                nodes.append(x)
+                pot.append(float(np.dot(w, v1)) / eps + float(np.dot(w, v2)))
+                gx.append(g1 / eps + g2)  # (K, d) gradient of the potential part
         except (EvaluationError, FloatingPointError):
             return math.inf, np.zeros_like(theta)
-        logdiag_sum = float(np.sum(np.log(np.diag(L))))
-        value = (
-            float(np.dot(self.w, v1)) / eps
-            + float(np.dot(self.w, v2))
-            - 0.5 * d * math.log(2.0 * math.pi * eps)
-            - logdiag_sum
-            - 0.5 * d
-            + self.log_z
+        if self.n == 1:
+            L = chols[0]
+            value = (
+                pot[0]
+                - 0.5 * d * math.log(2.0 * math.pi * eps)
+                - float(np.sum(np.log(np.diag(L))))
+                - 0.5 * d
+                + self.log_z
+            )
+            if not np.isfinite(value):
+                return math.inf, np.zeros_like(theta)
+            g_logits = theta[:0]
+            g_means = (w @ gx[0])[None]
+            g_chols = [self.scale * np.einsum("k,ka,kb->ab", w, gx[0], self.z)]
+            g_logdiag = [-1.0]  # d(entropy)/d(log L_aa)
+        else:
+            value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
+                alpha, means, chols, nodes, np.array(pot), np.stack(gx)
+            )
+            if self.xi is not None:
+                value += penalty
+                g_alpha += pen_alpha
+                g_means += pen_means
+            if not np.isfinite(value):
+                return math.inf, np.zeros_like(theta)
+            g_logits = (alpha * (g_alpha - alpha @ g_alpha))[1:]
+        parts = [g_logits, self.sqrt_eps * g_means.ravel()]
+        for L, dL, dlogdiag in zip(chols, g_chols, g_logdiag):
+            parts.append(np.diag(dL) * np.diag(L) + dlogdiag)
+            if d > 1:
+                parts.append(dL[np.tril_indices(d, k=-1)])
+        return value, np.concatenate(parts)
+
+    def _mixture_terms(self, alpha, means, chols, nodes, pot, gx):
+        """KL value and its gradient in alpha, the means and the factors.
+
+        Index i runs over the component whose nodes are used, j over the
+        component density; ``r[i, j]`` is the responsibility of j at the
+        nodes of i.  The log-diagonal part of the factors' gradient that
+        comes from log det Sigma_j is returned apart, as -sum of r_j.
+        """
+        d, eps, w, sqrt_eps = self.d, self.mu.epsilon, self.w, self.sqrt_eps
+        chols = np.stack(chols)
+        inv = np.linalg.inv(chols)
+        diff = np.stack(nodes)[:, None] - means[None, :, None]  # (i, j, K, d)
+        u = np.einsum("jab,ijkb->ijka", inv, diff) / sqrt_eps  # L_j^-1 (x - m_j) / sqrt(eps)
+        score = np.einsum("jba,ijkb->ijka", inv, u) / sqrt_eps  # Sigma_j^-1 (x - m_j)
+        log_det = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+        const = np.log(alpha) - 0.5 * d * math.log(2.0 * math.pi * eps) - log_det
+        comp_log = const[None, :, None] - 0.5 * np.sum(u * u, axis=-1)  # (i, j, K)
+        log_rho = logsumexp(comp_log, axis=1)
+        r = np.exp(comp_log - log_rho[:, None])
+        entropy = log_rho @ w
+        value = float(alpha @ (pot + entropy)) + self.log_z
+
+        aw = alpha[:, None] * w  # (i, K)
+        # path term: gradient of V1/eps + V2 + log rho at each component's nodes
+        g_path = gx - np.einsum("ijk,ijka->ika", r, score)
+        # direct term: d log rho / d(m_j, L_j) = r_j (Sigma_j^-1 (x - m_j), sqrt(eps) score u^T)
+        ar = aw[:, None] * r  # (i, j, K)
+        g_means = np.einsum("ik,ika->ia", aw, g_path) + np.einsum("ijk,ijka->ja", ar, score)
+        g_chols = self.scale * np.einsum("ik,ika,kb->iab", aw, g_path, self.z) + sqrt_eps * (
+            np.einsum("ijk,ijka,ijkb->jab", ar, score, u)
         )
-        if not np.isfinite(value):
-            return math.inf, np.zeros_like(theta)
-        gx = g1 / eps + g2  # (K, d) gradient of the potential part at the nodes
-        grad_m = self.sqrt_eps * (self.w @ gx)
-        dL = self.scale * np.einsum("k,ka,kb->ab", self.w, gx, self.z)
-        diag = np.diag(L)
-        grad_logdiag = np.diag(dL) * diag - 1.0
-        grad = np.concatenate(
-            [grad_m, grad_logdiag]
-            + ([dL[np.tril_indices(d, k=-1)]] if d > 1 else [])
-        )
-        return value, grad
+        mass = np.sum(ar, axis=(0, 2))  # sum_i alpha_i E_i[r_j]
+        g_alpha = pot + entropy + mass / alpha
+        return value, g_alpha, g_means, g_chols, -mass
+
+    def _penalty(self, alpha, means):
+        """Weight barrier and separation hinge, with gradients in alpha and the means."""
+        xi1, xi2 = self.xi
+        n = self.n
+        slack = alpha - xi1
+        if np.any(slack <= 0):
+            return math.inf, None, None
+        ref = 1.0 / n - xi1
+        value = -self.barrier * float(np.sum(np.log(slack / ref)))
+        g_alpha = -self.barrier / slack
+        g_means = np.zeros_like(means)
+        # aimed just past xi2, so the hinge's equilibrium lands inside the family
+        target = xi2 * (1.0 + _SEPARATION_MARGIN)
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = means[i] - means[j]
+                dist = float(np.linalg.norm(diff))
+                gap = target - dist
+                if gap > 0:
+                    value += self.sep_weight * gap * gap
+                    if dist > 0:
+                        push = (2.0 * self.sep_weight * gap / dist) * diff
+                        g_means[i] -= push
+                        g_means[j] += push
+        return value, g_alpha, g_means
 
 
 def _accept_tol(grad_tol):
@@ -282,7 +396,14 @@ def _run_starts(objective, starts, cfg, grad_tol):
         )
         if np.isfinite(res.fun) and (best is None or res.fun < best[0]):
             best = (float(res.fun), np.asarray(res.x), ok, int(res.nit))
+    if best is None:
+        raise RuntimeError("all optimizer starts failed to produce a finite value")
     return best, traces
+
+
+# ---------------------------------------------------------------------------
+# single Gaussian
+# ---------------------------------------------------------------------------
 
 
 def minimize_single(
@@ -302,29 +423,26 @@ def minimize_single(
     cfg = cfg or OptimizerConfig()
     log_z, mode_set = _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts)
     d = mu.dim
-    obj = _SingleObjective(mu, log_z, cfg.gh_order)
+    obj = _Objective(mu, log_z, cfg.gh_order)
 
     starts = []
     for m0, sigma0 in extra_starts or []:
         L0 = np.linalg.cholesky(np.atleast_2d(np.asarray(sigma0, dtype=float)))
-        starts.append(obj.pack(m0, L0))
+        starts.append(obj.pack(_ONE, [m0], [L0]))
     if mode_set is not None:
         for x, H in zip(mode_set.modes, mode_set.hessians):
             L0 = np.linalg.cholesky(np.linalg.inv(H))
-            starts.append(obj.pack(x, L0))
+            starts.append(obj.pack(_ONE, [x], [L0]))
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = _box_bounds(_default_box(mu, mode_set, cfg), d)
+    lo, hi = _box_arrays(_default_box(mu, mode_set, cfg), d)
     n_random = max(0, cfg.multistart - len(starts))
     for _ in range(n_random):
         m0 = lo + (hi - lo) * rng.random(d)
-        starts.append(obj.pack(m0, np.eye(d)))
+        starts.append(obj.pack(_ONE, [m0], [np.eye(d)]))
 
-    best, traces = _run_starts(obj, starts, cfg, cfg.grad_tol)
-    if best is None:
-        raise RuntimeError("all optimizer starts failed to produce a finite value")
-    value, theta, ok, nit = best
-    m, L = obj.split(theta)
-    params = GaussianParams(m, math.sqrt(mu.epsilon) * L)
+    (value, theta, ok, nit), traces = _run_starts(obj, starts, cfg, cfg.grad_tol)
+    _, means, chols = obj.split(theta)
+    params = GaussianParams(means[0], math.sqrt(mu.epsilon) * chols[0])
     return OptimResult(
         kind="single",
         params=params,
@@ -340,124 +458,6 @@ def minimize_single(
 # ---------------------------------------------------------------------------
 # mixtures
 # ---------------------------------------------------------------------------
-
-
-class _MixtureObjective:
-    """G(theta) for n components, smooth and deterministic.
-
-    theta = [w (n-1 softmax logits), means (n*d), chol params (n * d(d+1)/2)].
-    The entropy term integrates log rho under each component by the same
-    Gauss-Hermite rule, so the whole objective is smooth; the barrier keeps
-    weights above xi1 and the hinge pushes means xi2 apart.
-    """
-
-    def __init__(self, mu, log_z, order, xi, barrier, separation_weight):
-        self.mu = mu
-        self.log_z = log_z
-        self.d = mu.dim
-        self.xi = xi
-        self.barrier = barrier
-        self.sep_weight = separation_weight
-        self.z, self.w = gauss_hermite(order, self.d)
-        self.sqrt_eps = math.sqrt(mu.epsilon)
-        self.scale = math.sqrt(2.0 * mu.epsilon)
-
-    def n_params(self, n):
-        return (n - 1) + n * self.d + n * _n_chol_params(self.d)
-
-    def split(self, theta, n):
-        d = self.d
-        logits = np.concatenate([[0.0], theta[: n - 1]])
-        alpha = np.exp(logits - logsumexp(logits))
-        # means in concentration units (see _SingleObjective)
-        means = self.sqrt_eps * theta[n - 1 : n - 1 + n * d].reshape(n, d)
-        chols = []
-        off = n - 1 + n * d
-        k = _n_chol_params(d)
-        for i in range(n):
-            chols.append(_unpack_chol(theta[off + i * k : off + (i + 1) * k], d))
-        return alpha, means, chols
-
-    def pack(self, alpha, means, chols):
-        logits = np.log(np.asarray(alpha, dtype=float))
-        parts = [
-            logits[1:] - logits[0],
-            np.asarray(means, dtype=float).ravel() / self.sqrt_eps,
-        ]
-        parts += [_pack_chol(L) for L in chols]
-        return np.concatenate(parts)
-
-    def core(self, alpha, means, chols):
-        """KL value without barrier/penalty terms (full covariances eps*LL^T)."""
-        d, eps = self.d, self.mu.epsilon
-        n = len(chols)
-        nodes = [means[i] + self.scale * (self.z @ chols[i].T) for i in range(n)]
-        try:
-            v_part = 0.0
-            for i in range(n):
-                v_part += alpha[i] * (
-                    float(np.dot(self.w, self.mu.v1.value(nodes[i]))) / eps
-                    + float(np.dot(self.w, self.mu.v2.value(nodes[i])))
-                )
-        except (EvaluationError, FloatingPointError):
-            return math.inf
-        # mixture log-density at every component's nodes
-        log_alpha = np.log(alpha)
-        const = [
-            -0.5 * (d * math.log(2.0 * math.pi * eps) + 2.0 * np.sum(np.log(np.diag(L))))
-            for L in chols
-        ]
-        entropy = 0.0
-        for i in range(n):
-            comp_log = np.empty((n, nodes[i].shape[0]))
-            for j in range(n):
-                diff = nodes[i] - means[j]
-                y = np.linalg.solve(chols[j], diff.T) / math.sqrt(eps)
-                comp_log[j] = const[j] - 0.5 * np.sum(y * y, axis=0) + log_alpha[j]
-            entropy += alpha[i] * float(np.dot(self.w, logsumexp(comp_log, axis=0)))
-        value = entropy + v_part + self.log_z
-        return value if np.isfinite(value) else math.inf
-
-    def penalties(self, alpha, means):
-        xi1, xi2 = self.xi
-        n = alpha.size
-        total = 0.0
-        if n > 1:
-            slack = alpha - xi1
-            if np.any(slack <= 0):
-                return math.inf
-            ref = 1.0 / n - xi1
-            total -= self.barrier * float(np.sum(np.log(slack / ref)))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    gap = xi2 - float(np.linalg.norm(means[i] - means[j]))
-                    if gap > 0:
-                        total += self.sep_weight * gap * gap
-        return total
-
-    def __call__(self, theta, n):
-        alpha, means, chols = self.split(theta, n)
-        pen = self.penalties(alpha, means)
-        if not np.isfinite(pen):
-            return math.inf
-        core = self.core(alpha, means, chols)
-        return core + pen
-
-
-def _fd_grad(fun, theta, f0=None):
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[i]))
-        e = np.zeros_like(theta)
-        e[i] = h
-        fp, fm = fun(theta + e), fun(theta - e)
-        if np.isfinite(fp) and np.isfinite(fm):
-            g[i] = (fp - fm) / (2 * h)
-        elif f0 is not None and np.isfinite(fp):
-            g[i] = (fp - f0) / h
-        elif f0 is not None and np.isfinite(fm):
-            g[i] = (f0 - fm) / h
-    return g
 
 
 def _mixture_starts(mu, n, mode_set, cfg, rng, extra_starts, obj):
@@ -477,19 +477,13 @@ def _mixture_starts(mu, n, mode_set, cfg, rng, extra_starts, obj):
             chols0 = [np.linalg.cholesky(np.linalg.inv(mode_set.hessians[j])) for j in a]
             alpha0 = np.full(n, 1.0 / n)
             starts.append(obj.pack(alpha0, means0, chols0))
-    lo, hi = _box_bounds(_default_box(mu, mode_set, cfg), d)
+    lo, hi = _box_arrays(_default_box(mu, mode_set, cfg), d)
     min_starts = max(cfg.multistart, 1 if starts else 2)
     while len(starts) < min_starts:
         means0 = lo + (hi - lo) * rng.random((n, d))
         chols0 = [np.eye(d) for _ in range(n)]
         starts.append(obj.pack(np.full(n, 1.0 / n), means0, chols0))
     return starts
-
-
-def _box_bounds(box, d):
-    lo = np.broadcast_to(np.asarray(box[0], dtype=float), (d,))
-    hi = np.broadcast_to(np.asarray(box[1], dtype=float), (d,))
-    return lo, hi
 
 
 def minimize_mixture(
@@ -504,10 +498,11 @@ def minimize_mixture(
     """Best n-component Gaussian mixture in the constrained family.
 
     Weight floor xi[0] must satisfy xi[0] <= 1/n (otherwise the feasible set
-    is empty and the call is rejected).  The separation hinge weight is
-    escalated x10 (up to 4 rounds) until the returned means satisfy the
-    xi[1] separation; components are returned sorted by first mean
-    coordinate.
+    is empty and the call is rejected).  The separation hinge aims at
+    xi[1] * (1 + 1e-6), so that the point where it balances the objective
+    still lies in the family; its weight is escalated x10 (up to 4 rounds)
+    until the returned means are xi[1] apart.  Components are returned
+    sorted by first mean coordinate.
     """
     cfg = cfg or OptimizerConfig()
     xi1, xi2 = float(xi[0]), float(xi[1])
@@ -524,75 +519,34 @@ def minimize_mixture(
 
     sep_weight = cfg.separation_weight
     grad_tol = max(cfg.grad_tol, 1e-6)
-    best_theta = None
+    starts = None
     traces = []
     for _ in range(5):
-        obj = _MixtureObjective(
-            mu, log_z, cfg.gh_order, (xi1, xi2), cfg.barrier, sep_weight
+        obj = _Objective(
+            mu, log_z, cfg.gh_order, n, (xi1, xi2), cfg.barrier, sep_weight
         )
-        fun = lambda th: obj(th, n)
-        if best_theta is None:
+        if starts is None:
             starts = _mixture_starts(mu, n, mode_set, cfg, rng, extra_starts, obj)
-        else:
-            starts = [best_theta]
-        best = None
-        for theta0 in starts:
-            f0 = fun(theta0)
-            res = _scipy_minimize(
-                fun,
-                theta0,
-                jac=lambda th: _fd_grad(fun, th, fun(th)),
-                method="BFGS",
-                options={"gtol": grad_tol, "maxiter": cfg.max_iters},
-            )
-            gnorm = (
-                float(np.max(np.abs(res.jac)))
-                if np.all(np.isfinite(res.jac))
-                else math.inf
-            )
-            ok = bool(res.success) or gnorm <= _accept_tol(grad_tol)
-            traces.append(
-                StartTrace(
-                    start_value=float(f0),
-                    value=float(res.fun),
-                    grad_norm=gnorm,
-                    iterations=int(res.nit),
-                    converged=ok,
-                )
-            )
-            if np.isfinite(res.fun) and (best is None or res.fun < best[0]):
-                best = (float(res.fun), np.asarray(res.x), ok, int(res.nit))
-        if best is None:
-            raise RuntimeError("all mixture starts failed to produce a finite value")
-        _, best_theta, ok, nit = best
-        alpha, means, chols = obj.split(best_theta, n)
-        sep_ok = n == 1 or _min_separation(means) >= xi2 - 1e-9
-        if sep_ok:
+        (_, theta, ok, nit), round_traces = _run_starts(obj, starts, cfg, grad_tol)
+        traces += round_traces
+        alpha, means, chols = obj.split(theta)
+        order = np.argsort(means[:, 0], kind="stable")
+        comps = tuple(
+            GaussianParams(means[i], math.sqrt(mu.epsilon) * chols[i]) for i in order
+        )
+        params = MixtureParams(components=comps, weights=alpha[order], xi=(xi1, xi2))
+        if params.satisfies_constraints():
             break
+        starts = [theta]
         sep_weight *= 10.0
-    converged = ok and sep_ok and bool(np.all(alpha >= xi1 - 1e-9))
 
-    order = np.argsort(means[:, 0], kind="stable")
-    comps = tuple(
-        GaussianParams(means[i], math.sqrt(mu.epsilon) * chols[i]) for i in order
-    )
-    params = MixtureParams(components=comps, weights=alpha[order], xi=(xi1, xi2))
-    value = float(obj.core(alpha, means, chols))
     return OptimResult(
         kind="mixture",
         params=params,
         epsilon=mu.epsilon,
-        value=value,
-        converged=converged,
+        value=_Objective(mu, log_z, cfg.gh_order, n).value_grad(theta)[0],
+        converged=ok and params.satisfies_constraints(),
         iterations=nit,
         log_z=log_z,
         traces=traces,
     )
-
-
-def _min_separation(means):
-    n = means.shape[0]
-    if n == 1:
-        return math.inf
-    dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-    return float(np.min(dists[np.triu_indices(n, k=1)]))

@@ -7,7 +7,7 @@ import klgauss as kg
 from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
-    _SingleObjective,
+    _Objective,
     minimize_mixture,
     minimize_single,
 )
@@ -43,36 +43,51 @@ def test_shifted_double_well_picks_heavier_mode(shifted_family):
     assert res.params.mean[0] == pytest.approx(-1.0, abs=1e-2)
 
 
-def test_analytic_gradient_matches_finite_differences(double_well_family, rng):
-    mu = double_well_family.at(0.05)
-    obj = _SingleObjective(mu, log_z=0.3, order=20)
-    for _ in range(10):
-        theta = rng.uniform(-1.5, 1.5, 2)
-        _, g = obj.value_grad(theta)
-        g_fd = np.zeros_like(theta)
-        for i in range(theta.size):
-            h = 1e-6 * (1 + abs(theta[i]))
-            e = np.zeros_like(theta)
-            e[i] = h
-            fp, _ = obj.value_grad(theta + e)
-            fm, _ = obj.value_grad(theta - e)
-            g_fd[i] = (fp - fm) / (2 * h)
-        assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-7)
+# (n, xi): every pair of means drawn below is closer than xi2 = 1, so the
+# separation hinge is active wherever the constraints are
+GRADIENT_CASES = [
+    pytest.param(1, None, id="n1"),
+    pytest.param(2, None, id="n2"),
+    pytest.param(2, (0.2, 1.0), id="n2-constrained"),
+    pytest.param(3, None, id="n3"),
+    pytest.param(3, (0.2, 1.0), id="n3-constrained"),
+]
 
 
-def test_analytic_gradient_matches_fd_2d(rng):
-    fam = kg.builtin_problem("quadratic", dim=2, scale=1.5, center=[0.2, -0.1])
-    mu = fam.at(0.1)
-    obj = _SingleObjective(mu, log_z=0.0, order=10)
-    theta = rng.uniform(-0.5, 0.5, 5)  # m(2), logdiag(2), offdiag(1)
-    _, g = obj.value_grad(theta)
+def _theta(rng, n, d, spread):
+    # logits near 0 keep every weight above the barrier floor xi1 = 0.2
+    k = n * d + n * d * (d + 1) // 2
+    return np.concatenate([rng.uniform(-0.3, 0.3, n - 1), rng.uniform(-spread, spread, k)])
+
+
+def _fd_gradient(obj, theta):
     g_fd = np.zeros_like(theta)
     for i in range(theta.size):
-        h = 1e-6
+        h = 1e-6 * (1 + abs(theta[i]))
         e = np.zeros_like(theta)
         e[i] = h
         g_fd[i] = (obj.value_grad(theta + e)[0] - obj.value_grad(theta - e)[0]) / (2 * h)
-    assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-7)
+    return g_fd
+
+
+@pytest.mark.parametrize("n, xi", GRADIENT_CASES)
+def test_analytic_gradient_matches_finite_differences(double_well_family, rng, n, xi):
+    mu = double_well_family.at(0.05)
+    obj = _Objective(mu, 0.3, 20, n, xi, barrier=0.1, separation_weight=100.0)
+    for _ in range(10):
+        theta = _theta(rng, n, 1, 1.5)
+        _, g = obj.value_grad(theta)
+        assert np.allclose(g, _fd_gradient(obj, theta), rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("n, xi", GRADIENT_CASES)
+def test_analytic_gradient_matches_fd_2d(rng, n, xi):
+    fam = kg.builtin_problem("quadratic", dim=2, scale=1.5, center=[0.2, -0.1])
+    mu = fam.at(0.1)
+    obj = _Objective(mu, 0.0, 10, n, xi, barrier=0.1, separation_weight=100.0)
+    theta = _theta(rng, n, 2, 0.5)  # per component: m(2), logdiag(2), offdiag(1)
+    _, g = obj.value_grad(theta)
+    assert np.allclose(g, _fd_gradient(obj, theta), rtol=1e-5, atol=1e-7)
 
 
 def test_monotone_improvement_over_starts(double_well_family):
@@ -164,5 +179,16 @@ def test_mixture_separation_constraint_enforced(quadratic_family):
     # still deliver a xi2-separated feasible point
     mu = quadratic_family.at(0.05)
     res = minimize_mixture(mu, 2, (0.05, 0.5), OptimizerConfig(multistart=4))
+    assert res.converged
     assert res.params.min_separation() >= 0.5 - 1e-9
     assert res.params.satisfies_constraints()
+
+
+def test_inverted_box_raises_with_given_log_z(double_well_family):
+    # a given log Z must not hide the invalid search box from the starts
+    mu = double_well_family.at(0.01)
+    cfg = OptimizerConfig(box=(1.0, -1.0))
+    with pytest.raises(ValueError):
+        minimize_single(mu, cfg, log_z=0.0)
+    with pytest.raises(ValueError):
+        minimize_mixture(mu, 2, (0.05, 1.0), cfg, log_z=0.0)

@@ -15,12 +15,17 @@ both: fixed-node Gauss-Hermite quadrature of the potential and, for a
 mixture, of the entropy, differentiated exactly through the nodes and the
 responsibilities.  Multistart globalization seeds means at the located modes
 with covariances from the inverse mode Hessians.
+
+Where the ``gh_order`` rule is large, BFGS runs at the lowest of its halved
+orders that is certified against the next finer one (see OptimizerConfig).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -43,6 +48,13 @@ from .quadrature import gauss_hermite
 _LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
 _SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
 _ONE = np.ones(1)  # the weights of a single Gaussian
+# GH order selection: it runs only where the gh_order rule has more nodes
+# than this, since smaller rules cost about the same at any order; adjacent
+# orders agree when their values differ by at most REFINE_RTOL relative and
+# their gradients by at most REFINE_GRAD_FACTOR * grad_tol
+_SELECT_MIN_NODES = 1000
+_REFINE_RTOL = 1e-10
+_REFINE_GRAD_FACTOR = 1e-2
 
 
 class InfeasibleConstraintError(ValueError):
@@ -51,6 +63,18 @@ class InfeasibleConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of the BFGS multistart.
+
+    ``gh_order`` is the reference Gauss-Hermite order of the objective's
+    tensor rule.  Where that rule has more than 1,000 nodes (gh_order**d),
+    BFGS runs at the lowest order of the ladder of halvings (20 -> 10 -> 5
+    -> 2) whose value and gradient agree with the next ladder order at the
+    first start: values to 1e-10 relative, gradients to 1e-2 * grad_tol.
+    Every start's endpoint is certified the same way against the next order
+    before the starts are ranked; where it fails, BFGS continues from it at
+    that order, up to gh_order.
+    """
+
     max_iters: int = 300
     grad_tol: float = 1e-8
     multistart: int = 8
@@ -92,6 +116,10 @@ class OptimResult:
     ``params`` carries the full (eps-scaled) covariances, so it is the
     actual approximating measure; ``rescaled_covariances`` recovers the
     eps-free parameterization whose limits the theory predicts.
+    ``gh_order`` is the Gauss-Hermite order BFGS ended at, and
+    ``gh_refine_error`` is |value - value at the next ladder order| at the
+    returned point (at the reference order: against the half order), or
+    None where the rule was too small for order selection to run.
     """
 
     kind: str  # "single" | "mixture"
@@ -101,7 +129,9 @@ class OptimResult:
     converged: bool
     iterations: int
     log_z: float
+    gh_order: int
     traces: list = field(default_factory=list)
+    gh_refine_error: float | None = None
 
     @property
     def rescaled_covariances(self) -> np.ndarray:
@@ -128,6 +158,8 @@ class OptimResult:
             doc["weights"] = self.params.weights.tolist()
         if verbose:
             doc["traces"] = [t.to_json() for t in self.traces]
+            doc["gh_order"] = self.gh_order
+            doc["gh_refine_error"] = self.gh_refine_error
         return doc
 
 
@@ -227,6 +259,7 @@ class _Objective:
         self.xi = xi if n > 1 else None  # a single Gaussian meets any constraint
         self.barrier = barrier
         self.sep_weight = separation_weight
+        self.order = order
         self.z, self.w = gauss_hermite(order, self.d)
         self.sqrt_eps = math.sqrt(mu.epsilon)
         self.scale = math.sqrt(2.0 * mu.epsilon)
@@ -371,33 +404,102 @@ def _accept_tol(grad_tol):
     return max(10.0 * grad_tol, 1e-6)
 
 
-def _run_starts(objective, starts, cfg, grad_tol):
+class _Best(NamedTuple):
+    value: float
+    theta: np.ndarray
+    ok: bool
+    nit: int
+    order: int  # the GH order BFGS ended at
+    refine: float | None  # |value - value at the next ladder order|
+
+
+def _gh_ladder(cfg, d):
+    """The GH orders BFGS may use, coarsest first.
+
+    The halvings of ``gh_order`` down to 2 (20 -> [2, 5, 10, 20]), or
+    ``gh_order`` alone while its rule has at most _SELECT_MIN_NODES nodes.
+    """
+    ladder = [cfg.gh_order]
+    if cfg.gh_order**d > _SELECT_MIN_NODES:
+        while ladder[0] // 2 >= 2:
+            ladder.insert(0, ladder[0] // 2)
+    return ladder
+
+
+def _agree(coarse, fine, grad_tol):
+    """Whether two (value, gradient) evaluations at one point agree."""
+    (v, g), (v_fine, g_fine) = coarse, fine
+    return bool(
+        abs(v - v_fine) <= _REFINE_RTOL * max(1.0, abs(v_fine))
+        and np.max(np.abs(g - g_fine)) <= _REFINE_GRAD_FACTOR * grad_tol
+    )
+
+
+def _select_order(make, ladder, theta0, grad_tol):
+    """The lowest ladder order that agrees with the next one at theta0.
+
+    ``make(order)`` builds the objective.  Each finer evaluation is the next
+    candidate, so the walk costs at most len(ladder) evaluations; when no
+    order agrees with its successor, the reference order is kept.
+    """
+    coarse = make(ladder[0]).value_grad(theta0) if len(ladder) > 1 else None
+    for order, finer in zip(ladder, ladder[1:]):
+        fine = make(finer).value_grad(theta0)
+        if _agree(coarse, fine, grad_tol):
+            return order
+        coarse = fine
+    return ladder[-1]
+
+
+def _run_starts(make, ladder, order, starts, cfg, grad_tol):
+    """BFGS from every start, each endpoint certified; the best endpoint.
+
+    ``make(order)`` builds the objective at a GH order.  Every start runs at
+    ``order``; its endpoint is evaluated at the next ladder order and, while
+    the two disagree, BFGS continues from it at that order, up to the
+    reference order ladder[-1].  Starts are ranked by their certified
+    values.  Returns (best, traces), one trace per BFGS run.
+    """
+    make = functools.cache(make)
     traces = []
     best = None
-    for theta0 in starts:
-        f0, _ = objective.value_grad(theta0)
-        res = _scipy_minimize(
-            objective.value_grad,
-            theta0,
-            jac=True,
-            method="BFGS",
-            options={"gtol": grad_tol, "maxiter": cfg.max_iters},
-        )
-        gnorm = float(np.max(np.abs(res.jac))) if np.all(np.isfinite(res.jac)) else math.inf
-        ok = bool(res.success) or gnorm <= _accept_tol(grad_tol)
-        traces.append(
-            StartTrace(
-                start_value=float(f0),
-                value=float(res.fun),
-                grad_norm=gnorm,
-                iterations=int(res.nit),
-                converged=ok,
+    for theta in starts:
+        i, nit, refine = ladder.index(order), 0, None
+        f0, _ = make(order).value_grad(theta)
+        while True:
+            res = _scipy_minimize(
+                make(ladder[i]).value_grad,
+                theta,
+                jac=True,
+                method="BFGS",
+                options={"gtol": grad_tol, "maxiter": cfg.max_iters},
             )
-        )
-        if np.isfinite(res.fun) and (best is None or res.fun < best[0]):
-            best = (float(res.fun), np.asarray(res.x), ok, int(res.nit))
+            gnorm = float(np.max(np.abs(res.jac))) if np.all(np.isfinite(res.jac)) else math.inf
+            ok = bool(res.success) or gnorm <= _accept_tol(grad_tol)
+            nit += int(res.nit)
+            traces.append(
+                StartTrace(
+                    start_value=float(f0),
+                    value=float(res.fun),
+                    grad_norm=gnorm,
+                    iterations=int(res.nit),
+                    converged=ok,
+                )
+            )
+            if i + 1 == len(ladder) or not np.isfinite(res.fun):
+                break
+            fine = make(ladder[i + 1]).value_grad(res.x)
+            if _agree((res.fun, res.jac), fine, grad_tol):
+                refine = abs(res.fun - fine[0])
+                break
+            i, theta, f0 = i + 1, res.x, fine[0]
+        if np.isfinite(res.fun) and (best is None or res.fun < best.value):
+            best = _Best(float(res.fun), np.asarray(res.x), ok, nit, ladder[i], refine)
     if best is None:
         raise RuntimeError("all optimizer starts failed to produce a finite value")
+    if best.refine is None and len(ladder) > 1:
+        # at the reference order: the error against the half order
+        best = best._replace(refine=abs(best.value - make(ladder[-2]).value_grad(best.theta)[0]))
     return best, traces
 
 
@@ -419,11 +521,22 @@ def minimize_single(
     grid-oracle value for exact KL numbers.  ``extra_starts`` (pairs of
     (mean, rescaled covariance)) are tried first; warm starting a sweep goes
     through this hook.
+
+    ``cfg.gh_order`` is the reference Gauss-Hermite order.  Where its rule
+    has more than 1,000 nodes, BFGS runs at the lowest order of the ladder
+    gh_order, gh_order // 2, ... (down to 2) that agrees with the next one
+    at the first start (values to 1e-10 relative, gradients to 1e-2 *
+    grad_tol).  Each start's endpoint is certified against the next order,
+    BFGS continuing at that order until it passes or reaches gh_order, and
+    the best certified endpoint is returned.
+    ``gh_order`` and ``gh_refine_error`` of the result report the outcome.
     """
     cfg = cfg or OptimizerConfig()
     log_z, mode_set = _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts)
     d = mu.dim
-    obj = _Objective(mu, log_z, cfg.gh_order)
+    make = functools.partial(_Objective, mu, log_z)
+    ladder = _gh_ladder(cfg, d)
+    obj = make(ladder[0])  # packing and splitting do not depend on the order
 
     starts = []
     for m0, sigma0 in extra_starts or []:
@@ -440,18 +553,21 @@ def minimize_single(
         m0 = lo + (hi - lo) * rng.random(d)
         starts.append(obj.pack(_ONE, [m0], [np.eye(d)]))
 
-    (value, theta, ok, nit), traces = _run_starts(obj, starts, cfg, cfg.grad_tol)
-    _, means, chols = obj.split(theta)
+    order = _select_order(make, ladder, starts[0], cfg.grad_tol)
+    best, traces = _run_starts(make, ladder, order, starts, cfg, cfg.grad_tol)
+    _, means, chols = obj.split(best.theta)
     params = GaussianParams(means[0], math.sqrt(mu.epsilon) * chols[0])
     return OptimResult(
         kind="single",
         params=params,
         epsilon=mu.epsilon,
-        value=value,
-        converged=ok,
-        iterations=nit,
+        value=best.value,
+        converged=best.ok,
+        iterations=best.nit,
         log_z=log_z,
+        gh_order=best.order,
         traces=traces,
+        gh_refine_error=best.refine,
     )
 
 
@@ -502,7 +618,9 @@ def minimize_mixture(
     xi[1] * (1 + 1e-6), so that the point where it balances the objective
     still lies in the family; its weight is escalated x10 (up to 4 rounds)
     until the returned means are xi[1] apart.  Components are returned
-    sorted by first mean coordinate.
+    sorted by first mean coordinate.  The Gauss-Hermite order is chosen
+    once, before the first round, and every endpoint of every round is
+    certified as in :func:`minimize_single`.
     """
     cfg = cfg or OptimizerConfig()
     xi1, xi2 = float(xi[0]), float(xi[1])
@@ -519,16 +637,21 @@ def minimize_mixture(
 
     sep_weight = cfg.separation_weight
     grad_tol = max(cfg.grad_tol, 1e-6)
+    ladder = _gh_ladder(cfg, mu.dim)
     starts = None
     traces = []
     for _ in range(5):
-        obj = _Objective(
-            mu, log_z, cfg.gh_order, n, (xi1, xi2), cfg.barrier, sep_weight
+        make = functools.partial(
+            _Objective, mu, log_z, n=n, xi=(xi1, xi2), barrier=cfg.barrier,
+            separation_weight=sep_weight,
         )
+        obj = make(ladder[0])  # packing and splitting do not depend on the order
         if starts is None:
             starts = _mixture_starts(mu, n, mode_set, cfg, rng, extra_starts, obj)
-        (_, theta, ok, nit), round_traces = _run_starts(obj, starts, cfg, grad_tol)
+            gh_order = _select_order(make, ladder, starts[0], grad_tol)
+        best, round_traces = _run_starts(make, ladder, gh_order, starts, cfg, grad_tol)
         traces += round_traces
+        theta = best.theta
         alpha, means, chols = obj.split(theta)
         order = np.argsort(means[:, 0], kind="stable")
         comps = tuple(
@@ -537,16 +660,18 @@ def minimize_mixture(
         params = MixtureParams(components=comps, weights=alpha[order], xi=(xi1, xi2))
         if params.satisfies_constraints():
             break
-        starts = [theta]
+        starts, gh_order = [theta], best.order
         sep_weight *= 10.0
 
     return OptimResult(
         kind="mixture",
         params=params,
         epsilon=mu.epsilon,
-        value=_Objective(mu, log_z, cfg.gh_order, n).value_grad(theta)[0],
-        converged=ok and params.satisfies_constraints(),
-        iterations=nit,
+        value=_Objective(mu, log_z, best.order, n).value_grad(theta)[0],
+        converged=best.ok and params.satisfies_constraints(),
+        iterations=best.nit,
         log_z=log_z,
+        gh_order=best.order,
         traces=traces,
+        gh_refine_error=best.refine,
     )

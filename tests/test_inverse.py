@@ -5,6 +5,7 @@ import pytest
 
 import klgauss as kg
 from klgauss import inverse as inv
+from klgauss import optimizer as optim
 from klgauss.optimizer import OptimizerConfig
 from klgauss.potentials import check_derivatives, fd_hessian_from_grad, quadratic
 
@@ -284,6 +285,60 @@ def test_normality_exp_fixed_noise_converges():
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert recs[-1].mean_err <= 1e-2
     assert recs[-1].cov_rel_err <= 0.05
+
+
+def test_posterior_m4_runs_below_gh_order_and_is_certified():
+    # the benchmark's M = 4 posterior: f = 1000, eps = 1e-3, a fixed noise draw
+    p = problem(M=4, f=1000.0)
+    truth = np.zeros(4)
+    eta = np.random.default_rng(1234).standard_normal(4)
+    mu, ms = inv.posterior(p, truth, eta, 1e-3), inv.limit_mode_set(p, truth)
+    cfg = OptimizerConfig(multistart=1)
+    res = optim.minimize_single(mu, cfg, mode_set=ms)
+    assert res.converged
+    assert res.gh_order < cfg.gh_order
+    assert res.gh_refine_error <= 1e-10 * max(1.0, abs(res.value))
+    ref = optim._Objective(mu, res.log_z, cfg.gh_order)
+    chol = np.linalg.cholesky(res.rescaled_covariances)
+    theta = ref.pack(np.ones(1), [res.params.mean], [chol])
+    assert abs(ref.value_grad(theta)[0] - res.value) <= 1e-10
+    # the certificate: the order used and the next ladder order agree at the point
+    used = optim._Objective(mu, res.log_z, res.gh_order).value_grad(theta)
+    ladder = optim._gh_ladder(cfg, 4)
+    next_order = ladder[ladder.index(res.gh_order) + 1]
+    finer = optim._Objective(mu, res.log_z, next_order).value_grad(theta)
+    assert optim._agree(used, finer, cfg.grad_tol)
+
+
+def test_elliptic_m3_keeps_gh_order():
+    # f = 100 at eps = 0.1: a wide posterior, on which orders 10 and 20 differ
+    # by 3.6e-3 at the start, so the ladder climbs to the reference order
+    p = problem(M=3, f=100.0)
+    truth = np.zeros(3)
+    mu = inv.posterior(p, truth, np.zeros(3), 0.1)
+    ms = inv.limit_mode_set(p, truth)
+    cfg = OptimizerConfig(multistart=1)
+    res = optim.minimize_single(mu, cfg, mode_set=ms)
+    theta0 = optim._Objective(mu, res.log_z, 10).pack(
+        np.ones(1), ms.modes, [np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))]
+    )
+    v10, v20 = (optim._Objective(mu, res.log_z, k).value_grad(theta0)[0] for k in (10, 20))
+    assert abs(v10 - v20) > 1e-3
+    assert res.converged
+    assert res.gh_order == 20
+    assert len(res.traces) == 1  # no continuation: BFGS ran at order 20 throughout
+
+
+def test_normality_exp_m4_converges():
+    p = problem(M=4, f=1000.0)
+    truth = np.zeros(4)
+    eta = np.array([0.7, -0.4, 0.3, -0.2])
+    recs = inv.asymptotic_normality_check(
+        p, truth, eta, [1e-2, 1e-3, 1e-4], cfg=OptimizerConfig(multistart=2)
+    )
+    assert all(r.converged for r in recs)
+    for errs in ([r.mean_err for r in recs], [r.cov_rel_err for r in recs]):
+        assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_normality_square_mixture_limit():

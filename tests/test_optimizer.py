@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import klgauss as kg
+from klgauss import optimizer
 from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
+    _agree,
     _Objective,
     minimize_mixture,
     minimize_single,
@@ -192,3 +194,204 @@ def test_inverted_box_raises_with_given_log_z(double_well_family):
         minimize_single(mu, cfg, log_z=0.0)
     with pytest.raises(ValueError):
         minimize_mixture(mu, 2, (0.05, 1.0), cfg, log_z=0.0)
+
+
+# --- Gauss-Hermite order selection -------------------------------------------------
+
+_ONE_WEIGHT = np.ones(1)
+
+
+def _gaussian_target(d, eps=0.01, scale=1.5):
+    """Quadratic V1 in d dimensions: its best Gaussian is the target itself,
+    N(center, eps/scale I), with KL 0 given the exact log Z."""
+    center = np.linspace(-0.3, 0.4, d)
+    fam = kg.builtin_problem("quadratic", dim=d, scale=scale, center=center.tolist())
+    log_z = 0.5 * d * math.log(2.0 * math.pi * eps / scale)
+    return fam.at(eps), log_z, center, np.eye(d) / scale
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_gaussian_target_runs_at_lowest_order(d):
+    # a quadratic potential is integrated exactly by every order, so the
+    # ladder stops at its first rung and certifies it at the returned point
+    mu, log_z, center, cov = _gaussian_target(d)
+    start = [(center + 0.2, 2.0 * np.eye(d))]
+    res = minimize_single(mu, OptimizerConfig(multistart=2), log_z=log_z, extra_starts=start)
+    assert res.converged
+    assert res.gh_order == 2
+    assert res.gh_refine_error <= 1e-10
+    assert abs(res.value) <= 1e-10
+    assert np.allclose(res.params.mean, center, rtol=0, atol=1e-7)
+    assert np.allclose(res.rescaled_covariances, cov, rtol=0, atol=1e-7)
+    mix = minimize_mixture(
+        mu, 1, (0.5, 1.0), OptimizerConfig(multistart=2), log_z=log_z,
+        extra_starts=[(_ONE_WEIGHT, [center + 0.2], [np.eye(d)])],
+    )
+    assert mix.converged and mix.gh_order == 2
+    assert abs(mix.value) <= 1e-10
+
+
+class _OrderLog(_Objective):
+    """The objective, recording the order of every evaluation."""
+
+    orders = []
+
+    def value_grad(self, theta):
+        self.orders.append(self.order)
+        return super().value_grad(theta)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_small_rules_run_at_gh_order_only(monkeypatch, d):
+    # 20**d <= 1000 nodes: no order selection and no certification, so every
+    # evaluation is a BFGS evaluation at gh_order, as before selection existed
+    monkeypatch.setattr(optimizer, "_Objective", _OrderLog)
+    monkeypatch.setattr(_OrderLog, "orders", [])
+    fam = kg.builtin_problem("quadratic", dim=d, scale=1.5, center=[0.2, -0.1][:d])
+    mu = fam.at(0.05)
+    bfgs, nfev = optimizer._scipy_minimize, []
+
+    def counting_bfgs(*args, **kwargs):
+        res = bfgs(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(optimizer, "_scipy_minimize", counting_bfgs)
+    single = minimize_single(mu, OptimizerConfig(multistart=2))
+    mix = minimize_mixture(mu, 2, (0.05, 0.5), OptimizerConfig(multistart=2))
+    assert set(_OrderLog.orders) == {20}
+    # one evaluation of each start before BFGS, and the mixture's returned
+    # value is one evaluation of its unpenalized objective
+    assert len(_OrderLog.orders) == sum(nfev) + len(nfev) + 1
+    for res in (single, mix):
+        assert res.gh_order == 20 and res.gh_refine_error is None
+
+
+class _LowOrdersAgreeAtStartOnly(_Objective):
+    """Below the reference order 20, adds (20 - order) 1e-3 |theta - theta0|^2.
+
+    The orders then agree in value and gradient at theta0 and nowhere else,
+    so selection picks the lowest order and every certification fails.
+    """
+
+    theta0 = None
+
+    def value_grad(self, theta):
+        f, g = super().value_grad(theta)
+        if self.order < 20:
+            c = 1e-3 * (20 - self.order)
+            diff = theta - self.theta0
+            f, g = f + c * float(diff @ diff), g + 2.0 * c * diff
+        return f, g
+
+
+def test_failed_certification_continues_at_finer_order(monkeypatch):
+    mu, log_z, center, cov = _gaussian_target(3)
+    m0, sigma0 = center + 0.2, 2.0 * np.eye(3)
+    theta0 = _Objective(mu, log_z, 2).pack(_ONE_WEIGHT, [m0], [np.linalg.cholesky(sigma0)])
+    monkeypatch.setattr(_LowOrdersAgreeAtStartOnly, "theta0", theta0)
+    monkeypatch.setattr(optimizer, "_Objective", _LowOrdersAgreeAtStartOnly)
+    res = minimize_single(
+        mu, OptimizerConfig(multistart=1), log_z=log_z, extra_starts=[(m0, sigma0)]
+    )
+    # one BFGS run at order 2, then continuations at 5, 10 and 20
+    assert len(res.traces) == 4
+    assert res.gh_order == 20
+    assert res.converged
+    assert res.iterations == sum(t.iterations for t in res.traces)
+    assert abs(res.value) <= 1e-10
+    assert np.allclose(res.params.mean, center, rtol=0, atol=1e-7)
+    assert np.allclose(res.rescaled_covariances, cov, rtol=0, atol=1e-7)
+    # at the reference order the refinement error is against the half order,
+    # where the test double's term is not zero
+    assert res.gh_refine_error > 1e-6
+
+
+def test_agreement_bounds():
+    g = np.zeros(3)
+    assert _agree((1.0, g), (1.0 + 1e-11, g), 1e-8)
+    assert not _agree((1.0, g), (1.0 + 1e-9, g), 1e-8)
+    assert _agree((1e3, g), (1e3 + 1e-8, g), 1e-8)  # relative above |v| = 1
+    assert _agree((1.0, g), (1.0, g + 1e-10), 1e-8)
+    assert not _agree((1.0, g), (1.0, g + 1e-9), 1e-8)
+    assert not _agree((math.inf, g), (math.inf, g), 1e-8)
+
+
+def test_start_value_is_the_objective_at_the_start(double_well_family):
+    mu = double_well_family.at(0.01)
+    m0, sigma0 = np.array([0.7]), np.array([[0.3]])
+    cfg = OptimizerConfig(multistart=1)
+    res = minimize_single(mu, cfg, log_z=0.1, extra_starts=[(m0, sigma0)])
+    obj = _Objective(mu, 0.1, 20)
+    theta0 = obj.pack(_ONE_WEIGHT, [m0], [np.linalg.cholesky(sigma0)])
+    assert res.traces[0].start_value == obj.value_grad(theta0)[0]
+
+
+def _tilted_double_well_3d(eps=0.05, tilt=0.2):
+    """(x1^2 - 1)^2 + tilt x1 + |x2, x3|^2 / 2: two basins, the left one deeper."""
+
+    def value(x):
+        return (x[:, 0] ** 2 - 1.0) ** 2 + tilt * x[:, 0] + 0.5 * np.sum(x[:, 1:] ** 2, axis=1)
+
+    def grad(x):
+        g = x.copy()
+        g[:, 0] = 4.0 * x[:, 0] * (x[:, 0] ** 2 - 1.0) + tilt
+        return g
+
+    def hess(x):
+        h = np.repeat(np.eye(3)[None], x.shape[0], axis=0)
+        h[:, 0, 0] = 12.0 * x[:, 0] ** 2 - 4.0
+        return h
+
+    v1 = kg.Potential(dim=3, value_fn=value, grad_fn=grad, hess_fn=hess)
+    return kg.TargetMeasure(v1=v1, v2=kg.potentials.zero(3), epsilon=eps)
+
+
+class _RightBasinDeepBelow20(_Objective):
+    """Below the reference order 20, lowers the right basin by
+    2 (20 - order) t^3 / (1 + t^3), t = max(theta_m1, 0).
+
+    The left basin is left exactly as it is, and the right one is lowered by
+    a different amount at every order: by 30 at order 5, although at order
+    20 the left basin is lower by about 2 tilt / eps = 8.
+    """
+
+    def value_grad(self, theta):
+        f, g = super().value_grad(theta)
+        t = max(theta[0], 0.0)  # theta[0] = m1 / sqrt(eps)
+        if self.order < 20 and t > 0 and np.isfinite(f):
+            c = 2.0 * (20 - self.order)
+            g = g.copy()
+            f, g[0] = f - c * t**3 / (1.0 + t**3), g[0] - c * 3.0 * t**2 / (1.0 + t**3) ** 2
+        return f, g
+
+
+@pytest.mark.parametrize("objective", [_Objective, _RightBasinDeepBelow20])
+def test_starts_ranked_after_certification(monkeypatch, objective):
+    # one start in each basin of a 3-D target; every endpoint is certified
+    # before the ranking, so the minimum chosen is the one order 20 chooses
+    mu = _tilted_double_well_3d()
+    starts = [(np.array([-1.0, 0.1, 0.0]), np.eye(3)), (np.array([1.0, 0.0, -0.1]), np.eye(3))]
+    cfg = OptimizerConfig(multistart=2)
+    monkeypatch.setattr(optimizer, "_Objective", objective)
+    res = minimize_single(mu, cfg, log_z=0.0, extra_starts=starts)
+    monkeypatch.setattr(optimizer, "_SELECT_MIN_NODES", math.inf)  # order 20 only
+    ref = minimize_single(mu, cfg, log_z=0.0, extra_starts=starts)
+    assert ref.gh_order == 20 and ref.gh_refine_error is None
+    assert ref.params.mean[0] < 0
+    assert res.converged
+    assert np.allclose(res.params.mean, ref.params.mean, rtol=0, atol=1e-6)
+    assert abs(res.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))
+    # the quartic is integrated exactly from order 3: the left basin's
+    # endpoint is certified at order 5
+    assert res.gh_order == 5
+    assert res.gh_refine_error <= 1e-10 * max(1.0, abs(res.value))
+
+
+def test_gh_fields_in_verbose_json_only():
+    mu, log_z, center, _ = _gaussian_target(3)
+    res = minimize_single(mu, OptimizerConfig(multistart=1), log_z=log_z)
+    assert "gh_order" not in res.to_json() and "gh_refine_error" not in res.to_json()
+    doc = res.to_json(verbose=True)
+    assert doc["gh_order"] == res.gh_order == 2
+    assert doc["gh_refine_error"] == res.gh_refine_error

@@ -100,10 +100,7 @@ def cmd_approx(args) -> int:
         if args.family == "single":
             est = kl_single(mu, result.params, result.log_z, est_cfg)
         else:
-            est = g_eps(
-                family, args.eps, result.params, result.log_z, est_cfg,
-                entropy_est=est_cfg,
-            )
+            est = g_eps(family, args.eps, result.params, result.log_z, est_cfg)
         doc["value_estimate"] = est.to_json()
     _write(_json_dumps(doc), args.out)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED

@@ -261,9 +261,7 @@ def _reestimate_record(record, family, eps, result, log_z, estimator):
     if result.kind == "single":
         est = kl_single(family.at(eps), result.params, log_z, estimator)
     else:
-        est = g_eps(
-            family, eps, result.params, log_z, estimator, entropy_est=estimator
-        )
+        est = g_eps(family, eps, result.params, log_z, estimator)
     limit_min = record.value - record.gap
     record.value = est.value
     record.stderr = est.stderr

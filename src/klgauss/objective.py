@@ -1,15 +1,23 @@
-"""KL objectives for single Gaussians and mixtures against a target measure.
+"""The KL objective of a Gaussian or a constrained Gaussian mixture.
 
-For nu = N(m, Sigma) and target exp(-V1/eps - V2)/Z the divergence splits as
+For rho = sum_i alpha^i N(m^i, Sigma^i) and the target exp(-V1/eps - V2)/Z,
 
-    KL(nu || mu_eps) = (1/eps) E[V1] + E[V2]
-                       - (1/2) log((2 pi)^d det Sigma) - d/2 + log Z,
+    KL(rho || mu_eps) = sum_i alpha^i E_i[V1/eps + V2 + log rho] + log Z,
 
-and for a mixture the Gaussian entropy term is replaced by the mixture
-entropy integral E[log rho].  Expectations are estimated either by tensor
-Gauss-Hermite (deterministic, exact on quadratics) or by Monte Carlo with a
-reported standard error.  log Z is always supplied by the caller: Laplace
-for speed, the Simpson grid oracle for exactness.
+with E_i the expectation under component i.  For a single Gaussian the
+entropy term E[log rho] is the closed form -(1/2) log((2 pi)^d det Sigma) -
+d/2.  log Z is always supplied by the caller: Laplace for speed, the Simpson
+grid oracle for exactness.
+
+``_Objective`` evaluates this sum on a node set: standard nodes z that every
+component maps through its own mean and Cholesky factor.  A node set is
+either the tensor Gauss-Hermite rule (deterministic, exact on quadratics) or
+N Monte Carlo draws of weight 1/N, shared by all components (common random
+numbers).  The optimizer minimizes its value and exact gradient on
+Gauss-Hermite nodes.  ``kl_single``, ``f_eps``, ``g_eps``,
+``mixture_entropy`` and ``expectation_under_gaussian`` are each one
+value-only evaluation at given parameters; on Monte Carlo nodes they report
+the standard error of the pointwise-combined integrand.
 """
 
 from __future__ import annotations
@@ -17,16 +25,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .gaussian import LOG_2PI, GaussianParams, MixtureParams
 from .measure import MeasureFamily, TargetMeasure
-from .potentials import Potential
-from .quadrature import gaussian_expectation_nodes
+from .potentials import EvaluationError, Potential, zero
+from .quadrature import gauss_hermite
 
 GAUSS_HERMITE = "gauss-hermite"
 MONTE_CARLO = "monte-carlo"
+
+_LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
+_SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
+_ONE = np.ones(1)  # the weights of a single Gaussian
 
 
 @dataclass(frozen=True)
@@ -49,7 +63,6 @@ class EstimatorConfig:
 class Estimate:
     value: float
     stderr: float
-    refine_error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,57 +103,318 @@ class KLEstimate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+# ---------------------------------------------------------------------------
+# node sets and Cholesky packing
+# ---------------------------------------------------------------------------
+
+
+class _Nodes(NamedTuple):
+    """Nodes z of shape (K, d) and weights w for the density pi^(-d/2) exp(-|z|^2)."""
+
+    z: np.ndarray
+    w: np.ndarray
+    order: int | None  # the Gauss-Hermite order; None for Monte Carlo draws
+
+
+def _gh_nodes(order, d):
+    z, w = gauss_hermite(order, d)
+    return _Nodes(z, w, order)
+
+
+def _nodes(est, d):
+    """The node set of an estimator: its Gauss-Hermite rule, or its
+    ``mc_samples`` standard-normal draws from default_rng(seed), scaled to
+    the nodes' density."""
+    if est.method == GAUSS_HERMITE:
+        return _gh_nodes(est.gh_order, d)
+    y = np.random.default_rng(est.seed).standard_normal((est.mc_samples, d))
+    return _Nodes(y / math.sqrt(2.0), np.full(est.mc_samples, 1.0 / est.mc_samples), None)
+
+
+def _n_chol_params(d):
+    return d * (d + 1) // 2
+
+
+def _pack_chol(L):
+    d = L.shape[0]
+    parts = [np.log(np.diag(L))]
+    if d > 1:
+        parts.append(L[np.tril_indices(d, k=-1)])
+    return np.concatenate(parts)
+
+
+def _unpack_chol(theta, d):
+    logdiag = np.clip(theta[:d], -_LOGDIAG_CAP, _LOGDIAG_CAP)
+    L = np.zeros((d, d))
+    L[np.diag_indices(d)] = np.exp(logdiag)
+    if d > 1:
+        L[np.tril_indices(d, k=-1)] = theta[d:]
+    return L
+
+
+# ---------------------------------------------------------------------------
+# the KL objective
+# ---------------------------------------------------------------------------
+
+
+class _Objective:
+    """G(theta) = KL(rho || mu) for an n-component mixture rho on a node set.
+
+    theta = [n-1 softmax logits, n means, n packed Cholesky factors]; rho has
+    weights softmax([0, logits]) and components N(m_i, eps L_i L_i^T).  The
+    means are optimized in concentration units, m = sqrt(eps) * theta_m,
+    which keeps every Hessian block of the objective O(1) as eps shrinks (the
+    raw mean curvature grows like 1/eps and ruins BFGS conditioning).
+
+    Component i is integrated at the points m_i + sqrt(2 eps) L_i z_k of the
+    node set (see _Nodes), so on fixed nodes the objective is smooth and
+    deterministic.  A single Gaussian (n = 1) has its entropy in closed form.
+    For n > 1, log rho is integrated at every component's nodes; given
+    ``xi``, the logarithmic barrier keeps the weights above xi1 and the
+    quadratic hinge pushes the means apart.
+
+    The gradient is exact for the node-set value.  Besides the path term
+    through the nodes, with grad log rho = -sum_j r_j Sigma_j^-1 (x - m_j),
+    it keeps the direct dependence of log rho on the weights, means and
+    factors through the responsibilities r_j: that part cancels under exact
+    integration but not under quadrature.
+    """
+
+    def __init__(self, mu, log_z, nodes, n=1, xi=None, barrier=0.0, separation_weight=0.0):
+        self.mu = mu
+        self.log_z = log_z
+        self.n = n
+        self.d = mu.dim
+        self.xi = xi if n > 1 else None  # a single Gaussian meets any constraint
+        self.barrier = barrier
+        self.sep_weight = separation_weight
+        self.z, self.w, self.order = nodes
+        self.sqrt_eps = math.sqrt(mu.epsilon)
+        self.scale = math.sqrt(2.0 * mu.epsilon)
+
+    def split(self, theta):
+        n, d = self.n, self.d
+        means = self.sqrt_eps * theta[n - 1 : n - 1 + n * d].reshape(n, d)
+        off, k = n - 1 + n * d, _n_chol_params(d)
+        chols = [_unpack_chol(theta[off + i * k : off + (i + 1) * k], d) for i in range(n)]
+        if n == 1:
+            return _ONE, means, chols
+        logits = np.concatenate([[0.0], theta[: n - 1]])
+        return np.exp(logits - logsumexp(logits)), means, chols
+
+    def pack(self, alpha, means, chols):
+        logits = np.log(np.asarray(alpha, dtype=float))
+        parts = [
+            logits[1:] - logits[0],
+            np.asarray(means, dtype=float).ravel() / self.sqrt_eps,
+        ]
+        parts += [_pack_chol(L) for L in chols]
+        return np.concatenate(parts)
+
+    def _points(self, m, L):
+        return m + self.scale * (self.z @ L.T)
+
+    def _log_consts(self, alpha, chols):
+        """log alpha_j - (d/2) log(2 pi eps) - log det L_j for every component j."""
+        log_det = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+        return np.log(alpha) - 0.5 * self.d * math.log(2.0 * math.pi * self.mu.epsilon) - log_det
+
+    def value_grad(self, theta):
+        d, eps, w = self.d, self.mu.epsilon, self.w
+        alpha, means, chols = self.split(theta)
+        if self.xi is not None:
+            penalty, pen_alpha, pen_means = self._penalty(alpha, means)
+            if not np.isfinite(penalty):
+                return math.inf, np.zeros_like(theta)
+        nodes, pot, gx = [], [], []
+        try:
+            for m, L in zip(means, chols):
+                x = self._points(m, L)
+                v1 = self.mu.v1.value(x)
+                v2 = self.mu.v2.value(x)
+                g1 = self.mu.v1.gradient(x)
+                g2 = self.mu.v2.gradient(x)
+                nodes.append(x)
+                pot.append(float(np.dot(w, v1)) / eps + float(np.dot(w, v2)))
+                gx.append(g1 / eps + g2)  # (K, d) gradient of the potential part
+        except (EvaluationError, FloatingPointError):
+            return math.inf, np.zeros_like(theta)
+        if self.n == 1:
+            L = chols[0]
+            value = (
+                pot[0]
+                - 0.5 * d * math.log(2.0 * math.pi * eps)
+                - float(np.sum(np.log(np.diag(L))))
+                - 0.5 * d
+                + self.log_z
+            )
+            if not np.isfinite(value):
+                return math.inf, np.zeros_like(theta)
+            g_logits = theta[:0]
+            g_means = (w @ gx[0])[None]
+            g_chols = [self.scale * np.einsum("k,ka,kb->ab", w, gx[0], self.z)]
+            g_logdiag = [-1.0]  # d(entropy)/d(log L_aa)
+        else:
+            value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
+                alpha, means, chols, nodes, np.array(pot), np.stack(gx)
+            )
+            if self.xi is not None:
+                value += penalty
+                g_alpha += pen_alpha
+                g_means += pen_means
+            if not np.isfinite(value):
+                return math.inf, np.zeros_like(theta)
+            g_logits = (alpha * (g_alpha - alpha @ g_alpha))[1:]
+        parts = [g_logits, self.sqrt_eps * g_means.ravel()]
+        for L, dL, dlogdiag in zip(chols, g_chols, g_logdiag):
+            parts.append(np.diag(dL) * np.diag(L) + dlogdiag)
+            if d > 1:
+                parts.append(dL[np.tril_indices(d, k=-1)])
+        return value, np.concatenate(parts)
+
+    def _mixture_terms(self, alpha, means, chols, nodes, pot, gx):
+        """KL value and its gradient in alpha, the means and the factors.
+
+        Index i runs over the component whose nodes are used, j over the
+        component density; ``r[i, j]`` is the responsibility of j at the
+        nodes of i.  The log-diagonal part of the factors' gradient that
+        comes from log det Sigma_j is returned apart, as -sum of r_j.
+        """
+        w, sqrt_eps = self.w, self.sqrt_eps
+        chols = np.stack(chols)
+        inv = np.linalg.inv(chols)
+        diff = np.stack(nodes)[:, None] - means[None, :, None]  # (i, j, K, d)
+        u = np.einsum("jab,ijkb->ijka", inv, diff) / sqrt_eps  # L_j^-1 (x - m_j) / sqrt(eps)
+        score = np.einsum("jba,ijkb->ijka", inv, u) / sqrt_eps  # Sigma_j^-1 (x - m_j)
+        const = self._log_consts(alpha, chols)
+        comp_log = const[None, :, None] - 0.5 * np.sum(u * u, axis=-1)  # (i, j, K)
+        log_rho = logsumexp(comp_log, axis=1)
+        r = np.exp(comp_log - log_rho[:, None])
+        entropy = log_rho @ w
+        value = float(alpha @ (pot + entropy)) + self.log_z
+
+        aw = alpha[:, None] * w  # (i, K)
+        # path term: gradient of V1/eps + V2 + log rho at each component's nodes
+        g_path = gx - np.einsum("ijk,ijka->ika", r, score)
+        # direct term: d log rho / d(m_j, L_j) = r_j (Sigma_j^-1 (x - m_j), sqrt(eps) score u^T)
+        ar = aw[:, None] * r  # (i, j, K)
+        g_means = np.einsum("ik,ika->ia", aw, g_path) + np.einsum("ijk,ijka->ja", ar, score)
+        g_chols = self.scale * np.einsum("ik,ika,kb->iab", aw, g_path, self.z) + sqrt_eps * (
+            np.einsum("ijk,ijka,ijkb->jab", ar, score, u)
+        )
+        mass = np.sum(ar, axis=(0, 2))  # sum_i alpha_i E_i[r_j]
+        g_alpha = pot + entropy + mass / alpha
+        return value, g_alpha, g_means, g_chols, -mass
+
+    def _penalty(self, alpha, means):
+        """Weight barrier and separation hinge, with gradients in alpha and the means."""
+        xi1, xi2 = self.xi
+        n = self.n
+        slack = alpha - xi1
+        if np.any(slack <= 0):
+            return math.inf, None, None
+        ref = 1.0 / n - xi1
+        value = -self.barrier * float(np.sum(np.log(slack / ref)))
+        g_alpha = -self.barrier / slack
+        g_means = np.zeros_like(means)
+        # aimed just past xi2, so the hinge's equilibrium lands inside the family
+        target = xi2 * (1.0 + _SEPARATION_MARGIN)
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = means[i] - means[j]
+                dist = float(np.linalg.norm(diff))
+                gap = target - dist
+                if gap > 0:
+                    value += self.sep_weight * gap * gap
+                    if dist > 0:
+                        push = (2.0 * self.sep_weight * gap / dist) * diff
+                        g_means[i] -= push
+                        g_means[j] += push
+        return value, g_alpha, g_means
+
+    def terms(self, alpha, means, chols):
+        """The value's terms and the standard error of their sum, without gradients.
+
+        Returns ({v1_term, v2_term, entropy_term, log_z}, stderr), without
+        the barrier and hinge.  On Monte Carlo nodes the stderr is the
+        standard error of the mean over k of sum_i alpha_i [V1/eps + V2 +
+        log rho](x_ik): the potential and entropy terms nearly cancel point
+        by point, so their errors must not be added as if independent.  log
+        rho is accumulated one component density at a time.
+        """
+        eps, w = self.mu.epsilon, self.w
+        chols = np.stack(chols)
+        inv = np.linalg.inv(chols)
+        const = self._log_consts(alpha, chols)
+        combined = np.zeros(w.size)
+        v1_term = v2_term = entropy = 0.0
+        for a, m, L in zip(alpha, means, chols):
+            x = self._points(m, L)
+            v1 = self.mu.v1.value(x)
+            v2 = self.mu.v2.value(x)
+            point = v1 / eps + v2
+            v1_term += a * float(w @ v1) / eps
+            v2_term += a * float(w @ v2)
+            if self.n > 1:
+                log_rho = None
+                for m_j, inv_j, c_j in zip(means, inv, const):
+                    u = (x - m_j) @ inv_j.T / self.sqrt_eps
+                    comp = c_j - 0.5 * np.sum(u * u, axis=1)
+                    log_rho = comp if log_rho is None else np.logaddexp(log_rho, comp)
+                entropy += a * float(w @ log_rho)
+                point += log_rho
+            combined += a * point
+        if self.n == 1:
+            log_det = float(np.sum(np.log(np.diag(chols[0]))))
+            entropy = -0.5 * self.d * math.log(2.0 * math.pi * eps) - log_det - 0.5 * self.d
+        stderr = 0.0
+        if self.order is None:
+            stderr = float(np.std(combined, ddof=1) / math.sqrt(w.size))
+        detail = {
+            "v1_term": v1_term,
+            "v2_term": v2_term,
+            "entropy_term": entropy,
+            "log_z": float(self.log_z),
+        }
+        return detail, stderr
+
+
+# ---------------------------------------------------------------------------
+# value-only evaluations at given parameters
+# ---------------------------------------------------------------------------
+
+
+def _estimate(mu, log_z, est, weights, components) -> KLEstimate:
+    """KL(sum_i weights_i components_i || mu) by one evaluation of the objective."""
+    est = est or EstimatorConfig()
+    obj = _Objective(mu, log_z, _nodes(est, mu.dim), n=len(components))
+    root = math.sqrt(mu.epsilon)
+    detail, stderr = obj.terms(
+        weights, np.stack([c.mean for c in components]), [c.chol / root for c in components]
+    )
+    return KLEstimate(
+        value=sum(detail.values()), stderr=stderr, method=est.method, detail=detail
+    )
+
+
 def expectation_under_gaussian(
     f: Potential, g: GaussianParams, est: EstimatorConfig | None = None
 ) -> Estimate:
     """E^g[f] by tensor Gauss-Hermite or Monte Carlo.
 
-    Gauss-Hermite reports stderr 0 together with an order-refinement error
-    estimate (difference against the half-order rule); Monte Carlo reports
-    the usual standard error of the mean.
+    This is the V1 term of the objective against exp(-f) at eps = 1.
+    Gauss-Hermite reports stderr 0; Monte Carlo the standard error of the
+    mean.
     """
-    est = est or EstimatorConfig()
     if f.dim != g.dim:
         raise ValueError("potential and Gaussian dimension mismatch")
-    if est.method == GAUSS_HERMITE:
-        x, w, _ = gaussian_expectation_nodes(g.mean, g.chol, est.gh_order)
-        value = float(np.dot(w, f.value(x)))
-        half = max(2, est.gh_order // 2)
-        xh, wh, _ = gaussian_expectation_nodes(g.mean, g.chol, half)
-        coarse = float(np.dot(wh, f.value(xh)))
-        return Estimate(value=value, stderr=0.0, refine_error=abs(value - coarse))
-    rng = np.random.default_rng(est.seed)
-    samples = g.sample(est.mc_samples, rng)
-    vals = f.value(samples)
-    return Estimate(
-        value=float(np.mean(vals)),
-        stderr=float(np.std(vals, ddof=1) / math.sqrt(est.mc_samples)),
-    )
+    kl = _estimate(TargetMeasure(f, zero(f.dim), 1.0), 0.0, est, _ONE, (g,))
+    return Estimate(value=kl.detail["v1_term"], stderr=kl.stderr)
 
 
 def gaussian_entropy_term(g: GaussianParams) -> float:
     """int nu log nu for nu = N(m, Sigma): -(1/2) log((2 pi)^d det Sigma) - d/2."""
     return -0.5 * (g.dim * LOG_2PI + g.log_det_cov) - 0.5 * g.dim
-
-
-def _potential_terms(mu: TargetMeasure, g: GaussianParams, est: EstimatorConfig):
-    """(E[V1]/eps, E[V2], stderr of their sum).
-
-    Monte-Carlo mode evaluates both potentials on one sample set (common
-    random numbers), so the standard error is taken of the pointwise
-    combination rather than of independent estimates.
-    """
-    if est.method == GAUSS_HERMITE:
-        e1 = expectation_under_gaussian(mu.v1, g, est)
-        e2 = expectation_under_gaussian(mu.v2, g, est)
-        return e1.value / mu.epsilon, e2.value, 0.0
-    rng = np.random.default_rng(est.seed)
-    x = g.sample(est.mc_samples, rng)
-    v1 = mu.v1.value(x)
-    v2 = mu.v2.value(x)
-    combined = v1 / mu.epsilon + v2
-    stderr = float(np.std(combined, ddof=1) / math.sqrt(est.mc_samples))
-    return float(np.mean(v1)) / mu.epsilon, float(np.mean(v2)), stderr
 
 
 def kl_single(
@@ -150,19 +424,9 @@ def kl_single(
     est: EstimatorConfig | None = None,
 ) -> KLEstimate:
     """KL(N(m, Sigma) || mu) with externally supplied log Z."""
-    est = est or EstimatorConfig()
     if g.dim != mu.dim:
         raise ValueError("Gaussian and measure dimension mismatch")
-    v1_term, v2_term, stderr = _potential_terms(mu, g, est)
-    detail = {
-        "v1_term": v1_term,
-        "v2_term": v2_term,
-        "entropy_term": gaussian_entropy_term(g),
-        "log_z": float(log_z),
-    }
-    return KLEstimate(
-        value=sum(detail.values()), stderr=stderr, method=est.method, detail=detail
-    )
+    return _estimate(mu, log_z, est, _ONE, (g,))
 
 
 def f_eps(
@@ -180,50 +444,18 @@ def f_eps(
     return kl_single(family.at(epsilon), g, log_z, est)
 
 
-def _stratum_sizes(weights: np.ndarray, total: int) -> np.ndarray:
-    """Exact strata proportional to the weights (largest-remainder rounding)."""
-    raw = weights * total
-    sizes = np.floor(raw).astype(int)
-    remainder = total - int(np.sum(sizes))
-    if remainder > 0:
-        order = np.argsort(-(raw - sizes), kind="stable")
-        sizes[order[:remainder]] += 1
-    sizes[(weights > 0) & (sizes == 0)] = 1
-    return sizes
-
-
 def mixture_entropy(
     mix: MixtureParams, est: EstimatorConfig | None = None
 ) -> Estimate:
     """E^nu[log rho] = int rho log rho for the mixture density rho.
 
-    Monte-Carlo mode stratifies exactly proportionally to the weights and
-    reports a standard error; Gauss-Hermite mode integrates log rho under
-    each component (deterministic, stderr 0).
+    This is the objective against V1 = V2 = 0 with log Z = 0: closed form
+    for one component; otherwise log rho integrated at every component's
+    nodes, with the Monte Carlo stderr of the pointwise sum over components.
     """
-    est = est or EstimatorConfig()
-    if est.method == GAUSS_HERMITE:
-        value = 0.0
-        coarse = 0.0
-        for comp, alpha in zip(mix.components, mix.weights):
-            x, w, _ = gaussian_expectation_nodes(comp.mean, comp.chol, est.gh_order)
-            value += alpha * float(np.dot(w, mix.log_density(x)))
-            half = max(2, est.gh_order // 2)
-            xh, wh, _ = gaussian_expectation_nodes(comp.mean, comp.chol, half)
-            coarse += alpha * float(np.dot(wh, mix.log_density(xh)))
-        return Estimate(value=value, stderr=0.0, refine_error=abs(value - coarse))
-    rng = np.random.default_rng(est.seed)
-    sizes = _stratum_sizes(mix.weights, est.mc_samples)
-    value = 0.0
-    var = 0.0
-    for comp, alpha, n_i in zip(mix.components, mix.weights, sizes):
-        if n_i == 0:
-            continue
-        x = comp.sample(int(n_i), rng)
-        logr = mix.log_density(x)
-        value += alpha * float(np.mean(logr))
-        var += alpha**2 * float(np.var(logr, ddof=1)) / n_i
-    return Estimate(value=value, stderr=math.sqrt(var))
+    flat = zero(mix.dim)
+    kl = _estimate(TargetMeasure(flat, flat, 1.0), 0.0, est, mix.weights, mix.components)
+    return Estimate(value=kl.detail["entropy_term"], stderr=kl.stderr)
 
 
 def entropy_split(mix: MixtureParams) -> float:
@@ -247,46 +479,17 @@ def g_eps(
     mix: MixtureParams,
     log_z: float,
     est: EstimatorConfig | None = None,
-    entropy_est: EstimatorConfig | None = None,
 ) -> KLEstimate:
     """The mixture objective KL(sum_i alpha^i N(m^i, Sigma_full^i) || mu_eps).
 
     The mixture is passed with full (already eps-scaled) component
     covariances.  Parameters outside the constrained family (weight floor
     xi1, separation xi2) receive the distinguished value +inf rather than an
-    exception.  Expectations follow ``est``; the entropy term follows
-    ``entropy_est`` (default: Monte Carlo, the estimator the entropy integral
-    needs once the density has no polynomial structure).
+    exception.  Every term, the entropy included, follows ``est``.
     """
-    est = est or EstimatorConfig()
-    entropy_est = entropy_est or EstimatorConfig(
-        method=MONTE_CARLO, mc_samples=est.mc_samples, seed=est.seed
-    )
     if mix.dim != family.dim:
         raise ValueError("mixture and family dimension mismatch")
     if not mix.satisfies_constraints():
-        return KLEstimate(
-            value=math.inf, stderr=0.0, method=est.method, detail={}
-        )
-    mu = family.at(epsilon)
-    v1_term = 0.0
-    v2_term = 0.0
-    stderr_sq = 0.0
-    for comp, alpha in zip(mix.components, mix.weights):
-        t1, t2, se = _potential_terms(mu, comp, est)
-        v1_term += alpha * t1
-        v2_term += alpha * t2
-        stderr_sq += (alpha * se) ** 2
-    ent = mixture_entropy(mix, entropy_est)
-    detail = {
-        "entropy_term": ent.value,
-        "v1_term": v1_term,
-        "v2_term": v2_term,
-        "log_z": float(log_z),
-    }
-    return KLEstimate(
-        value=sum(detail.values()),
-        stderr=math.sqrt(stderr_sq + ent.stderr**2),
-        method=est.method,
-        detail=detail,
-    )
+        method = (est or EstimatorConfig()).method
+        return KLEstimate(value=math.inf, stderr=0.0, method=method, detail={})
+    return _estimate(family.at(epsilon), log_z, est, mix.weights, mix.components)

@@ -1,6 +1,6 @@
 """Minimization of the KL objective over Gaussians and constrained mixtures.
 
-Parameterization makes the feasible sets unconstrained:
+The objective itself, with its parameterization, lives in ``objective.py``:
 
 * covariances through lower-triangular Cholesky factors with log diagonal
   (always SPD, log det linear in the parameters);
@@ -10,14 +10,12 @@ Parameterization makes the feasible sets unconstrained:
   above the floor xi1 by a logarithmic barrier, with mean separation
   enforced by an escalating quadratic hinge penalty.
 
-A single Gaussian is the one-component mixture, and one objective serves
-both: fixed-node Gauss-Hermite quadrature of the potential and, for a
-mixture, of the entropy, differentiated exactly through the nodes and the
-responsibilities.  Multistart globalization seeds means at the located modes
-with covariances from the inverse mode Hessians.
-
-Where the ``gh_order`` rule is large, BFGS runs at the lowest of its halved
-orders that is certified against the next finer one (see OptimizerConfig).
+This module minimizes it with BFGS on fixed Gauss-Hermite nodes, where it is
+smooth and deterministic and its gradient exact.  Multistart globalization
+seeds means at the located modes with covariances from the inverse mode
+Hessians.  Where the ``gh_order`` rule is large, BFGS runs at the lowest of
+its halved orders that is certified against the next finer one (see
+OptimizerConfig).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
-from scipy.special import logsumexp
 
 from .gaussian import GaussianParams, MixtureParams
 from .measure import (
@@ -42,12 +39,8 @@ from .measure import (
     find_modes,
     log_laplace_normalization,
 )
-from .potentials import EvaluationError
-from .quadrature import gauss_hermite
+from .objective import _ONE, _gh_nodes, _Objective
 
-_LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
-_SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
-_ONE = np.ones(1)  # the weights of a single Gaussian
 # GH order selection: it runs only where the gh_order rule has more nodes
 # than this, since smaller rules cost about the same at any order; adjacent
 # orders agree when their values differ by at most REFINE_RTOL relative and
@@ -163,32 +156,6 @@ class OptimResult:
         return doc
 
 
-# ---------------------------------------------------------------------------
-# Cholesky packing
-# ---------------------------------------------------------------------------
-
-
-def _n_chol_params(d):
-    return d * (d + 1) // 2
-
-
-def _pack_chol(L):
-    d = L.shape[0]
-    parts = [np.log(np.diag(L))]
-    if d > 1:
-        parts.append(L[np.tril_indices(d, k=-1)])
-    return np.concatenate(parts)
-
-
-def _unpack_chol(theta, d):
-    logdiag = np.clip(theta[:d], -_LOGDIAG_CAP, _LOGDIAG_CAP)
-    L = np.zeros((d, d))
-    L[np.diag_indices(d)] = np.exp(logdiag)
-    if d > 1:
-        L[np.tril_indices(d, k=-1)] = theta[d:]
-    return L
-
-
 def _default_box(mu, mode_set, cfg):
     if cfg.box is not None:
         return cfg.box
@@ -224,180 +191,6 @@ def _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts):
     return log_laplace_normalization(mode_set, mu.epsilon), mode_set
 
 
-# ---------------------------------------------------------------------------
-# the KL objective
-# ---------------------------------------------------------------------------
-
-
-class _Objective:
-    """G(theta) = KL(rho || mu) for an n-component mixture rho, with gradient.
-
-    theta = [n-1 softmax logits, n means, n packed Cholesky factors]; rho has
-    weights softmax([0, logits]) and components N(m_i, eps L_i L_i^T).  The
-    means are optimized in concentration units, m = sqrt(eps) * theta_m,
-    which keeps every Hessian block of the objective O(1) as eps shrinks (the
-    raw mean curvature grows like 1/eps and ruins BFGS conditioning).
-
-    Expectations under each component use one fixed Gauss-Hermite rule, so
-    the objective is smooth and deterministic.  A single Gaussian (n = 1)
-    has its entropy in closed form.  For n > 1, log rho is integrated at
-    every component's nodes; given ``xi``, the logarithmic barrier keeps the
-    weights above xi1 and the quadratic hinge pushes the means apart.
-
-    The gradient is exact for the quadrature value.  Besides the path term
-    through the nodes, with grad log rho = -sum_j r_j Sigma_j^-1 (x - m_j),
-    it keeps the direct dependence of log rho on the weights, means and
-    factors through the responsibilities r_j: that part cancels under exact
-    integration but not under quadrature.
-    """
-
-    def __init__(self, mu, log_z, order, n=1, xi=None, barrier=0.0, separation_weight=0.0):
-        self.mu = mu
-        self.log_z = log_z
-        self.n = n
-        self.d = mu.dim
-        self.xi = xi if n > 1 else None  # a single Gaussian meets any constraint
-        self.barrier = barrier
-        self.sep_weight = separation_weight
-        self.order = order
-        self.z, self.w = gauss_hermite(order, self.d)
-        self.sqrt_eps = math.sqrt(mu.epsilon)
-        self.scale = math.sqrt(2.0 * mu.epsilon)
-
-    def split(self, theta):
-        n, d = self.n, self.d
-        means = self.sqrt_eps * theta[n - 1 : n - 1 + n * d].reshape(n, d)
-        off, k = n - 1 + n * d, _n_chol_params(d)
-        chols = [_unpack_chol(theta[off + i * k : off + (i + 1) * k], d) for i in range(n)]
-        if n == 1:
-            return _ONE, means, chols
-        logits = np.concatenate([[0.0], theta[: n - 1]])
-        return np.exp(logits - logsumexp(logits)), means, chols
-
-    def pack(self, alpha, means, chols):
-        logits = np.log(np.asarray(alpha, dtype=float))
-        parts = [
-            logits[1:] - logits[0],
-            np.asarray(means, dtype=float).ravel() / self.sqrt_eps,
-        ]
-        parts += [_pack_chol(L) for L in chols]
-        return np.concatenate(parts)
-
-    def value_grad(self, theta):
-        d, eps, w = self.d, self.mu.epsilon, self.w
-        alpha, means, chols = self.split(theta)
-        if self.xi is not None:
-            penalty, pen_alpha, pen_means = self._penalty(alpha, means)
-            if not np.isfinite(penalty):
-                return math.inf, np.zeros_like(theta)
-        nodes, pot, gx = [], [], []
-        try:
-            for m, L in zip(means, chols):
-                x = m + self.scale * (self.z @ L.T)
-                v1 = self.mu.v1.value(x)
-                v2 = self.mu.v2.value(x)
-                g1 = self.mu.v1.gradient(x)
-                g2 = self.mu.v2.gradient(x)
-                nodes.append(x)
-                pot.append(float(np.dot(w, v1)) / eps + float(np.dot(w, v2)))
-                gx.append(g1 / eps + g2)  # (K, d) gradient of the potential part
-        except (EvaluationError, FloatingPointError):
-            return math.inf, np.zeros_like(theta)
-        if self.n == 1:
-            L = chols[0]
-            value = (
-                pot[0]
-                - 0.5 * d * math.log(2.0 * math.pi * eps)
-                - float(np.sum(np.log(np.diag(L))))
-                - 0.5 * d
-                + self.log_z
-            )
-            if not np.isfinite(value):
-                return math.inf, np.zeros_like(theta)
-            g_logits = theta[:0]
-            g_means = (w @ gx[0])[None]
-            g_chols = [self.scale * np.einsum("k,ka,kb->ab", w, gx[0], self.z)]
-            g_logdiag = [-1.0]  # d(entropy)/d(log L_aa)
-        else:
-            value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
-                alpha, means, chols, nodes, np.array(pot), np.stack(gx)
-            )
-            if self.xi is not None:
-                value += penalty
-                g_alpha += pen_alpha
-                g_means += pen_means
-            if not np.isfinite(value):
-                return math.inf, np.zeros_like(theta)
-            g_logits = (alpha * (g_alpha - alpha @ g_alpha))[1:]
-        parts = [g_logits, self.sqrt_eps * g_means.ravel()]
-        for L, dL, dlogdiag in zip(chols, g_chols, g_logdiag):
-            parts.append(np.diag(dL) * np.diag(L) + dlogdiag)
-            if d > 1:
-                parts.append(dL[np.tril_indices(d, k=-1)])
-        return value, np.concatenate(parts)
-
-    def _mixture_terms(self, alpha, means, chols, nodes, pot, gx):
-        """KL value and its gradient in alpha, the means and the factors.
-
-        Index i runs over the component whose nodes are used, j over the
-        component density; ``r[i, j]`` is the responsibility of j at the
-        nodes of i.  The log-diagonal part of the factors' gradient that
-        comes from log det Sigma_j is returned apart, as -sum of r_j.
-        """
-        d, eps, w, sqrt_eps = self.d, self.mu.epsilon, self.w, self.sqrt_eps
-        chols = np.stack(chols)
-        inv = np.linalg.inv(chols)
-        diff = np.stack(nodes)[:, None] - means[None, :, None]  # (i, j, K, d)
-        u = np.einsum("jab,ijkb->ijka", inv, diff) / sqrt_eps  # L_j^-1 (x - m_j) / sqrt(eps)
-        score = np.einsum("jba,ijkb->ijka", inv, u) / sqrt_eps  # Sigma_j^-1 (x - m_j)
-        log_det = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-        const = np.log(alpha) - 0.5 * d * math.log(2.0 * math.pi * eps) - log_det
-        comp_log = const[None, :, None] - 0.5 * np.sum(u * u, axis=-1)  # (i, j, K)
-        log_rho = logsumexp(comp_log, axis=1)
-        r = np.exp(comp_log - log_rho[:, None])
-        entropy = log_rho @ w
-        value = float(alpha @ (pot + entropy)) + self.log_z
-
-        aw = alpha[:, None] * w  # (i, K)
-        # path term: gradient of V1/eps + V2 + log rho at each component's nodes
-        g_path = gx - np.einsum("ijk,ijka->ika", r, score)
-        # direct term: d log rho / d(m_j, L_j) = r_j (Sigma_j^-1 (x - m_j), sqrt(eps) score u^T)
-        ar = aw[:, None] * r  # (i, j, K)
-        g_means = np.einsum("ik,ika->ia", aw, g_path) + np.einsum("ijk,ijka->ja", ar, score)
-        g_chols = self.scale * np.einsum("ik,ika,kb->iab", aw, g_path, self.z) + sqrt_eps * (
-            np.einsum("ijk,ijka,ijkb->jab", ar, score, u)
-        )
-        mass = np.sum(ar, axis=(0, 2))  # sum_i alpha_i E_i[r_j]
-        g_alpha = pot + entropy + mass / alpha
-        return value, g_alpha, g_means, g_chols, -mass
-
-    def _penalty(self, alpha, means):
-        """Weight barrier and separation hinge, with gradients in alpha and the means."""
-        xi1, xi2 = self.xi
-        n = self.n
-        slack = alpha - xi1
-        if np.any(slack <= 0):
-            return math.inf, None, None
-        ref = 1.0 / n - xi1
-        value = -self.barrier * float(np.sum(np.log(slack / ref)))
-        g_alpha = -self.barrier / slack
-        g_means = np.zeros_like(means)
-        # aimed just past xi2, so the hinge's equilibrium lands inside the family
-        target = xi2 * (1.0 + _SEPARATION_MARGIN)
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = means[i] - means[j]
-                dist = float(np.linalg.norm(diff))
-                gap = target - dist
-                if gap > 0:
-                    value += self.sep_weight * gap * gap
-                    if dist > 0:
-                        push = (2.0 * self.sep_weight * gap / dist) * diff
-                        g_means[i] -= push
-                        g_means[j] += push
-        return value, g_alpha, g_means
-
-
 def _accept_tol(grad_tol):
     # BFGS stops with "precision loss" once objective differences fall below
     # rounding; a small gradient at that point still certifies the minimum
@@ -411,6 +204,11 @@ class _Best(NamedTuple):
     nit: int
     order: int  # the GH order BFGS ended at
     refine: float | None  # |value - value at the next ladder order|
+
+
+def _at_order(mu, log_z, **kwargs):
+    """``make(order)``: the objective on the Gauss-Hermite rule of that order."""
+    return lambda order: _Objective(mu, log_z, _gh_nodes(order, mu.dim), **kwargs)
 
 
 def _gh_ladder(cfg, d):
@@ -534,7 +332,7 @@ def minimize_single(
     cfg = cfg or OptimizerConfig()
     log_z, mode_set = _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts)
     d = mu.dim
-    make = functools.partial(_Objective, mu, log_z)
+    make = _at_order(mu, log_z)
     ladder = _gh_ladder(cfg, d)
     obj = make(ladder[0])  # packing and splitting do not depend on the order
 
@@ -641,9 +439,8 @@ def minimize_mixture(
     starts = None
     traces = []
     for _ in range(5):
-        make = functools.partial(
-            _Objective, mu, log_z, n=n, xi=(xi1, xi2), barrier=cfg.barrier,
-            separation_weight=sep_weight,
+        make = _at_order(
+            mu, log_z, n=n, xi=(xi1, xi2), barrier=cfg.barrier, separation_weight=sep_weight
         )
         obj = make(ladder[0])  # packing and splitting do not depend on the order
         if starts is None:
@@ -667,7 +464,7 @@ def minimize_mixture(
         kind="mixture",
         params=params,
         epsilon=mu.epsilon,
-        value=_Objective(mu, log_z, best.order, n).value_grad(theta)[0],
+        value=_at_order(mu, log_z, n=n)(best.order).value_grad(theta)[0],
         converged=best.ok and params.satisfies_constraints(),
         iterations=best.nit,
         log_z=log_z,

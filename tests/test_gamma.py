@@ -249,22 +249,35 @@ def test_sweep_mixture_short(double_well_family, double_well_modes):
     assert sw.limit_minimum == 0.0
 
 
-def test_sweep_mc_reestimation(double_well_family, double_well_modes):
+@pytest.mark.parametrize(
+    "kind, eps_list, kwargs",
+    [
+        ("single", [1e-1, 3e-2], {}),
+        ("mixture", [1e-1, 3e-2, 1e-2, 3e-3], {"n": 2, "cfg": OptimizerConfig(multistart=4)}),
+    ],
+    ids=["single", "mixture"],
+)
+def test_sweep_mc_reestimation(double_well_family, double_well_modes, kind, eps_list, kwargs):
     from klgauss.objective import MONTE_CARLO, EstimatorConfig
 
     est = EstimatorConfig(method=MONTE_CARLO, mc_samples=50_000, seed=8)
     sw_gh = sweep(
-        double_well_family, [1e-1, 3e-2], kind="single",
-        mode_set=double_well_modes, logz="quadrature",
+        double_well_family, eps_list, kind=kind,
+        mode_set=double_well_modes, logz="quadrature", **kwargs,
     )
     sw_mc = sweep(
-        double_well_family, [1e-1, 3e-2], kind="single",
-        mode_set=double_well_modes, logz="quadrature", estimator=est,
+        double_well_family, eps_list, kind=kind,
+        mode_set=double_well_modes, logz="quadrature", estimator=est, **kwargs,
     )
     for gh_r, mc_r in zip(sw_gh.records, sw_mc.records):
         assert mc_r.stderr > 0
         assert abs(mc_r.value - gh_r.value) <= 4 * mc_r.stderr + 1e-6
         assert mc_r.gap - mc_r.value == pytest.approx(gh_r.gap - gh_r.value)
+    if kind == "mixture":
+        # the potential and entropy terms cancel point by point, so every
+        # gap clears the fit's noise floor of 10 stderr
+        assert sw_mc.gap_fit is not None
+        assert sw_mc.gap_fit.n_used == len(eps_list)
 
 
 def test_sweep_warm_start_tracks_one_well(double_well_family, double_well_modes):

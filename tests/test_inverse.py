@@ -298,15 +298,15 @@ def test_posterior_m4_runs_below_gh_order_and_is_certified():
     assert res.converged
     assert res.gh_order < cfg.gh_order
     assert res.gh_refine_error <= 1e-10 * max(1.0, abs(res.value))
-    ref = optim._Objective(mu, res.log_z, cfg.gh_order)
+    ref = optim._at_order(mu, res.log_z)(cfg.gh_order)
     chol = np.linalg.cholesky(res.rescaled_covariances)
     theta = ref.pack(np.ones(1), [res.params.mean], [chol])
     assert abs(ref.value_grad(theta)[0] - res.value) <= 1e-10
     # the certificate: the order used and the next ladder order agree at the point
-    used = optim._Objective(mu, res.log_z, res.gh_order).value_grad(theta)
+    used = optim._at_order(mu, res.log_z)(res.gh_order).value_grad(theta)
     ladder = optim._gh_ladder(cfg, 4)
     next_order = ladder[ladder.index(res.gh_order) + 1]
-    finer = optim._Objective(mu, res.log_z, next_order).value_grad(theta)
+    finer = optim._at_order(mu, res.log_z)(next_order).value_grad(theta)
     assert optim._agree(used, finer, cfg.grad_tol)
 
 
@@ -319,10 +319,10 @@ def test_elliptic_m3_keeps_gh_order():
     ms = inv.limit_mode_set(p, truth)
     cfg = OptimizerConfig(multistart=1)
     res = optim.minimize_single(mu, cfg, mode_set=ms)
-    theta0 = optim._Objective(mu, res.log_z, 10).pack(
+    theta0 = optim._at_order(mu, res.log_z)(10).pack(
         np.ones(1), ms.modes, [np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))]
     )
-    v10, v20 = (optim._Objective(mu, res.log_z, k).value_grad(theta0)[0] for k in (10, 20))
+    v10, v20 = (optim._at_order(mu, res.log_z)(k).value_grad(theta0)[0] for k in (10, 20))
     assert abs(v10 - v20) > 1e-3
     assert res.converged
     assert res.gh_order == 20

@@ -65,14 +65,6 @@ def test_order_below_two_rejected():
         EstimatorConfig(gh_order=1)
 
 
-def test_gh_refinement_error_reported():
-    est = expectation_under_gaussian(
-        kg.builtin_problem("double-well").v1_limit,
-        GaussianParams.from_covariance([0.5], [[0.5]]),
-    )
-    assert est.refine_error >= 0.0
-
-
 # --- kl_single -----------------------------------------------------------------------
 
 
@@ -295,7 +287,7 @@ def test_g_eps_at_limit_minimizer_small(double_well_family, double_well_modes):
         double_well_family.at(eps), mode_set=double_well_modes
     ).log_value
     mix = mixture_at(eps)
-    est = g_eps(double_well_family, eps, mix, log_z, entropy_est=EstimatorConfig(seed=6, method=MONTE_CARLO))
+    est = g_eps(double_well_family, eps, mix, log_z, EstimatorConfig(seed=6, method=MONTE_CARLO))
     assert 0.0 <= est.value <= 0.05
 
     from klgauss.quadrature import make_grid
@@ -308,6 +300,59 @@ def test_g_eps_at_limit_minimizer_small(double_well_family, double_well_modes):
     kl_grid = float(np.dot(w, np.exp(log_nu) * (log_nu - log_mu)))
     assert kl_grid <= 0.05
     assert est.value == pytest.approx(kl_grid, abs=3 * est.stderr + 1e-4)
+
+
+def _self_target(mix, eps):
+    """The family whose target at eps is the mixture itself: V1 = -eps log rho,
+    V2 = 0, log Z = 0.  It has no gradient: the estimators evaluate values only."""
+    v1 = P.Potential(dim=1, value_fn=lambda x: -eps * mix.log_density(x), grad_fn=None, hess_fn=None)
+    return kg.MeasureFamily(name="self", dim=1, v1_limit=v1, v2=P.zero(1))
+
+
+@pytest.mark.parametrize(
+    "est", [EstimatorConfig(), EstimatorConfig(method=MONTE_CARLO, seed=3)], ids=["gh", "mc"]
+)
+def test_g_eps_zero_when_target_is_the_mixture(est):
+    # KL(rho || rho) = 0, and the integrand V1/eps + V2 + log rho vanishes at
+    # every node, so the Monte Carlo stderr is rounding only
+    eps = 0.1
+    mix = mixture_at(eps, means=(-0.5, 0.6), sigma_resc=1.0, weights=(0.3, 0.7))
+    est = g_eps(_self_target(mix, eps), eps, mix, 0.0, est)
+    assert abs(est.value) <= 1e-12
+    assert est.stderr <= 1e-12
+    assert est.detail["entropy_term"] == pytest.approx(-est.detail["v1_term"], abs=1e-12)
+    assert est.detail["entropy_term"] < -0.5
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3])
+def test_g_eps_mc_stderr_calibrated(double_well_family, eps):
+    # at the limit minimizer the potential and entropy terms nearly cancel
+    # point by point; the reported stderr must be that of the combined
+    # estimator, neither understated nor overstated (|error| / stderr
+    # averages 0.8 when calibrated)
+    mix = mixture_at(eps)
+    ref = g_eps(double_well_family, eps, mix, 0.0, EstimatorConfig(gh_order=40)).value
+    ratios = []
+    for seed in range(20):
+        est = g_eps(double_well_family, eps, mix, 0.0, EstimatorConfig(method=MONTE_CARLO, seed=seed))
+        ratios.append(abs(est.value - ref) / est.stderr)
+    assert 0.3 <= np.mean(ratios) <= 3.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_value_only_path_matches_value_grad(double_well_family, n):
+    # the public estimators are one evaluation of the optimizer's objective
+    from klgauss.objective import _gh_nodes, _Objective
+
+    eps = 0.05
+    mix = mixture_at(eps, sigma_resc=0.3, weights=(0.45, 0.55))
+    if n == 1:
+        mix = MixtureParams(mix.components[1:], np.ones(1), xi=(0.5, 1.0))
+    obj = _Objective(double_well_family.at(eps), 0.4, _gh_nodes(20, 1), n)
+    root = math.sqrt(eps)
+    theta = obj.pack(mix.weights, mix.means, [c.chol / root for c in mix.components])
+    est = g_eps(double_well_family, eps, mix, 0.4)
+    assert est.value == pytest.approx(obj.value_grad(theta)[0], abs=1e-12)
 
 
 def test_g_eps_constraint_gate_returns_inf(double_well_family):

@@ -5,6 +5,7 @@ import pytest
 
 import klgauss as kg
 from klgauss import optimizer
+from klgauss.objective import _gh_nodes
 from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
@@ -75,7 +76,7 @@ def _fd_gradient(obj, theta):
 @pytest.mark.parametrize("n, xi", GRADIENT_CASES)
 def test_analytic_gradient_matches_finite_differences(double_well_family, rng, n, xi):
     mu = double_well_family.at(0.05)
-    obj = _Objective(mu, 0.3, 20, n, xi, barrier=0.1, separation_weight=100.0)
+    obj = _Objective(mu, 0.3, _gh_nodes(20, 1), n, xi, barrier=0.1, separation_weight=100.0)
     for _ in range(10):
         theta = _theta(rng, n, 1, 1.5)
         _, g = obj.value_grad(theta)
@@ -86,7 +87,7 @@ def test_analytic_gradient_matches_finite_differences(double_well_family, rng, n
 def test_analytic_gradient_matches_fd_2d(rng, n, xi):
     fam = kg.builtin_problem("quadratic", dim=2, scale=1.5, center=[0.2, -0.1])
     mu = fam.at(0.1)
-    obj = _Objective(mu, 0.0, 10, n, xi, barrier=0.1, separation_weight=100.0)
+    obj = _Objective(mu, 0.0, _gh_nodes(10, 2), n, xi, barrier=0.1, separation_weight=100.0)
     theta = _theta(rng, n, 2, 0.5)  # per component: m(2), logdiag(2), offdiag(1)
     _, g = obj.value_grad(theta)
     assert np.allclose(g, _fd_gradient(obj, theta), rtol=1e-5, atol=1e-7)
@@ -288,7 +289,7 @@ class _LowOrdersAgreeAtStartOnly(_Objective):
 def test_failed_certification_continues_at_finer_order(monkeypatch):
     mu, log_z, center, cov = _gaussian_target(3)
     m0, sigma0 = center + 0.2, 2.0 * np.eye(3)
-    theta0 = _Objective(mu, log_z, 2).pack(_ONE_WEIGHT, [m0], [np.linalg.cholesky(sigma0)])
+    theta0 = _Objective(mu, log_z, _gh_nodes(2, 3)).pack(_ONE_WEIGHT, [m0], [np.linalg.cholesky(sigma0)])
     monkeypatch.setattr(_LowOrdersAgreeAtStartOnly, "theta0", theta0)
     monkeypatch.setattr(optimizer, "_Objective", _LowOrdersAgreeAtStartOnly)
     res = minimize_single(
@@ -322,7 +323,7 @@ def test_start_value_is_the_objective_at_the_start(double_well_family):
     m0, sigma0 = np.array([0.7]), np.array([[0.3]])
     cfg = OptimizerConfig(multistart=1)
     res = minimize_single(mu, cfg, log_z=0.1, extra_starts=[(m0, sigma0)])
-    obj = _Objective(mu, 0.1, 20)
+    obj = _Objective(mu, 0.1, _gh_nodes(20, 1))
     theta0 = obj.pack(_ONE_WEIGHT, [m0], [np.linalg.cholesky(sigma0)])
     assert res.traces[0].start_value == obj.value_grad(theta0)[0]
 

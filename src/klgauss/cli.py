@@ -191,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--estimator", choices=("gh", "mc"), default="gh")
         p.add_argument("--logz", choices=("laplace", "quadrature"), default="laplace")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="accepted and ignored: each BvM eps level is solved as one batch",
+        )
         p.add_argument("-v", "--verbose", action="store_true")
 
     p_modes = sub.add_parser("modes", help="locate modes and Laplace weights")

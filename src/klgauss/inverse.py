@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +30,16 @@ from .measure import (
     MeasureFamily,
     ModeSet,
     TargetMeasure,
+    log_laplace_normalization,
     quadrature_normalization,
 )
-from .optimizer import OptimizerConfig, minimize_mixture, minimize_single
+from .optimizer import (
+    OptimizerConfig,
+    _damped_newton,
+    _newton_singles,
+    minimize_mixture,
+    minimize_single,
+)
 from .potentials import Potential, potential_from_spec, quadratic
 from .quadrature import tv_distance_grid
 
@@ -189,6 +195,34 @@ def misfit_potential(
         growth_bound=float(np.sum(p.f**2)),
         v1_family=True,
     )
+
+
+def _misfit_derivatives(p: EllipticProblem, Y, prior: Potential, eps: float, X):
+    """Phi = |y - G(x)|^2 / (2 eps) + V2(x) with one data vector per draw.
+
+    Y has shape (n, M), one data vector y per draw, and X shape (n, K, M),
+    K points per draw.  Returns the values (n, K), gradients (n, K, M) and
+    exact Hessians (n, K, M, M) of Phi.  One Thomas pass solves
+    (A+Q) [u | S] = [f | I] at every point; S = (A+Q)^(-1) is symmetric, so
+    the adjoint w = S (y - u) and J = -S diag(u c'(x)) give the formulas of
+    misfit_potential without further solves.
+    """
+    n, K, M = X.shape
+    q = X.reshape(n * K, M)
+    sol = _solve(p, q, np.hstack([p.f[:, None], np.eye(M)])[None])
+    u, S = sol[:, :, 0], sol[:, :, 1:]
+    r = np.repeat(Y, K, axis=0) - u
+    w = np.einsum("nij,nj->ni", S, r)
+    c1 = p.coefficient_derivative(q)
+    J = -S * (u * c1)[:, None, :]
+    bJ = (w * c1)[:, :, None] * J
+    H = np.einsum("nki,nkj->nij", J, J) + bJ + bJ.transpose(0, 2, 1)
+    idx = np.arange(M)
+    H[:, idx, idx] += u * w * p.coefficient_second_derivative(q)
+    value = 0.5 * np.sum(r * r, axis=1) / eps + np.reshape(prior.value_fn(q), n * K)
+    grad = u * c1 * w / eps + np.reshape(prior.grad_fn(q), (n * K, M))
+    hess = 0.5 * (H + H.transpose(0, 2, 1)) / eps + np.reshape(prior.hess_fn(q), (n * K, M, M))
+    return value.reshape(n, K), grad.reshape(n, K, M), hess.reshape(n, K, M, M)
 
 
 def _posterior_box(p: EllipticProblem, truth):
@@ -466,94 +500,111 @@ class BvMResult:
         return "\n".join(lines) + "\n"
 
 
-def _posterior_mode(mu: TargetMeasure, x0, max_steps: int = 50):
-    """Minimize V1/eps + V2 by damped Newton from x0; returns (x, D2V1 + eps*D2V2).
+_DRAW_ERRORS = (ArithmeticError, ValueError, RuntimeError)  # a failed draw, by cause
 
-    Each step solves with the exact Hessian (its eigenvalues taken in
-    absolute value) and backtracks until the Armijo condition holds.  Raises
-    ArithmeticError when a Newton step is not a descent direction, the line
-    search cannot decrease the objective, or ``max_steps`` steps pass
-    without convergence.
+
+def _posterior_mode(p: EllipticProblem, Y, prior: Potential, eps: float, X0, max_steps: int = 50):
+    """Minimize V1/eps + V2 for every row y of Y by batched damped Newton from X0.
+
+    Returns (X, H_eff, errors): the modes, D2V1 + eps D2V2 there, and per
+    draw None or the ArithmeticError that stopped its search: a Newton step
+    that is not a descent direction, a line search that cannot decrease the
+    objective, or ``max_steps`` steps without convergence (see
+    optimizer._damped_newton).  The steps use the exact Hessian with its
+    eigenvalues taken in absolute value and the Armijo rule.
     """
-    eps = mu.epsilon
 
-    def fun(x):
-        return mu.v1.value(x) / eps + mu.v2.value(x)
+    def evaluate(idx, x):
+        v, g, h = _misfit_derivatives(p, Y[idx], prior, eps, x[:, None, :])
+        return v[:, 0], g[:, 0], h[:, 0]
 
-    x = np.asarray(x0, dtype=float)
-    fx = fun(x)
-    for _ in range(max_steps):
-        g = mu.v1.gradient(x) / eps + mu.v2.gradient(x)
-        h_eff = mu.v1.hessian(x) + eps * mu.v2.hessian(x)
-        h_eff = 0.5 * (h_eff + h_eff.T)
-        # away from the mode the exact Hessian can be indefinite; Newton then
-        # uses its absolute eigenvalues, which keeps the step a descent
-        # direction and equals the plain Newton step wherever it is definite
-        lam, vecs = np.linalg.eigh(h_eff)
-        step = eps * (vecs @ ((vecs.T @ g) / np.abs(lam)))
-        # before the descent test: an iterate can land on g = 0 exactly
-        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(x))):
-            return x, h_eff
-        slope = float(g @ step)
-        if not slope > 0.0:
-            raise ArithmeticError("Newton step is not a descent direction")
-        t, x_new = 1.0, x - step
-        f_new = fun(x_new)
-        # Armijo needs differences of fun above its rounding error, which
-        # grows like 1e-16 |y| |y - G| / eps; below a Newton decrement of
-        # 1e-9 (fun is a negative log density, so the step is then far
-        # inside the posterior's width) the full step is taken
-        while slope > 1e-9 and f_new > fx - 1e-4 * t * slope:
-            t *= 0.5
-            if t < 1e-10:
-                raise ArithmeticError("line search cannot decrease the objective")
-            x_new = x - t * step
-            f_new = fun(x_new)
-        x, fx = x_new, f_new
-    raise ArithmeticError(f"posterior mode not found in {max_steps} Newton steps")
+    X, hess, _, errors = _damped_newton(evaluate, X0, max_steps)
+    return X, eps * hess, errors
 
 
-def _draw_posterior(p, truth, eta, eps, prior, j_truth_inv):
-    """Posterior of one noise draw and its mode set.
+def _draw_modes(p, truth, etas, eps, prior, j_truth_inv):
+    """Data y = G(truth) + sqrt(eps) eta of every noise draw, and its posterior
+    mode by _posterior_mode from the linearized mode truth + sqrt(eps)
+    DG(truth)^(-1) eta."""
+    Y = forward(p, truth) + math.sqrt(eps) * etas
+    return (Y, *_posterior_mode(p, Y, prior, eps, truth + math.sqrt(eps) * (etas @ j_truth_inv.T)))
 
-    Newton starts from the linearized mode truth + sqrt(eps) DG(truth)^(-1) eta.
+
+def _draw_posterior(p, truth, eta, eps, prior, grid_spec, x_hat, h_eff):
+    """Posterior of one noise draw with mode x_hat: (mu, mode set, log Z, grid).
+
+    log Z is the Simpson oracle up to M = 3, with its grid, and the Laplace
+    value above (grid None).
     """
     mu = posterior_family(p, truth, eta, prior).at(eps)
-    x0 = truth + math.sqrt(eps) * (j_truth_inv @ eta)
-    x_hat, h_eff = _posterior_mode(mu, x0)
     ms = ModeSet(
         modes=x_hat[None, :],
         hessians=h_eff[None, :, :],
         v2_values=np.array([mu.v2.value(x_hat)]),
     )
-    return mu, ms
+    if p.M > 3:
+        return mu, ms, log_laplace_normalization(ms, eps), None
+    integral = quadrature_normalization(mu, grid_spec, mode_set=ms)
+    return mu, ms, integral.log_value, integral.grid
 
 
-def _bvm_draw(p, truth, eta, eps, prior, grid_spec, opt_cfg, j_truth_inv):
-    """One noise draw: oracle log Z, optimal Gaussian, KL and grid TV."""
-    mu, local_ms = _draw_posterior(p, truth, eta, eps, prior, j_truth_inv)
-    if p.M <= 3:
-        integral = quadrature_normalization(mu, grid_spec, mode_set=local_ms)
-        log_z = integral.log_value
-        grid = integral.grid
-    else:
-        from .measure import log_laplace_normalization
-
-        log_z = log_laplace_normalization(local_ms, eps)
-        grid = None
-    res = minimize_single(mu, opt_cfg, mode_set=local_ms, log_z=log_z)
+def _bvm_draw(mu, ms, log_z, grid, res, opt_cfg):
+    """KL and grid TV of one draw's best Gaussian: ``res``, or where the
+    batched Newton gave none, minimize_single's."""
+    res = res or minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z)
     tv = math.nan
     if grid is not None:
-        g_params = res.params
-
-        def log_nu(pts):
-            return g_params.log_density(pts)
+        eps = mu.epsilon
 
         def log_mu(pts):
             return -mu.v1.value(pts) / eps - mu.v2.value(pts) - log_z
 
-        tv = tv_distance_grid(log_nu, log_mu, grid)
+        tv = tv_distance_grid(res.params.log_density, log_mu, grid)
     return {"kl": res.value, "tv": tv, "converged": res.converged}
+
+
+def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
+    """One outcome per noise draw at one eps: KL, TV, and a failure's cause.
+
+    The posterior modes of all draws come from one batched Newton search and
+    their best Gaussians from one batched Newton solve; log Z, the fallback
+    to minimize_single and TV run per draw.  A draw that fails at any stage
+    keeps the type name of its exception as its cause.
+    """
+    Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
+    posts = {}
+    for i, eta in enumerate(etas):
+        if errors[i] is None:
+            try:
+                posts[i] = _draw_posterior(
+                    p, truth, eta, eps, prior, grid_spec, modes[i], h_effs[i]
+                )
+            except _DRAW_ERRORS as exc:
+                errors[i] = exc
+    newton = {}
+    if posts:
+        live = np.array(list(posts))
+        mus, mode_sets, log_zs, _ = zip(*posts.values())
+        results = _newton_singles(
+            mus,
+            log_zs,
+            mode_sets,
+            lambda idx, x: _misfit_derivatives(p, Y[live[idx]], prior, eps, x),
+            opt_cfg,
+        )
+        newton = dict(zip(posts, results))
+    outcomes = []
+    for i in range(len(etas)):
+        if errors[i] is None:
+            mu, ms, log_z, grid = posts[i]
+            try:
+                outcomes.append(_bvm_draw(mu, ms, log_z, grid, newton[i], opt_cfg))
+                continue
+            except _DRAW_ERRORS as exc:
+                errors[i] = exc
+        outcomes.append({"kl": math.nan, "tv": math.nan, "converged": False,
+                         "cause": type(errors[i]).__name__})
+    return outcomes
 
 
 def bvm_experiment(
@@ -570,8 +621,10 @@ def bvm_experiment(
     so the log-log fit sees a smooth curve.  Draws whose mode search or
     optimization fails are excluded and counted by cause
     (``BvMLevel.failure_causes``); a level with more than 10% failures is
-    marked aborted and excluded from the fit.
+    marked aborted and excluded from the fit.  ``jobs`` is accepted and
+    ignored: the draws of a level are solved together in one batch.
     """
+    del jobs  # kept for callers; the batch needs no workers
     if p.variant != "exp":
         raise ValueError("the KL-rate experiment requires the exp variant")
     if cfg.draws < 30:
@@ -588,20 +641,7 @@ def bvm_experiment(
 
     levels = []
     for eps in cfg.eps_list:
-        def run(eta):
-            try:
-                return _bvm_draw(
-                    p, truth, eta, eps, prior, grid_spec, opt_cfg, j_truth_inv
-                )
-            except (ArithmeticError, ValueError, RuntimeError) as exc:
-                return {"kl": math.nan, "tv": math.nan, "converged": False,
-                        "cause": type(exc).__name__}
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(run, etas))
-        else:
-            outcomes = [run(eta) for eta in etas]
+        outcomes = _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv)
         ok, causes = [], Counter()
         for o in outcomes:
             if not o["converged"]:
@@ -705,10 +745,14 @@ def log_z_expectation_check(
     grid_spec = grid_spec or GridSpec()
     records = []
     for eps in sorted(set(float(e) for e in eps_list), reverse=True):
+        _, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
         values = []
-        for eta in etas:
-            mu, ms = _draw_posterior(p, truth, eta, eps, prior, j_truth_inv)
-            values.append(quadrature_normalization(mu, grid_spec, mode_set=ms).log_value)
+        for eta, x_hat, h_eff, error in zip(etas, modes, h_effs, errors):
+            if error is not None:
+                raise error
+            values.append(
+                _draw_posterior(p, truth, eta, eps, prior, grid_spec, x_hat, h_eff)[2]
+            )
         values = np.asarray(values)
         ref = log_z_reference(p, truth, prior, eps)
         records.append(

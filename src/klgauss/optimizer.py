@@ -40,6 +40,7 @@ from .measure import (
     log_laplace_normalization,
 )
 from .objective import _ONE, _gh_nodes, _Objective
+from .quadrature import NodeBudgetError
 
 # GH order selection: it runs only where the gh_order rule has more nodes
 # than this, since smaller rules cost about the same at any order; adjacent
@@ -65,7 +66,9 @@ class OptimizerConfig:
     first start: values to 1e-10 relative, gradients to 1e-2 * grad_tol.
     Every start's endpoint is certified the same way against the next order
     before the starts are ranked; where it fails, BFGS continues from it at
-    that order, up to gh_order.
+    that order, up to gh_order.  No rule of more than
+    quadrature.MAX_GH_NODES (1e6) nodes is built: where selection or
+    certification needs one, NodeBudgetError is raised.
     """
 
     max_iters: int = 300
@@ -366,6 +369,227 @@ def minimize_single(
         gh_order=best.order,
         traces=traces,
         gh_refine_error=best.refine,
+    )
+
+
+# ---------------------------------------------------------------------------
+# batched damped Newton
+# ---------------------------------------------------------------------------
+
+_NEWTON_CHUNK_POINTS = 1 << 16  # points per evaluation in a Newton batch
+
+
+def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
+    """Minimize a batch of independent smooth functions by damped Newton.
+
+    ``evaluate(idx, x)`` returns the values (k,), gradients (k, p) and
+    Hessians (k, p, p) of the functions ``idx`` at the points x (k, p); a
+    point where any of them is not finite lies outside the function's
+    domain.  Each step solves with the Hessian's eigenvalues taken in
+    absolute value and backtracks by halving until the Armijo condition
+    holds.  Function i is done when its step is at most
+    step_tol (1 + max |x_i|).
+
+    Returns (x, hess, steps, errors): the last points, the Hessians there,
+    the steps taken, and per function None or the ArithmeticError that
+    stopped it: a start outside the domain, a step that is not a descent
+    direction, a line search that cannot decrease the value, or
+    ``max_steps`` steps without convergence.  One function's failure leaves
+    the others running.
+    """
+    x = np.array(x0, dtype=float)
+    n = x.shape[0]
+    hess = np.zeros((n, x.shape[1], x.shape[1]))
+    steps = np.zeros(n, dtype=int)
+    errors = [None] * n
+
+    def outside(f, g, h):
+        return ~(np.isfinite(f) & np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(h), axis=(1, 2)))
+
+    def stop(mask, message):
+        for i in idx[mask]:
+            errors[i] = ArithmeticError(message)
+
+    idx = np.arange(n)
+    f, g, h = evaluate(idx, x)
+    bad = outside(f, g, h)
+    stop(bad, "Newton start outside the objective's domain")
+    idx, f, g, h = idx[~bad], f[~bad], g[~bad], h[~bad]
+    for _ in range(max_steps):
+        if idx.size == 0:
+            break
+        # away from a minimum the Hessian can be indefinite; its absolute
+        # eigenvalues keep the step a descent direction, and the step is the
+        # plain Newton step wherever the Hessian is definite
+        lam, vecs = np.linalg.eigh(h)
+        step = np.einsum("kab,kb->ka", vecs, np.einsum("kba,kb->ka", vecs, g) / np.abs(lam))
+        # before the descent test: an iterate can land on g = 0 exactly
+        done = np.max(np.abs(step), axis=1) <= step_tol * (1.0 + np.max(np.abs(x[idx]), axis=1))
+        hess[idx[done]] = h[done]
+        slope = np.sum(g * step, axis=1)
+        stop(~done & ~(slope > 0.0), "Newton step is not a descent direction")
+        go = ~done & (slope > 0.0)
+        idx, f, step, slope = idx[go], f[go], step[go], slope[go]
+        steps[idx] += 1
+        t = np.ones(idx.size)
+        trial = x[idx] - step
+        f_new, g, h = evaluate(idx, trial)
+        # Armijo needs differences of the value above its rounding error,
+        # which for a negative log density grows like 1e-16 |y| |y - G| / eps
+        # on the misfit; below a Newton decrement of 1e-9 (the step is then
+        # far inside the density's width) the full step is taken
+        retry = outside(f_new, g, h) | ((slope > 1e-9) & ~(f_new <= f - 1e-4 * slope))
+        while np.any(retry):
+            t[retry] *= 0.5
+            stop(retry & (t < 1e-10), "line search cannot decrease the objective")
+            retry &= t >= 1e-10
+            r = np.flatnonzero(retry)
+            trial[r] = x[idx[r]] - t[r, None] * step[r]
+            f_new[r], g[r], h[r] = evaluate(idx[r], trial[r])
+            retry[r] = outside(f_new[r], g[r], h[r]) | ~(f_new[r] <= f[r] - 1e-4 * t[r] * slope[r])
+        live = t >= 1e-10
+        x[idx[live]] = trial[live]
+        idx, f, g, h = idx[live], f_new[live], g[live], h[live]
+    stop(np.ones(idx.size, dtype=bool), f"no convergence in {max_steps} Newton steps")
+    return x, hess, steps, errors
+
+
+def _newton_single(phi, eps, means, chols, nodes, max_steps=50):
+    """Best single Gaussians N(m_i, eps L_i L_i^T) for a batch of targets
+    exp(-Phi_i), by damped Newton on the node-set objective.
+
+    ``phi(idx, x)`` returns Phi, its gradient and its Hessian for the
+    targets ``idx`` at the points x of shape (k, K, d), as arrays of shapes
+    (k, K), (k, K, d) and (k, K, d, d).  The objective is, up to constants,
+
+        F(m, L) = sum_k w_k Phi(m + sqrt(2 eps) L z_k) - log det L
+
+    on the nodes (z, w); for convex Phi it is convex in (m, L) (Challis &
+    Barber 2013).  x is linear in (m, L), so the gradient is E[grad Phi] and
+    sqrt(2 eps) E[grad Phi z^T] - L^-T, and the Hessian is E[J^T hess Phi J]
+    for the Jacobian J of x, plus 1/L_aa^2 on the diagonal entries of L; no
+    third derivatives enter.  Newton runs in (m / sqrt(eps), L), in which
+    every Hessian block stays O(1) as eps shrinks, from the given means and
+    factors.
+
+    Returns (means, chols, steps, errors) as in _damped_newton.
+    """
+    n, d = means.shape
+    z, w, _ = nodes
+    # x_k = P zeta_k with P = [m / sqrt(eps) | L], a (d, d + 1) matrix
+    zeta = np.hstack([np.full((len(w), 1), math.sqrt(eps)), math.sqrt(2.0 * eps) * z])
+    wz = w[:, None] * zeta
+    wzz = (wz[:, :, None] * zeta[:, None, :]).reshape(len(w), -1)
+    rows, cols = np.tril_indices(d)
+    keep = np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1])
+    diag = np.arange(d) * (d + 2) + 1  # the entries L_aa of P, flattened
+    p_full = d * (d + 1)
+    chunk = max(1, _NEWTON_CHUNK_POINTS // len(w))
+
+    def evaluate(idx, v):
+        k = len(idx)
+        P = np.zeros((k, p_full))
+        P[:, keep] = v
+        f = np.empty(k)
+        G = np.empty((k, d, d + 1))
+        H = np.empty((k, d, d, d + 1, d + 1))
+        for s in range(0, k, chunk):
+            sl = slice(s, s + chunk)
+            x = np.einsum("nai,ki->nka", P[sl].reshape(-1, d, d + 1), zeta)
+            val, grad, hess = phi(idx[sl], x)
+            f[sl] = val @ w
+            G[sl] = grad.transpose(0, 2, 1) @ wz
+            m = hess.reshape(len(val), len(w), d * d).transpose(0, 2, 1) @ wzz
+            H[sl] = m.reshape(-1, d, d, d + 1, d + 1)
+        H = H.transpose(0, 1, 3, 2, 4).reshape(k, p_full, p_full)
+        G = G.reshape(k, p_full)
+        l_diag = P[:, diag]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f -= np.sum(np.log(l_diag), axis=1)
+            G[:, diag] -= 1.0 / l_diag
+            H[:, diag, diag] += 1.0 / l_diag**2
+        f[~np.all(l_diag > 0.0, axis=1)] = math.inf
+        return f, G[:, keep], H[:, keep][:, :, keep]
+
+    P0 = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
+    v, _, steps, errors = _damped_newton(evaluate, P0.reshape(n, -1)[:, keep], max_steps)
+    P = np.zeros((n, p_full))
+    P[:, keep] = v
+    P = P.reshape(n, d, d + 1)
+    return math.sqrt(eps) * P[:, :, 0], P[:, :, 1:], steps, errors
+
+
+def _newton_singles(mus, log_zs, mode_sets, phi, cfg):
+    """Best single Gaussians for a batch of targets by damped Newton, each
+    endpoint certified as minimize_single certifies a BFGS endpoint.
+
+    Target i is mus[i] with log Z log_zs[i]; all share eps.  Newton starts
+    from the first mode of mode_sets[i] with the inverse mode Hessian as
+    rescaled covariance, the start minimize_single tries first, and runs at
+    the GH order minimize_single would select there, one batch per order.
+    ``phi`` is as in _newton_single, for the whole batch.  The certificate
+    is the objective (_Objective) at that order: a finite value, a gradient
+    of at most cfg.grad_tol, and agreement (_agree) with the next ladder
+    order where that order is below gh_order.
+
+    Returns one OptimResult per target, or None where the order could not
+    be chosen within the node budget, Newton failed or the certificate did:
+    minimize_single is the fallback for those targets alone.
+    """
+    eps, d = mus[0].epsilon, mus[0].dim
+    ladder = _gh_ladder(cfg, d)
+    makes = [functools.cache(_at_order(mu, lz)) for mu, lz in zip(mus, log_zs)]
+    means = np.stack([ms.modes[0] for ms in mode_sets])
+    chols = np.zeros((len(mus), d, d))
+    orders = np.zeros(len(mus), dtype=int)  # 0: no Newton run
+    for i, (make, ms) in enumerate(zip(makes, mode_sets)):
+        try:
+            chols[i] = np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))
+            theta0 = make(ladder[0]).pack(_ONE, means[i : i + 1], chols[i : i + 1])
+            orders[i] = _select_order(make, ladder, theta0, cfg.grad_tol)
+        except (np.linalg.LinAlgError, NodeBudgetError):
+            pass  # minimize_single meets the same error, for this target alone
+    results = [None] * len(mus)
+    for order in ladder:
+        idx = np.flatnonzero(orders == order)
+        if idx.size == 0:
+            continue
+        m, L, steps, errors = _newton_single(
+            lambda j, x: phi(idx[j], x), eps, means[idx], chols[idx], _gh_nodes(order, d)
+        )
+        for j, i in enumerate(idx):
+            if errors[j] is None:
+                results[i] = _certified_single(makes[i], ladder, order, m[j], L[j], steps[j], cfg)
+    return results
+
+
+def _certified_single(make, ladder, order, mean, chol, iterations, cfg):
+    """The OptimResult of N(mean, eps chol chol^T) if it passes the
+    certificate of _newton_singles at ``order``, else None."""
+    obj = make(order)
+    theta = obj.pack(_ONE, [mean], [chol])
+    value, grad = obj.value_grad(theta)
+    if not (np.isfinite(value) and np.max(np.abs(grad)) <= cfg.grad_tol):
+        return None
+    refine = None
+    if order != ladder[-1]:
+        fine = make(ladder[ladder.index(order) + 1]).value_grad(theta)
+        if not _agree((value, grad), fine, cfg.grad_tol):
+            return None
+        refine = abs(value - fine[0])
+    elif len(ladder) > 1:
+        refine = abs(value - make(ladder[-2]).value_grad(theta)[0])
+    _, means, chols = obj.split(theta)
+    return OptimResult(
+        kind="single",
+        params=GaussianParams(means[0], math.sqrt(obj.mu.epsilon) * chols[0]),
+        epsilon=obj.mu.epsilon,
+        value=float(value),
+        converged=True,
+        iterations=int(iterations),
+        log_z=obj.log_z,
+        gh_order=order,
+        gh_refine_error=refine,
     )
 
 

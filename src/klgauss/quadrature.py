@@ -18,6 +18,10 @@ import numpy as np
 
 MAX_ORACLE_DIM = 3
 
+# the most nodes a tensor Gauss-Hermite rule may have: 1e6 nodes in d = 8
+# take 64 MB for the nodes alone, and every evaluation several times that
+MAX_GH_NODES = 1_000_000
+
 # default Simpson resolution per dimension; all values are == 1 (mod 4) so
 # the stride-2 coarse grid used for the error estimate is again a Simpson grid
 DEFAULT_POINTS = {1: 4097, 2: 257, 3: 65}
@@ -31,6 +35,11 @@ class BoxTooSmallError(ValueError):
     """Raised when the integrand has not decayed at the box boundary."""
 
 
+class NodeBudgetError(ValueError):
+    """Raised, before any allocation, for a Gauss-Hermite rule of more than
+    MAX_GH_NODES nodes."""
+
+
 @lru_cache(maxsize=32)
 def gauss_hermite(order: int, dim: int):
     """Tensor-product Gauss-Hermite rule in probabilists' normalization.
@@ -40,10 +49,16 @@ def gauss_hermite(order: int, dim: int):
 
         E[f(X)] ~= sum_k w[k] * f(m + sqrt(2) * L @ z[k])
 
-    The rule is exact for polynomials of total degree < 2*order.
+    The rule is exact for polynomials of total degree < 2*order.  A rule of
+    more than MAX_GH_NODES nodes raises NodeBudgetError.
     """
     if order < 2:
         raise ValueError(f"Gauss-Hermite order must be >= 2, got {order}")
+    if order**dim > MAX_GH_NODES:
+        raise NodeBudgetError(
+            f"the order-{order} Gauss-Hermite rule in dimension {dim} has "
+            f"{order**dim} nodes, over the budget of {MAX_GH_NODES}"
+        )
     x, w = np.polynomial.hermite.hermgauss(order)
     w = w / np.sqrt(np.pi)
     if dim == 1:

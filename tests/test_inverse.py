@@ -1,17 +1,29 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import klgauss as kg
 from klgauss import inverse as inv
+from klgauss import objective
 from klgauss import optimizer as optim
+from klgauss import quadrature
 from klgauss.optimizer import OptimizerConfig
 from klgauss.potentials import check_derivatives, fd_hessian_from_grad, quadratic
 
 
 def problem(M=1, f=1.0, variant="exp"):
     return inv.EllipticProblem(M=M, f=np.full(M, float(f)), variant=variant)
+
+
+def mode_search(p, truth, eta, eps, starts, **kwargs):
+    """Batched posterior-mode search of one noise draw from each start."""
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    y = inv.forward(p, truth) + math.sqrt(eps) * np.asarray(eta, dtype=float)
+    Y = np.tile(y, (len(starts), 1))
+    return inv._posterior_mode(p, Y, quadratic(dim=p.M), eps, starts, **kwargs)
 
 
 # --- forward -----------------------------------------------------------------------
@@ -166,6 +178,25 @@ def test_misfit_hessian_matches_finite_differences(variant, rng):
         assert not np.allclose(full.hessian(x), J.T @ J, rtol=1e-3, atol=0)
 
 
+@pytest.mark.parametrize("variant", ["exp", "square"])
+def test_batched_misfit_derivatives_match_misfit_potential(variant, rng):
+    # Phi = V1/eps + V2 per draw, from one Thomas pass, against the
+    # per-draw misfit potential and prior
+    p = problem(M=3, f=5.0, variant=variant)
+    eps = 0.05
+    prior = quadratic(dim=3)
+    Y = inv.forward(p, np.array([0.3, -0.2, 0.5])) + 0.3 * rng.standard_normal((4, 3))
+    X = rng.uniform(-1, 1, size=(4, 6, 3))
+    value, grad, hess = inv._misfit_derivatives(p, Y, prior, eps, X)
+    for y, x, v, g, h in zip(Y, X, value, grad, hess):
+        pot = inv.misfit_potential(p, y)
+        np.testing.assert_allclose(v, pot.value(x) / eps + prior.value(x), rtol=1e-12)
+        np.testing.assert_allclose(g, pot.gradient(x) / eps + prior.gradient(x),
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(h, pot.hessian(x) / eps + prior.hessian(x),
+                                   rtol=1e-10, atol=1e-12)
+
+
 def test_large_data_completed_square_identity(rng):
     # posterior with N i.i.d. draws equals the small-noise form with the
     # mean noise, up to an x-independent constant
@@ -232,8 +263,9 @@ def test_normality_exp_zero_noise():
         mu = inv.posterior(p, truth, np.zeros(2), eps)
         grad = mu.v1.gradient(truth) / eps + mu.v2.gradient(truth)
         assert np.max(np.abs(grad)) <= 1e-12
-        x_hat, _ = inv._posterior_mode(mu, truth + 0.1)
-        assert np.max(np.abs(x_hat - truth)) <= 1e-8
+        x_hat, _, errors = mode_search(p, truth, np.zeros(2), eps, truth + 0.1)
+        assert errors == [None]
+        assert np.max(np.abs(x_hat[0] - truth)) <= 1e-8
     recs = inv.asymptotic_normality_check(
         p, truth, np.zeros(2), [1e-2, 1e-3, 1e-4], cfg=OptimizerConfig(multistart=2)
     )
@@ -249,13 +281,19 @@ def test_posterior_mode_newton():
     p = problem(M=2, f=100.0)
     truth = np.zeros(2)
     eps = 1e-2
-    mu = inv.posterior(p, truth, np.zeros(2), eps)
-    x_hat, h_eff = inv._posterior_mode(mu, truth)
-    assert np.array_equal(x_hat, truth)
     J = inv.jacobian(p, truth)
-    assert np.allclose(h_eff, J.T @ J + eps * np.eye(2), rtol=1e-13, atol=0)
-    with pytest.raises(ArithmeticError):
-        inv._posterior_mode(mu, truth + 0.1, max_steps=1)
+    x_hat, h_eff, errors = mode_search(p, truth, np.zeros(2), eps, truth)
+    assert errors == [None]
+    assert np.array_equal(x_hat[0], truth)
+    assert np.allclose(h_eff[0], J.T @ J + eps * np.eye(2), rtol=1e-13, atol=0)
+    # one step does not reach the mode from truth + 0.1; in the same batch,
+    # that draw's failure leaves the draw started at the mode converged
+    x_hat, h_eff, errors = mode_search(p, truth, np.zeros(2), eps, [truth + 0.1, truth],
+                                       max_steps=1)
+    assert isinstance(errors[0], ArithmeticError)
+    assert errors[1] is None
+    assert np.array_equal(x_hat[1], truth)
+    assert np.allclose(h_eff[1], J.T @ J + eps * np.eye(2), rtol=1e-13, atol=0)
 
 
 def test_posterior_mode_from_indefinite_start():
@@ -268,10 +306,11 @@ def test_posterior_mode_from_indefinite_start():
     x0 = math.sqrt(eps) * np.linalg.solve(inv.jacobian(p, np.zeros(2)), eta)
     h0 = mu.v1.hessian(x0) + eps * mu.v2.hessian(x0)
     assert np.min(np.linalg.eigvalsh(h0)) < 0
-    x_hat, h_eff = inv._posterior_mode(mu, x0)
-    grad = mu.v1.gradient(x_hat) / eps + mu.v2.gradient(x_hat)
+    x_hat, h_eff, errors = mode_search(p, np.zeros(2), eta, eps, x0)
+    assert errors == [None]
+    grad = mu.v1.gradient(x_hat[0]) / eps + mu.v2.gradient(x_hat[0])
     assert np.max(np.abs(grad)) <= 1e-10
-    assert np.min(np.linalg.eigvalsh(h_eff)) > 0
+    assert np.min(np.linalg.eigvalsh(h_eff[0])) > 0
 
 
 def test_normality_exp_fixed_noise_converges():
@@ -308,6 +347,31 @@ def test_posterior_m4_runs_below_gh_order_and_is_certified():
     next_order = ladder[ladder.index(res.gh_order) + 1]
     finer = optim._at_order(mu, res.log_z)(next_order).value_grad(theta)
     assert optim._agree(used, finer, cfg.grad_tol)
+
+
+def test_gh_node_budget_at_d8(monkeypatch):
+    # the M = 8 posterior: orders 2 and 5 disagree at the start, and the next
+    # rung, order 10, has 1e8 nodes; no rule above the budget is built, and
+    # the optimizer raises the named error instead
+    built = []
+    gauss_hermite = objective.gauss_hermite
+
+    def recording(order, dim):
+        z, w = gauss_hermite(order, dim)
+        built.append(w.size)
+        return z, w
+
+    monkeypatch.setattr(objective, "gauss_hermite", recording)
+    p = problem(M=8, f=1000.0)
+    truth = np.zeros(8)
+    eta = np.random.default_rng(1234).standard_normal(8)
+    mu, ms = inv.posterior(p, truth, eta, 1e-3), inv.limit_mode_set(p, truth)
+    with pytest.raises(quadrature.NodeBudgetError):
+        optim.minimize_single(mu, OptimizerConfig(multistart=1), mode_set=ms)
+    assert max(built) == 5**8
+    assert max(built) <= quadrature.MAX_GH_NODES
+    with pytest.raises(quadrature.NodeBudgetError):
+        quadrature.gauss_hermite(10, 8)
 
 
 def test_elliptic_m3_keeps_gh_order():
@@ -406,26 +470,135 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     p = problem(M=1, f=100.0)
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
-    draw = inv._bvm_draw
+    draw_posterior = inv._draw_posterior
 
-    def failing_draw(p, truth, eta, *args):
+    def failing_posterior(p, truth, eta, *args):
         if eta[0] > 1.0:
             raise np.linalg.LinAlgError("singular")
-        return draw(p, truth, eta, *args)
+        return draw_posterior(p, truth, eta, *args)
 
-    monkeypatch.setattr(inv, "_bvm_draw", failing_draw)
+    monkeypatch.setattr(inv, "_draw_posterior", failing_posterior)
     level = inv.bvm_experiment(p, cfg).levels[0]
     n_failed = int(np.sum(etas[:, 0] > 1.0))
     assert n_failed > 0
     assert level.failures == n_failed
     assert level.failure_causes == {"LinAlgError": n_failed}
 
-    def broken_draw(*args):
+    def broken_posterior(*args):
         raise TypeError("a programming error is not a failed draw")
 
-    monkeypatch.setattr(inv, "_bvm_draw", broken_draw)
+    monkeypatch.setattr(inv, "_draw_posterior", broken_posterior)
     with pytest.raises(TypeError):
         inv.bvm_experiment(p, cfg)
+    monkeypatch.setattr(inv, "_draw_posterior", draw_posterior)
+
+    # a mode search stopped inside the batch fails its draw with the cause
+    posterior_mode = inv._posterior_mode
+
+    def one_step(*args):
+        return posterior_mode(*args, max_steps=1)
+
+    monkeypatch.setattr(inv, "_posterior_mode", one_step)
+    level = inv.bvm_experiment(p, cfg).levels[0]
+    assert level.failures == cfg.draws
+    assert level.failure_causes == {"ArithmeticError": cfg.draws}
+
+
+def bvm_m1_config():
+    doc = json.loads(resources.files("klgauss").joinpath("configs/bvm-m1.json").read_text())
+    p = inv.EllipticProblem(M=doc["M"], f=np.asarray(doc["f"]), variant=doc["variant"])
+    cfg = inv.BvMConfig(truth=np.asarray(doc["truth"]), eps_list=tuple(doc["eps_list"]),
+                        draws=doc["draws"], seed=doc["seed"])
+    return p, cfg
+
+
+def level_posteriors(p, cfg, eps):
+    """Every draw's data and (mu, mode set, log Z, grid), as bvm_experiment builds them."""
+    prior = quadratic(dim=p.M)
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, p.M))
+    j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
+    Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior, j_inv)
+    assert errors == [None] * cfg.draws
+    posts = [
+        inv._draw_posterior(p, cfg.truth, eta, eps, prior, inv.GridSpec(), x_hat, h_eff)
+        for eta, x_hat, h_eff in zip(etas, modes, h_effs)
+    ]
+    return Y, prior, posts
+
+
+def bvm_optimizer_config(cfg):
+    return OptimizerConfig(multistart=1, seed=cfg.seed, grad_tol=1e-7)
+
+
+def test_bvm_newton_agrees_with_bfgs_and_is_certified():
+    # every draw of bvm-m1 at every eps: the batched Newton point passes the
+    # certificate, and its mean and factor are within 1e-6 of the scale
+    # sqrt(eps) L of the BFGS point minimize_single returns
+    p, cfg = bvm_m1_config()
+    opt_cfg = bvm_optimizer_config(cfg)
+    for eps in cfg.eps_list:
+        Y, prior, posts = level_posteriors(p, cfg, eps)
+        mus, mode_sets, log_zs, _ = zip(*posts)
+        results = optim._newton_singles(
+            mus, log_zs, mode_sets,
+            lambda idx, x: inv._misfit_derivatives(p, Y[idx], prior, eps, x), opt_cfg,
+        )
+        for mu, ms, log_z, res in zip(mus, mode_sets, log_zs, results):
+            assert res is not None and res.converged
+            obj = optim._at_order(mu, log_z)(opt_cfg.gh_order)
+            theta = obj.pack(np.ones(1), [res.params.mean],
+                             [np.linalg.cholesky(res.rescaled_covariances)])
+            value, grad = obj.value_grad(theta)
+            assert np.max(np.abs(grad)) <= opt_cfg.grad_tol
+            assert value == pytest.approx(res.value, rel=0, abs=1e-12)
+            bfgs = optim.minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z)
+            scale = np.max(np.abs(bfgs.params.chol))
+            assert np.max(np.abs(res.params.mean - bfgs.params.mean)) <= 1e-6 * scale
+            assert np.max(np.abs(res.params.chol - bfgs.params.chol)) <= 1e-6 * scale
+
+
+def test_bvm_newton_failure_falls_back_to_minimize_single(monkeypatch):
+    p = problem(M=1, f=100.0)
+    cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
+    newton_single, fallbacks = optim._newton_single, []
+
+    def failing_newton(*args, **kwargs):
+        means, chols, steps, errors = newton_single(*args, **kwargs)
+        return means, chols, steps, [ArithmeticError("forced")] * len(errors)
+
+    def counting_minimize_single(*args, **kwargs):
+        fallbacks.append(1)
+        return optim.minimize_single(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "_newton_single", failing_newton)
+    monkeypatch.setattr(inv, "minimize_single", counting_minimize_single)
+    level = inv.bvm_experiment(p, cfg).levels[0]
+    assert level.failures == 0
+    assert len(fallbacks) == cfg.draws
+    _, _, posts = level_posteriors(p, cfg, 1e-2)
+    opt_cfg = bvm_optimizer_config(cfg)
+    expected = [optim.minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z).value
+                for mu, ms, log_z, _ in posts]
+    assert np.array_equal(level.kl_values, expected)
+
+
+def test_bvm_kl_leading_constant():
+    # d = 1: min KL(N || mu_eps) = eps b^2 / (12 a^3) + O(eps^2) with a and b
+    # the second and third derivatives of V1 at the mode; at the truth these
+    # are G'^2 and 3 G' G'', so mean KL / eps -> 3 G''^2 / (4 G'^4) = 0.2977
+    # on the criterion-8 problem.  Tolerance 2 %: the O(eps) remainder at
+    # eps = 1e-3 and the 100-draw noise average (measured: 0.8 % low)
+    p = problem(M=1, f=100.0)
+    truth = np.array([0.0])
+    h = 1e-4
+    g1 = inv.jacobian(p, truth)[0, 0]
+    g2 = (inv.jacobian(p, truth + h)[0, 0] - inv.jacobian(p, truth - h)[0, 0]) / (2 * h)
+    predicted = 3.0 * g2**2 / (4.0 * g1**4)
+    assert predicted == pytest.approx(0.2977, abs=1e-4)
+    cfg = inv.BvMConfig(truth=truth, eps_list=(1e-3,), draws=100, seed=20)
+    level = inv.bvm_experiment(p, cfg).levels[0]
+    assert level.failures == 0
+    assert abs(level.mean_kl / 1e-3 - predicted) <= 0.02 * predicted
 
 
 def test_bvm_validation():

@@ -396,3 +396,108 @@ def test_gh_fields_in_verbose_json_only():
     doc = res.to_json(verbose=True)
     assert doc["gh_order"] == res.gh_order == 2
     assert doc["gh_refine_error"] == res.gh_refine_error
+
+
+# --- batched damped Newton ---------------------------------------------------------
+
+
+def _quadratic_phi(centers, precisions, eps):
+    """phi(idx, x) for Phi_i(x) = (x - c_i)^T A_i (x - c_i) / (2 eps)."""
+
+    def phi(idx, x):
+        A = precisions[idx] / eps
+        diff = x - centers[idx][:, None, :]
+        grad = np.einsum("nab,nkb->nka", A, diff)
+        hess = np.broadcast_to(A[:, None], x.shape + x.shape[-1:])
+        return 0.5 * np.sum(diff * grad, axis=2), grad, hess
+
+    return phi
+
+
+def _quadratic_batch(d, n=4):
+    rng = np.random.default_rng(d)
+    centers = rng.uniform(-1.0, 1.0, (n, d))
+    B = rng.standard_normal((n, d, d))
+    precisions = B @ B.transpose(0, 2, 1) + d * np.eye(d)
+    means0 = centers + 0.1 * rng.standard_normal((n, d))
+    return centers, precisions, means0, np.tile(2.0 * np.eye(d), (n, 1, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_newton_single_quadratic_closed_form(d):
+    # Phi_i = (x - c_i)^T A_i (x - c_i) / (2 eps): the best Gaussian is
+    # N(c_i, eps A_i^-1), and the order-3 rule integrates the objective exactly
+    eps = 1e-3
+    centers, precisions, means0, chols0 = _quadratic_batch(d)
+    means, chols, steps, errors = optimizer._newton_single(
+        _quadratic_phi(centers, precisions, eps), eps, means0, chols0, _gh_nodes(3, d)
+    )
+    assert errors == [None] * len(centers)
+    assert np.all(steps <= 20)
+    np.testing.assert_allclose(means, centers, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        chols, np.linalg.cholesky(np.linalg.inv(precisions)), rtol=0, atol=1e-12
+    )
+
+
+def test_newton_single_mixed_batch_converges_the_good_draws():
+    # a concave Phi (a negated quadratic) has no minimum: its Newton run
+    # fails, and the convex draws of the same batch converge as alone
+    d, eps = 2, 1e-2
+    centers, precisions, means0, chols0 = _quadratic_batch(d)
+    precisions[1] = -precisions[1]
+    means, chols, _, errors = optimizer._newton_single(
+        _quadratic_phi(centers, precisions, eps), eps, means0, chols0, _gh_nodes(3, d)
+    )
+    assert isinstance(errors[1], ArithmeticError)
+    good = [0, 2, 3]
+    assert [errors[i] for i in good] == [None] * 3
+    np.testing.assert_allclose(means[good], centers[good], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        chols[good], np.linalg.cholesky(np.linalg.inv(precisions[good])), rtol=0, atol=1e-12
+    )
+
+
+def _measure_phi(mus):
+    """phi(idx, x) of the targets mus: Phi = V1/eps + V2, one target at a time."""
+
+    def phi(idx, x):
+        parts = []
+        for i, pts in zip(idx, x):
+            mu, eps = mus[i], mus[i].epsilon
+            parts.append((
+                mu.v1.value(pts) / eps + mu.v2.value(pts),
+                mu.v1.gradient(pts) / eps + mu.v2.gradient(pts),
+                mu.v1.hessian(pts) / eps + mu.v2.hessian(pts),
+            ))
+        return tuple(np.stack(a) for a in zip(*parts))
+
+    return phi
+
+
+def test_newton_singles_certified_on_the_ladder(monkeypatch):
+    # d = 3: order selection runs; on a Gaussian target minimize_single
+    # selects order 2, and so does the Newton batch, whose endpoint passes
+    # the gradient certificate there and agrees with order 5
+    mu, log_z, center, cov = _gaussian_target(3)
+    ms = kg.ModeSet(modes=(center + 0.2)[None], hessians=(0.5 * np.eye(3))[None],
+                    v2_values=np.zeros(1))
+    cfg = OptimizerConfig(multistart=1)
+    (res,) = optimizer._newton_singles([mu], [log_z], [ms], _measure_phi([mu]), cfg)
+    assert res.converged and res.kind == "single"
+    assert res.gh_order == 2
+    assert res.gh_refine_error <= 1e-10
+    assert abs(res.value) <= 1e-10
+    assert np.allclose(res.params.mean, center, rtol=0, atol=1e-7)
+    assert np.allclose(res.rescaled_covariances, cov, rtol=0, atol=1e-7)
+    obj = _Objective(mu, log_z, _gh_nodes(2, 3))
+    theta = obj.pack(_ONE_WEIGHT, [res.params.mean], [np.linalg.cholesky(res.rescaled_covariances)])
+    value, grad = obj.value_grad(theta)
+    assert value == res.value
+    assert np.max(np.abs(grad)) <= cfg.grad_tol
+    # an objective on which the orders agree only at the start: the Newton
+    # point fails the certificate, and the target is left to minimize_single
+    theta0 = obj.pack(_ONE_WEIGHT, ms.modes, [np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))])
+    monkeypatch.setattr(_LowOrdersAgreeAtStartOnly, "theta0", theta0)
+    monkeypatch.setattr(optimizer, "_Objective", _LowOrdersAgreeAtStartOnly)
+    assert optimizer._newton_singles([mu], [log_z], [ms], _measure_phi([mu]), cfg) == [None]

@@ -550,7 +550,10 @@ def _draw_posterior(p, truth, eta, eps, prior, grid_spec, x_hat, h_eff):
 
 def _bvm_draw(mu, ms, log_z, grid, res, opt_cfg):
     """KL and grid TV of one draw's best Gaussian: ``res``, or where the
-    batched Newton gave none, minimize_single's."""
+    batched Newton gave none, minimize_single's.  Where ``res`` is the
+    exception that choosing the start or GH order raised, it is raised."""
+    if isinstance(res, Exception):
+        raise res  # minimize_single would raise it too
     res = res or minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z)
     tv = math.nan
     if grid is not None:

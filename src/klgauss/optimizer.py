@@ -289,19 +289,52 @@ def _run_starts(make, ladder, order, starts, cfg, grad_tol):
             )
             if i + 1 == len(ladder) or not np.isfinite(res.fun):
                 break
-            fine = make(ladder[i + 1]).value_grad(res.x)
-            if _agree((res.fun, res.jac), fine, grad_tol):
-                refine = abs(res.fun - fine[0])
+            refine, fine = _next_order_refine(make, ladder, ladder[i], res.x, (res.fun, res.jac), grad_tol)
+            if refine is not None:
                 break
             i, theta, f0 = i + 1, res.x, fine[0]
         if np.isfinite(res.fun) and (best is None or res.fun < best.value):
             best = _Best(float(res.fun), np.asarray(res.x), ok, nit, ladder[i], refine)
     if best is None:
         raise RuntimeError("all optimizer starts failed to produce a finite value")
-    if best.refine is None and len(ladder) > 1:
-        # at the reference order: the error against the half order
-        best = best._replace(refine=abs(best.value - make(ladder[-2]).value_grad(best.theta)[0]))
+    if best.refine is None:
+        best = best._replace(refine=_reference_refine(make, ladder, best.value, best.theta))
     return best, traces
+
+
+def _next_order_refine(make, ladder, order, theta, coarse, grad_tol):
+    """Certify ``coarse``, the value and gradient at theta at a ladder order
+    below the reference, against the next ladder order.
+
+    Returns (refine, fine): fine is the next order's evaluation, and refine
+    is |value - fine value| where the two agree (_agree) and None where not.
+    """
+    fine = make(ladder[ladder.index(order) + 1]).value_grad(theta)
+    return (abs(coarse[0] - fine[0]) if _agree(coarse, fine, grad_tol) else None), fine
+
+
+def _reference_refine(make, ladder, value, theta):
+    """At the reference order: |value - value at the half order|, or None
+    where the ladder is the reference order alone."""
+    return abs(value - make(ladder[-2]).value_grad(theta)[0]) if len(ladder) > 1 else None
+
+
+def _single_result(obj, best, traces=()):
+    """The OptimResult of the single Gaussian at best.theta of ``obj``."""
+    _, means, chols = obj.split(best.theta)
+    eps = obj.mu.epsilon
+    return OptimResult(
+        kind="single",
+        params=GaussianParams(means[0], math.sqrt(eps) * chols[0]),
+        epsilon=eps,
+        value=best.value,
+        converged=best.ok,
+        iterations=best.nit,
+        log_z=obj.log_z,
+        gh_order=best.order,
+        traces=list(traces),
+        gh_refine_error=best.refine,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +389,7 @@ def minimize_single(
 
     order = _select_order(make, ladder, starts[0], cfg.grad_tol)
     best, traces = _run_starts(make, ladder, order, starts, cfg, cfg.grad_tol)
-    _, means, chols = obj.split(best.theta)
-    params = GaussianParams(means[0], math.sqrt(mu.epsilon) * chols[0])
-    return OptimResult(
-        kind="single",
-        params=params,
-        epsilon=mu.epsilon,
-        value=best.value,
-        converged=best.ok,
-        iterations=best.nit,
-        log_z=log_z,
-        gh_order=best.order,
-        traces=traces,
-        gh_refine_error=best.refine,
-    )
+    return _single_result(obj, best, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +397,20 @@ def minimize_single(
 # ---------------------------------------------------------------------------
 
 _NEWTON_CHUNK_POINTS = 1 << 16  # points per evaluation in a Newton batch
+_NEWTON_STEP_TOL = 1e-13  # relative step size at which a Newton run is done
 
 
-def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
+def _damped_newton(evaluate, x0, max_steps=50):
     """Minimize a batch of independent smooth functions by damped Newton.
 
     ``evaluate(idx, x)`` returns the values (k,), gradients (k, p) and
     Hessians (k, p, p) of the functions ``idx`` at the points x (k, p); a
     point where any of them is not finite lies outside the function's
     domain.  Each step solves with the Hessian's eigenvalues taken in
-    absolute value and backtracks by halving until the Armijo condition
-    holds.  Function i is done when its step is at most
-    step_tol (1 + max |x_i|).
+    absolute value and backtracks by halving until the trial point lies in
+    the domain and, where the Newton decrement exceeds 1e-9, the Armijo
+    condition holds.  Function i is done when its step is at most
+    _NEWTON_STEP_TOL (1 + max |x_i|).
 
     Returns (x, hess, steps, errors): the last points, the Hessians there,
     the steps taken, and per function None or the ArithmeticError that
@@ -410,6 +432,15 @@ def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
         for i in idx[mask]:
             errors[i] = ArithmeticError(message)
 
+    def retry_at(r):
+        # Armijo needs differences of the value above its rounding error,
+        # which for a negative log density grows like 1e-16 |y| |y - G| / eps
+        # on the misfit; below a Newton decrement of 1e-9 (the step is then
+        # far inside the density's width) the step is halved only while it
+        # leaves the domain
+        sufficient = f_new[r] <= f[r] - 1e-4 * t[r] * slope[r]
+        return outside(f_new[r], g[r], h[r]) | ((slope[r] > 1e-9) & ~sufficient)
+
     idx = np.arange(n)
     f, g, h = evaluate(idx, x)
     bad = outside(f, g, h)
@@ -424,7 +455,7 @@ def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
         lam, vecs = np.linalg.eigh(h)
         step = np.einsum("kab,kb->ka", vecs, np.einsum("kba,kb->ka", vecs, g) / np.abs(lam))
         # before the descent test: an iterate can land on g = 0 exactly
-        done = np.max(np.abs(step), axis=1) <= step_tol * (1.0 + np.max(np.abs(x[idx]), axis=1))
+        done = np.max(np.abs(step), axis=1) <= _NEWTON_STEP_TOL * (1.0 + np.max(np.abs(x[idx]), axis=1))
         hess[idx[done]] = h[done]
         slope = np.sum(g * step, axis=1)
         stop(~done & ~(slope > 0.0), "Newton step is not a descent direction")
@@ -434,11 +465,7 @@ def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
         t = np.ones(idx.size)
         trial = x[idx] - step
         f_new, g, h = evaluate(idx, trial)
-        # Armijo needs differences of the value above its rounding error,
-        # which for a negative log density grows like 1e-16 |y| |y - G| / eps
-        # on the misfit; below a Newton decrement of 1e-9 (the step is then
-        # far inside the density's width) the full step is taken
-        retry = outside(f_new, g, h) | ((slope > 1e-9) & ~(f_new <= f - 1e-4 * slope))
+        retry = retry_at(slice(None))
         while np.any(retry):
             t[retry] *= 0.5
             stop(retry & (t < 1e-10), "line search cannot decrease the objective")
@@ -446,7 +473,7 @@ def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
             r = np.flatnonzero(retry)
             trial[r] = x[idx[r]] - t[r, None] * step[r]
             f_new[r], g[r], h[r] = evaluate(idx[r], trial[r])
-            retry[r] = outside(f_new[r], g[r], h[r]) | ~(f_new[r] <= f[r] - 1e-4 * t[r] * slope[r])
+            retry[r] = retry_at(r)
         live = t >= 1e-10
         x[idx[live]] = trial[live]
         idx, f, g, h = idx[live], f_new[live], g[live], h[live]
@@ -454,7 +481,7 @@ def _damped_newton(evaluate, x0, max_steps=50, step_tol=1e-13):
     return x, hess, steps, errors
 
 
-def _newton_single(phi, eps, means, chols, nodes, max_steps=50):
+def _newton_single(phi, eps, means, chols, nodes):
     """Best single Gaussians N(m_i, eps L_i L_i^T) for a batch of targets
     exp(-Phi_i), by damped Newton on the node-set objective.
 
@@ -512,7 +539,7 @@ def _newton_single(phi, eps, means, chols, nodes, max_steps=50):
         return f, G[:, keep], H[:, keep][:, :, keep]
 
     P0 = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
-    v, _, steps, errors = _damped_newton(evaluate, P0.reshape(n, -1)[:, keep], max_steps)
+    v, _, steps, errors = _damped_newton(evaluate, P0.reshape(n, -1)[:, keep])
     P = np.zeros((n, p_full))
     P[:, keep] = v
     P = P.reshape(n, d, d + 1)
@@ -529,12 +556,13 @@ def _newton_singles(mus, log_zs, mode_sets, phi, cfg):
     the GH order minimize_single would select there, one batch per order.
     ``phi`` is as in _newton_single, for the whole batch.  The certificate
     is the objective (_Objective) at that order: a finite value, a gradient
-    of at most cfg.grad_tol, and agreement (_agree) with the next ladder
-    order where that order is below gh_order.
+    of at most cfg.grad_tol, and agreement with the next ladder order where
+    that order is below gh_order (_next_order_refine).
 
-    Returns one OptimResult per target, or None where the order could not
-    be chosen within the node budget, Newton failed or the certificate did:
-    minimize_single is the fallback for those targets alone.
+    Returns per target an OptimResult; or the LinAlgError or NodeBudgetError
+    that building the start or choosing its order raised, which
+    minimize_single would raise at the same point; or None where Newton or
+    the certificate failed, leaving the target to minimize_single alone.
     """
     eps, d = mus[0].epsilon, mus[0].dim
     ladder = _gh_ladder(cfg, d)
@@ -542,14 +570,14 @@ def _newton_singles(mus, log_zs, mode_sets, phi, cfg):
     means = np.stack([ms.modes[0] for ms in mode_sets])
     chols = np.zeros((len(mus), d, d))
     orders = np.zeros(len(mus), dtype=int)  # 0: no Newton run
+    results = [None] * len(mus)
     for i, (make, ms) in enumerate(zip(makes, mode_sets)):
         try:
             chols[i] = np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))
             theta0 = make(ladder[0]).pack(_ONE, means[i : i + 1], chols[i : i + 1])
             orders[i] = _select_order(make, ladder, theta0, cfg.grad_tol)
-        except (np.linalg.LinAlgError, NodeBudgetError):
-            pass  # minimize_single meets the same error, for this target alone
-    results = [None] * len(mus)
+        except (np.linalg.LinAlgError, NodeBudgetError) as exc:
+            results[i] = exc
     for order in ladder:
         idx = np.flatnonzero(orders == order)
         if idx.size == 0:
@@ -558,39 +586,22 @@ def _newton_singles(mus, log_zs, mode_sets, phi, cfg):
             lambda j, x: phi(idx[j], x), eps, means[idx], chols[idx], _gh_nodes(order, d)
         )
         for j, i in enumerate(idx):
-            if errors[j] is None:
-                results[i] = _certified_single(makes[i], ladder, order, m[j], L[j], steps[j], cfg)
+            if errors[j] is not None:
+                continue
+            obj = makes[i](order)
+            theta = obj.pack(_ONE, m[j : j + 1], L[j : j + 1])
+            value, grad = obj.value_grad(theta)
+            if not (np.isfinite(value) and np.max(np.abs(grad)) <= cfg.grad_tol):
+                continue
+            if order == ladder[-1]:
+                refine = _reference_refine(makes[i], ladder, value, theta)
+            else:
+                refine, _ = _next_order_refine(makes[i], ladder, order, theta, (value, grad), cfg.grad_tol)
+                if refine is None:
+                    continue
+            best = _Best(float(value), theta, True, int(steps[j]), order, refine)
+            results[i] = _single_result(obj, best)
     return results
-
-
-def _certified_single(make, ladder, order, mean, chol, iterations, cfg):
-    """The OptimResult of N(mean, eps chol chol^T) if it passes the
-    certificate of _newton_singles at ``order``, else None."""
-    obj = make(order)
-    theta = obj.pack(_ONE, [mean], [chol])
-    value, grad = obj.value_grad(theta)
-    if not (np.isfinite(value) and np.max(np.abs(grad)) <= cfg.grad_tol):
-        return None
-    refine = None
-    if order != ladder[-1]:
-        fine = make(ladder[ladder.index(order) + 1]).value_grad(theta)
-        if not _agree((value, grad), fine, cfg.grad_tol):
-            return None
-        refine = abs(value - fine[0])
-    elif len(ladder) > 1:
-        refine = abs(value - make(ladder[-2]).value_grad(theta)[0])
-    _, means, chols = obj.split(theta)
-    return OptimResult(
-        kind="single",
-        params=GaussianParams(means[0], math.sqrt(obj.mu.epsilon) * chols[0]),
-        epsilon=obj.mu.epsilon,
-        value=float(value),
-        converged=True,
-        iterations=int(iterations),
-        log_z=obj.log_z,
-        gh_order=order,
-        gh_refine_error=refine,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,13 @@ def test_gh_node_budget_at_d8(monkeypatch):
     assert max(built) <= quadrature.MAX_GH_NODES
     with pytest.raises(quadrature.NodeBudgetError):
         quadrature.gauss_hermite(10, 8)
+    # the batched Newton walks the same ladder once and hands the error to
+    # the BvM level as the draw's cause, where minimize_single would meet it
+    built.clear()
+    log_z = inv.log_laplace_normalization(ms, 1e-3)
+    (res,) = optim._newton_singles([mu], [log_z], [ms], None, OptimizerConfig(multistart=1))
+    assert isinstance(res, quadrature.NodeBudgetError)
+    assert built == [2**8, 5**8]
 
 
 def test_elliptic_m3_keeps_gh_order():
@@ -555,6 +562,42 @@ def test_bvm_newton_agrees_with_bfgs_and_is_certified():
             scale = np.max(np.abs(bfgs.params.chol))
             assert np.max(np.abs(res.params.mean - bfgs.params.mean)) <= 1e-6 * scale
             assert np.max(np.abs(res.params.chol - bfgs.params.chol)) <= 1e-6 * scale
+
+
+def test_newton_single_chunks_are_bit_identical(monkeypatch):
+    # M = 2, order 20: 400 nodes a draw; a chunk of 1,000 points splits the
+    # 5 draws 2 + 2 + 1, and every output matches the unchunked run exactly
+    p = problem(M=2, f=100.0)
+    cfg = inv.BvMConfig(truth=np.zeros(2), eps_list=(1e-2,), draws=5, seed=3)
+    eps, prior = 1e-2, quadratic(dim=2)
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, p.M))
+    j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
+    Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior, j_inv)
+    assert errors == [None] * cfg.draws
+    chols = np.linalg.cholesky(np.linalg.inv(h_effs))
+
+    def run():
+        return optim._newton_single(
+            lambda idx, x: inv._misfit_derivatives(p, Y[idx], prior, eps, x),
+            eps, modes, chols, objective._gh_nodes(20, 2),
+        )
+
+    whole = run()
+    calls = []
+    misfit = inv._misfit_derivatives
+
+    def counting(p, Y, prior, eps, X):
+        calls.append(X.shape[0])
+        return misfit(p, Y, prior, eps, X)
+
+    monkeypatch.setattr(inv, "_misfit_derivatives", counting)
+    monkeypatch.setattr(optim, "_NEWTON_CHUNK_POINTS", 1000)
+    chunked = run()
+    assert calls[:3] == [2, 2, 1]
+    assert chunked[3] == whole[3] == [None] * cfg.draws
+    assert whole[2].max() >= 2
+    for a, b in zip(chunked[:3], whole[:3]):
+        assert np.array_equal(a, b)
 
 
 def test_bvm_newton_failure_falls_back_to_minimize_single(monkeypatch):

@@ -423,6 +423,24 @@ def _quadratic_batch(d, n=4):
     return centers, precisions, means0, np.tile(2.0 * np.eye(d), (n, 1, 1))
 
 
+def test_damped_newton_small_decrement_step_outside_the_domain():
+    # a Newton decrement of 1e-15, below the 1e-9 floor, whose full step
+    # leaves the domain (infinite value): the half step lands inside, one
+    # rounding unit above the start value, and is taken as the full step
+    # would have been, with no sufficient-decrease test
+    def evaluate(idx, x):
+        x = x[:, 0]
+        f = np.where(x < 1.0 - 0.75e-9, np.inf, np.where(x == 1.0, 1.0, 1.0 + 2.3e-16))
+        g = np.where(x == 1.0, 1e-6, 0.0)[:, None]
+        return f, g, np.full((len(x), 1, 1), 1e3)
+
+    x, hess, steps, errors = optimizer._damped_newton(evaluate, np.ones((1, 1)))
+    assert errors == [None]
+    assert steps[0] == 1
+    assert x[0, 0] == 1.0 - 0.5e-9
+    assert hess[0, 0, 0] == 1e3
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_newton_single_quadratic_closed_form(d):
     # Phi_i = (x - c_i)^T A_i (x - c_i) / (2 eps): the best Gaussian is

@@ -25,13 +25,15 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from .gamma import RateFit, fit_rate
+from .gaussian import LOG_2PI
 from .measure import (
     GridSpec,
     MeasureFamily,
     ModeSet,
     TargetMeasure,
     log_laplace_normalization,
-    quadrature_normalization,
+    oracle_box,
+    oracle_integrals,
 )
 from .optimizer import (
     OptimizerConfig,
@@ -41,7 +43,7 @@ from .optimizer import (
     minimize_single,
 )
 from .potentials import Potential, potential_from_spec, quadratic
-from .quadrature import tv_distance_grid
+from .quadrature import integrate_exp_stack, tv_distance_stack
 
 VARIANTS = ("exp", "square")
 
@@ -530,83 +532,138 @@ def _draw_modes(p, truth, etas, eps, prior, j_truth_inv):
     return (Y, *_posterior_mode(p, Y, prior, eps, truth + math.sqrt(eps) * (etas @ j_truth_inv.T)))
 
 
-def _draw_posterior(p, truth, eta, eps, prior, grid_spec, x_hat, h_eff):
-    """Posterior of one noise draw with mode x_hat: (mu, mode set, log Z, grid).
-
-    log Z is the Simpson oracle up to M = 3, with its grid, and the Laplace
-    value above (grid None).
-    """
+def _draw_target(p, truth, eta, eps, prior, x_hat, h_eff):
+    """Posterior of one noise draw with mode x_hat, and its mode set."""
     mu = posterior_family(p, truth, eta, prior).at(eps)
     ms = ModeSet(
         modes=x_hat[None, :],
         hessians=h_eff[None, :, :],
         v2_values=np.array([mu.v2.value(x_hat)]),
     )
-    if p.M > 3:
-        return mu, ms, log_laplace_normalization(ms, eps), None
-    integral = quadrature_normalization(mu, grid_spec, mode_set=ms)
-    return mu, ms, integral.log_value, integral.grid
+    return mu, ms
 
 
-def _bvm_draw(mu, ms, log_z, grid, res, opt_cfg):
-    """KL and grid TV of one draw's best Gaussian: ``res``, or where the
-    batched Newton gave none, minimize_single's.  Where ``res`` is the
-    exception that choosing the start or GH order raised, it is raised."""
-    if isinstance(res, Exception):
-        raise res  # minimize_single would raise it too
-    res = res or minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z)
-    tv = math.nan
-    if grid is not None:
-        eps = mu.epsilon
+def _log_posterior(p, Y, eps, prior):
+    """log_f(idx, pts) = -|y_i - G(x)|^2 / (2 eps) - V2(x), the unnormalized
+    log posterior of the draws ``idx`` (rows of Y) at their points (k, N, M),
+    from one forward solve; pointwise the same arithmetic as
+    unnormalized_log_density on the draw's posterior."""
 
-        def log_mu(pts):
-            return -mu.v1.value(pts) / eps - mu.v2.value(pts) - log_z
+    def log_f(idx, pts):
+        k, n, m = pts.shape
+        q = pts.reshape(k * n, m)
+        r = Y[idx][:, None, :] - forward(p, q).reshape(k, n, m)
+        return -(0.5 * np.sum(r * r, axis=2)) / eps - prior.value_fn(q).reshape(k, n)
 
-        tv = tv_distance_grid(res.params.log_density, log_mu, grid)
-    return {"kl": res.value, "tv": tv, "converged": res.converged}
+    return log_f
+
+
+def _draw_integrals(p, Y, eps, prior, grid_spec, mode_sets):
+    """Simpson log Z of every draw (rows of Y) with the given mode sets, by
+    the oracle's box policy (measure.oracle_integrals) on the stacked boxes
+    of all draws.  Returns per draw its GridIntegral or the exception that
+    failed it."""
+    boxes = [oracle_box(grid_spec, ms, eps) for ms in mode_sets]
+    lo, hi = (np.array(side, dtype=float).reshape(len(boxes), -1) for side in zip(*boxes))
+    log_f = _log_posterior(p, Y, eps, prior)
+    return oracle_integrals(
+        lambda idx, grids: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), grids),
+        lo, hi, grid_spec,
+    )
+
+
+def _draw_tv(p, Y, eps, prior, integrals, gaussians):
+    """d_TV(N(m_i, L_i L_i^T), posterior of draw i) for every draw, on the
+    grid of its log Z.  ``integrals`` holds per draw the GridIntegral of
+    its log Z and ``gaussians`` its GaussianParams.  The log integrand is
+    evaluated again, not kept from the log Z pass: kept, it would hold
+    draws x grid points values."""
+    log_f = _log_posterior(p, Y, eps, prior)
+    log_z = np.array([g.log_value for g in integrals])
+    means = np.stack([g.mean for g in gaussians])
+    inv_chols = np.linalg.inv(np.stack([g.chol for g in gaussians]))
+    log_norm = 0.5 * (p.M * LOG_2PI + np.array([g.log_det_cov for g in gaussians]))
+
+    def log_gauss(idx, pts):
+        z = np.einsum("kab,knb->kna", inv_chols[idx], pts - means[idx][:, None, :])
+        return -0.5 * np.sum(z * z, axis=2) - log_norm[idx][:, None]
+
+    return tv_distance_stack(
+        log_gauss, lambda idx, pts: log_f(idx, pts) - log_z[idx][:, None],
+        [g.grid for g in integrals],
+    )
 
 
 def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     """One outcome per noise draw at one eps: KL, TV, and a failure's cause.
 
-    The posterior modes of all draws come from one batched Newton search and
-    their best Gaussians from one batched Newton solve; log Z, the fallback
-    to minimize_single and TV run per draw.  A draw that fails at any stage
-    keeps the type name of its exception as its cause.
+    The posterior modes of all draws come from one batched Newton search.
+    Up to M = 3, log Z is the Simpson oracle, run once over the stacked
+    boxes of all live draws (_draw_integrals), and TV is taken on the same
+    boxes in one more pass (_draw_tv); above, log Z is the Laplace value
+    and TV is NaN.  The best Gaussians come from one batched Newton solve,
+    with minimize_single per draw where Newton or its certificate fails.
+    A draw that fails at any stage keeps the type name of its exception as
+    its cause; the others go on.
     """
     Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
     posts = {}
     for i, eta in enumerate(etas):
         if errors[i] is None:
             try:
-                posts[i] = _draw_posterior(
-                    p, truth, eta, eps, prior, grid_spec, modes[i], h_effs[i]
-                )
+                posts[i] = _draw_target(p, truth, eta, eps, prior, modes[i], h_effs[i])
             except _DRAW_ERRORS as exc:
                 errors[i] = exc
-    newton = {}
+    integrals = {}
+    if p.M <= 3 and posts:
+        live = list(posts)
+        mode_sets = [ms for _, ms in posts.values()]
+        for i, result in zip(live, _draw_integrals(p, Y[live], eps, prior, grid_spec, mode_sets)):
+            if isinstance(result, Exception):
+                errors[i] = result
+                del posts[i]
+            else:
+                integrals[i] = result
+    log_zs = {
+        i: integrals[i].log_value if p.M <= 3 else log_laplace_normalization(ms, eps)
+        for i, (_, ms) in posts.items()
+    }
+    results = {}
     if posts:
-        live = np.array(list(posts))
-        mus, mode_sets, log_zs, _ = zip(*posts.values())
-        results = _newton_singles(
+        live = list(posts)
+        mus, mode_sets = zip(*posts.values())
+        rows = Y[live]
+        newton = _newton_singles(
             mus,
-            log_zs,
+            list(log_zs.values()),
             mode_sets,
-            lambda idx, x: _misfit_derivatives(p, Y[live[idx]], prior, eps, x),
+            lambda idx, x: _misfit_derivatives(p, rows[idx], prior, eps, x),
             opt_cfg,
         )
-        newton = dict(zip(posts, results))
-    outcomes = []
-    for i in range(len(etas)):
-        if errors[i] is None:
-            mu, ms, log_z, grid = posts[i]
+        # where Newton gave no certified point, minimize_single alone; where
+        # choosing the start or GH order raised, minimize_single would too
+        for i, mu, ms, res in zip(live, mus, mode_sets, newton):
             try:
-                outcomes.append(_bvm_draw(mu, ms, log_z, grid, newton[i], opt_cfg))
-                continue
+                if isinstance(res, Exception):
+                    raise res
+                results[i] = res or minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_zs[i])
             except _DRAW_ERRORS as exc:
                 errors[i] = exc
-        outcomes.append({"kl": math.nan, "tv": math.nan, "converged": False,
-                         "cause": type(errors[i]).__name__})
+    tv = dict.fromkeys(results, math.nan)
+    if integrals and results:
+        done = list(results)
+        tv.update(zip(done, _draw_tv(
+            p, Y[done], eps, prior, [integrals[i] for i in done],
+            [results[i].params for i in done],
+        )))
+    outcomes = []
+    for i in range(len(etas)):
+        if i in results:
+            outcomes.append({"kl": results[i].value, "tv": tv[i],
+                             "converged": results[i].converged})
+        else:
+            outcomes.append({"kl": math.nan, "tv": math.nan, "converged": False,
+                             "cause": type(errors[i]).__name__})
     return outcomes
 
 
@@ -748,14 +805,17 @@ def log_z_expectation_check(
     grid_spec = grid_spec or GridSpec()
     records = []
     for eps in sorted(set(float(e) for e in eps_list), reverse=True):
-        _, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
-        values = []
+        Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
+        mode_sets = []
         for eta, x_hat, h_eff, error in zip(etas, modes, h_effs, errors):
             if error is not None:
                 raise error
-            values.append(
-                _draw_posterior(p, truth, eta, eps, prior, grid_spec, x_hat, h_eff)[2]
-            )
+            mode_sets.append(_draw_target(p, truth, eta, eps, prior, x_hat, h_eff)[1])
+        values = []
+        for result in _draw_integrals(p, Y, eps, prior, grid_spec, mode_sets):
+            if isinstance(result, Exception):
+                raise result
+            values.append(result.log_value)
         values = np.asarray(values)
         ref = log_z_reference(p, truth, prior, eps)
         records.append(

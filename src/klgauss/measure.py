@@ -309,13 +309,72 @@ def concentration_box(centers, hessians, epsilon, radius_floor=2.0):
     return lo, hi
 
 
+def oracle_integrals(integrate, lo, hi, spec: GridSpec) -> list:
+    """The Simpson oracle's box policy over a stack of boxes [lo[i], hi[i]].
+
+    ``integrate(idx, grids)`` integrates the boxes ``idx`` on their grids
+    and returns per grid its GridIntegral or the ValueError that failed it
+    (see quadrature.integrate_exp_stack).  An explicit ``spec.box`` is used
+    as given; a box derived from the modes whose boundary integrand exceeds
+    ``spec.tail_tol`` of its peak is widened x1.5 about its center and
+    integrated again, at most ``spec.max_expand`` times, and only the boxes
+    that failed are redone.
+
+    Returns per box its accepted GridIntegral or the exception that failed
+    it alone: BoxTooSmallError when the tail check still fails, or the
+    ValueError of an invalid box or of an integrand finite nowhere.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    out = [None] * len(lo)
+    todo = np.arange(len(lo))
+    expansions = 0 if spec.box is not None else spec.max_expand
+    for _ in range(expansions + 1):
+        grids = {}
+        for i in todo:
+            try:
+                grids[i] = make_grid(lo[i], hi[i], spec.points_per_dim)
+            except ValueError as exc:
+                out[i] = exc
+        failed = []
+        if grids:
+            idx = np.fromiter(grids, dtype=int)
+            for i, result in zip(idx, integrate(idx, list(grids.values()))):
+                out[i] = result
+                if isinstance(result, GridIntegral) and result.boundary_ratio > spec.tail_tol:
+                    failed.append(i)
+                    out[i] = BoxTooSmallError(
+                        f"boundary integrand at {result.boundary_ratio:.2e} of peak "
+                        f"exceeds tail_tol={spec.tail_tol:.1e} after {expansions} "
+                        "box expansions"
+                    )
+        todo = np.array(failed, dtype=int)
+        center = 0.5 * (lo[todo] + hi[todo])
+        lo[todo] = center + 1.5 * (lo[todo] - center)
+        hi[todo] = center + 1.5 * (hi[todo] - center)
+    return out
+
+
+def oracle_box(spec: GridSpec, mode_set: ModeSet, epsilon: float):
+    """The first Simpson box of the oracle: ``spec.box`` if given, else the
+    concentration box of the modes."""
+    if spec.box is not None:
+        return spec.box
+    return concentration_box(
+        mode_set.modes, mode_set.hessians, epsilon, spec.radius_floor
+    )
+
+
 def quadrature_normalization(
     mu: TargetMeasure,
     grid: GridSpec | None = None,
     mode_set: ModeSet | None = None,
     search: MultistartConfig | None = None,
 ) -> GridIntegral:
-    """Brute-force Z = int exp(-v1/eps - v2) dx by tensor Simpson (dim <= 3)."""
+    """Brute-force Z = int exp(-v1/eps - v2) dx by tensor Simpson (dim <= 3).
+
+    The one-box case of oracle_integrals, whose exception it raises.
+    """
     spec = grid or GridSpec()
     if mu.dim > 3:
         raise OracleDimensionError("quadrature oracle supports dimension <= 3")
@@ -323,34 +382,18 @@ def quadrature_normalization(
     def log_f(pts):
         return -mu.v1.value(pts) / mu.epsilon - mu.v2.value(pts)
 
-    if spec.box is not None:
-        g = make_grid(spec.box[0], spec.box[1], spec.points_per_dim)
-        result = integrate_exp(log_f, g)
-        if result.boundary_ratio > spec.tail_tol:
-            raise BoxTooSmallError(
-                f"boundary integrand at {result.boundary_ratio:.2e} of peak "
-                f"exceeds tail_tol={spec.tail_tol:.1e}"
-            )
-        return result
+    def integrate(idx, grids):
+        # integrate_exp on the one box, so that each grid is one call of the
+        # public one-box rule (perfbench/tracer.py counts those calls)
+        return [integrate_exp(log_f, grids[0])]
 
-    if mode_set is None:
+    if spec.box is None and mode_set is None:
         mode_set = find_modes(mu.v1, mu.v2, search)
-    lo, hi = concentration_box(
-        mode_set.modes, mode_set.hessians, mu.epsilon, spec.radius_floor
-    )
-    result = None
-    for _ in range(spec.max_expand + 1):
-        g = make_grid(lo, hi, spec.points_per_dim)
-        result = integrate_exp(log_f, g)
-        if result.boundary_ratio <= spec.tail_tol:
-            return result
-        center = 0.5 * (lo + hi)
-        lo = center + 1.5 * (lo - center)
-        hi = center + 1.5 * (hi - center)
-    raise BoxTooSmallError(
-        f"tail check still failing after {spec.max_expand} box expansions "
-        f"(boundary at {result.boundary_ratio:.2e} of peak)"
-    )
+    lo, hi = oracle_box(spec, mode_set, mu.epsilon)
+    result = oracle_integrals(integrate, [lo], [hi], spec)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

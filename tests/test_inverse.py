@@ -7,7 +7,7 @@ import pytest
 
 import klgauss as kg
 from klgauss import inverse as inv
-from klgauss import objective
+from klgauss import measure, objective
 from klgauss import optimizer as optim
 from klgauss import quadrature
 from klgauss.optimizer import OptimizerConfig
@@ -465,7 +465,7 @@ def test_bvm_slope_near_linear(bvm_smoke):
     assert 0.8 <= bvm_smoke.rate_fit.slope <= 1.2
 
 
-def test_bvm_thread_pool_deterministic():
+def test_bvm_jobs_is_ignored():
     p = problem(M=1, f=100.0)
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
     serial = inv.bvm_experiment(p, cfg, jobs=1)
@@ -477,27 +477,27 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     p = problem(M=1, f=100.0)
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
-    draw_posterior = inv._draw_posterior
+    draw_target = inv._draw_target
 
-    def failing_posterior(p, truth, eta, *args):
+    def failing_target(p, truth, eta, *args):
         if eta[0] > 1.0:
             raise np.linalg.LinAlgError("singular")
-        return draw_posterior(p, truth, eta, *args)
+        return draw_target(p, truth, eta, *args)
 
-    monkeypatch.setattr(inv, "_draw_posterior", failing_posterior)
+    monkeypatch.setattr(inv, "_draw_target", failing_target)
     level = inv.bvm_experiment(p, cfg).levels[0]
     n_failed = int(np.sum(etas[:, 0] > 1.0))
     assert n_failed > 0
     assert level.failures == n_failed
     assert level.failure_causes == {"LinAlgError": n_failed}
 
-    def broken_posterior(*args):
+    def broken_target(*args):
         raise TypeError("a programming error is not a failed draw")
 
-    monkeypatch.setattr(inv, "_draw_posterior", broken_posterior)
+    monkeypatch.setattr(inv, "_draw_target", broken_target)
     with pytest.raises(TypeError):
         inv.bvm_experiment(p, cfg)
-    monkeypatch.setattr(inv, "_draw_posterior", draw_posterior)
+    monkeypatch.setattr(inv, "_draw_target", draw_target)
 
     # a mode search stopped inside the batch fails its draw with the cause
     posterior_mode = inv._posterior_mode
@@ -519,18 +519,112 @@ def bvm_m1_config():
     return p, cfg
 
 
-def level_posteriors(p, cfg, eps):
-    """Every draw's data and (mu, mode set, log Z, grid), as bvm_experiment builds them."""
+def level_posteriors(p, cfg, eps, grid_spec=None):
+    """Every draw's data and (mu, mode set, log Z, log Z integral), as
+    bvm_experiment builds them."""
     prior = quadratic(dim=p.M)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, p.M))
     j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
     Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior, j_inv)
     assert errors == [None] * cfg.draws
-    posts = [
-        inv._draw_posterior(p, cfg.truth, eta, eps, prior, inv.GridSpec(), x_hat, h_eff)
+    targets = [
+        inv._draw_target(p, cfg.truth, eta, eps, prior, x_hat, h_eff)
         for eta, x_hat, h_eff in zip(etas, modes, h_effs)
     ]
+    integrals = inv._draw_integrals(
+        p, Y, eps, prior, grid_spec or inv.GridSpec(), [ms for _, ms in targets]
+    )
+    posts = [
+        (mu, ms, getattr(integral, "log_value", None), integral)
+        for (mu, ms), integral in zip(targets, integrals)
+    ]
     return Y, prior, posts
+
+
+def test_bvm_batched_log_z_is_quadrature_normalization_per_draw():
+    # every draw of bvm-m1 at every eps, and a few M = 2 draws: the batched
+    # Simpson pass gives quadrature_normalization's integral, bit for bit
+    p, cfg = bvm_m1_config()
+    cases = [(p, cfg, eps) for eps in cfg.eps_list]
+    p2 = problem(M=2, f=100.0)
+    cfg2 = inv.BvMConfig(truth=np.zeros(2), eps_list=(1e-1, 1e-2), draws=4, seed=20)
+    cases += [(p2, cfg2, eps) for eps in cfg2.eps_list]
+    widened = 0
+    for p, cfg, eps in cases:
+        _, _, posts = level_posteriors(p, cfg, eps)
+        for mu, ms, _, batched in posts:
+            single = kg.quadrature_normalization(mu, inv.GridSpec(), mode_set=ms)
+            for name in ("log_value", "value", "error_estimate", "boundary_ratio"):
+                assert getattr(batched, name) == getattr(single, name)
+            assert np.array_equal(batched.grid.lo, single.grid.lo)
+            assert np.array_equal(batched.grid.hi, single.grid.hi)
+            assert batched.grid.points_per_dim == single.grid.points_per_dim
+            box = measure.concentration_box(ms.modes, ms.hessians, eps)
+            widened += not np.array_equal(batched.grid.lo, box[0])
+    assert widened > 0  # the widen-and-redo loop ran inside the batch
+
+
+def test_bvm_batched_tv_matches_tv_distance_grid():
+    # TV on each draw's log Z grid against the one-box tv_distance_grid with
+    # GaussianParams.log_density, for Gaussians from the Laplace point
+    p, cfg = bvm_m1_config()
+    p2 = problem(M=2, f=100.0)
+    cfg2 = inv.BvMConfig(truth=np.zeros(2), eps_list=(1e-2,), draws=4, seed=20)
+    for p, cfg, eps in ((p, cfg, 1e-1), (p, cfg, 1e-3), (p2, cfg2, 1e-2)):
+        Y, prior, posts = level_posteriors(p, cfg, eps)
+        gaussians = [
+            kg.GaussianParams(ms.modes[0], 1.1 * np.linalg.cholesky(np.linalg.inv(ms.hessians[0]) * eps))
+            for _, ms, _, _ in posts
+        ]
+        tv = inv._draw_tv(p, Y, eps, prior, [post[3] for post in posts], gaussians)
+        for (mu, _, log_z, integral), gauss, batched in zip(posts, gaussians, tv):
+            def log_mu(pts):
+                return kg.unnormalized_log_density(mu, pts) - log_z
+
+            single = quadrature.tv_distance_grid(gauss.log_density, log_mu, integral.grid)
+            assert 0.0 < single < 1.0
+            assert abs(batched - single) <= 1e-12
+
+
+def test_bvm_draw_whose_box_stays_too_small_fails_alone():
+    # bvm-m1 at eps 0.03 without widening: 80 first boxes fail the tail
+    # check; the other 20 draws give the KL values of the default run
+    p, cfg = bvm_m1_config()
+    cfg = inv.BvMConfig(truth=cfg.truth, eps_list=(0.03,), draws=cfg.draws, seed=cfg.seed)
+    narrow = inv.GridSpec(max_expand=0)
+    level = inv.bvm_experiment(p, cfg, grid_spec=narrow).levels[0]
+    assert level.n_ok == 20
+    assert level.failure_causes == {"BoxTooSmallError": 80}
+    _, _, posts = level_posteriors(p, cfg, 0.03, narrow)
+    ok = [not isinstance(post[3], Exception) for post in posts]
+    default = inv.bvm_experiment(p, cfg).levels[0]
+    assert default.n_ok == cfg.draws
+    assert np.array_equal(level.kl_values, default.kl_values[ok])
+
+
+def test_bvm_draw_whose_integrand_is_nowhere_finite_fails_alone(monkeypatch):
+    p = problem(M=1, f=100.0)
+    cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
+    y_cut = inv.forward(p, cfg.truth)[0] + math.sqrt(1e-2) * 1.0
+    log_posterior = inv._log_posterior
+
+    def nan_above_cut(p, Y, eps, prior):
+        log_f = log_posterior(p, Y, eps, prior)
+
+        def broken(idx, pts):
+            return np.where((Y[idx, 0] > y_cut)[:, None], np.nan, log_f(idx, pts))
+
+        return broken
+
+    monkeypatch.setattr(inv, "_log_posterior", nan_above_cut)
+    level = inv.bvm_experiment(p, cfg).levels[0]
+    n_failed = int(np.sum(etas[:, 0] > 1.0))
+    assert 0 < n_failed < cfg.draws
+    assert level.failure_causes == {"ValueError": n_failed}
+    monkeypatch.undo()
+    default = inv.bvm_experiment(p, cfg).levels[0]
+    assert np.array_equal(level.kl_values, default.kl_values[etas[:, 0] <= 1.0])
 
 
 def bvm_optimizer_config(cfg):

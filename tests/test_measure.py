@@ -12,8 +12,10 @@ from klgauss.measure import (
     MultistartConfig,
     concentration_box,
     load_problem,
+    oracle_integrals,
 )
-from klgauss.quadrature import BoxTooSmallError, OracleDimensionError
+from klgauss import quadrature
+from klgauss.quadrature import BoxTooSmallError, OracleDimensionError, integrate_exp_stack
 
 
 # --- unnormalized_log_density ------------------------------------------------
@@ -194,6 +196,74 @@ def test_concentration_box_radius_floor():
     # 6 sqrt(eps / lambda) = 0.067 << floor 2
     assert lo[0] == pytest.approx(-2.0)
     assert hi[0] == pytest.approx(2.0)
+
+
+# --- stacked Simpson boxes --------------------------------------------------------
+
+
+def gaussian_stack(centers, eps):
+    """log_f(idx, pts) = -|x - c_i|^2 / (2 eps) for the centers c_i."""
+    centers = np.asarray(centers, dtype=float)
+
+    def log_f(idx, pts):
+        return -np.sum((pts - centers[idx][:, None, :]) ** 2, axis=2) / (2.0 * eps)
+
+    return log_f
+
+
+def stacked_integrals(log_f, centers, eps, spec):
+    d = centers.shape[1]
+    boxes = [concentration_box(c[None], np.eye(d)[None], eps, spec.radius_floor) for c in centers]
+    lo, hi = (np.array(side) for side in zip(*boxes))
+    return oracle_integrals(
+        lambda idx, grids: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), grids),
+        lo, hi, spec,
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2])
+def test_stacked_oracle_exact_on_gaussians(d, eps):
+    centers = np.random.default_rng(d).uniform(-1.0, 1.0, (5, d))
+    results = stacked_integrals(gaussian_stack(centers, eps), centers, eps, GridSpec())
+    exact = 0.5 * d * math.log(2.0 * math.pi * eps)
+    for r in results:
+        assert abs(r.log_value - exact) <= 1e-12
+        assert r.boundary_ratio <= GridSpec().tail_tol
+
+
+def test_stacked_oracle_chunks_match_one_box(monkeypatch):
+    # 5 boxes of 4,097 points: 3 + 2 boxes a chunk at the default bound, one
+    # box a chunk here; the integrals are identical
+    centers = np.linspace(-1.0, 1.0, 5)[:, None]
+    log_f = gaussian_stack(centers, 1e-2)
+    whole = stacked_integrals(log_f, centers, 1e-2, GridSpec())
+    monkeypatch.setattr(quadrature, "SIMPSON_CHUNK_POINTS", 1)
+    single = stacked_integrals(log_f, centers, 1e-2, GridSpec())
+    for a, b in zip(whole, single):
+        assert (a.log_value, a.error_estimate, a.boundary_ratio) == (
+            b.log_value, b.error_estimate, b.boundary_ratio)
+        assert np.array_equal(a.grid.lo, b.grid.lo)
+
+
+def test_stacked_oracle_failures_stay_per_box():
+    # box 1: integrand finite nowhere; box 2: an explicit box too small; the
+    # others integrate as they would alone
+    centers = np.array([[-0.5], [0.0], [0.5], [1.0]])
+    gauss = gaussian_stack(centers, 1e-2)
+
+    def log_f(idx, pts):
+        out = gauss(idx, pts)
+        out[idx == 1] = np.nan
+        out[idx == 2] = 0.0  # constant: the boundary equals the peak
+        return out
+
+    results = stacked_integrals(log_f, centers, 1e-2, GridSpec())
+    assert isinstance(results[1], ValueError) and "not finite" in str(results[1])
+    assert isinstance(results[2], BoxTooSmallError)
+    alone = stacked_integrals(gauss, centers[[0, 3]], 1e-2, GridSpec())
+    for r, a in zip([results[0], results[3]], alone):
+        assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
 
 
 # --- catalog / JSON -------------------------------------------------------------

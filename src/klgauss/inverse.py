@@ -31,13 +31,13 @@ from .measure import (
     MeasureFamily,
     ModeSet,
     TargetMeasure,
+    _damped_newton,
     log_laplace_normalization,
     oracle_box,
     oracle_integrals,
 )
 from .optimizer import (
     OptimizerConfig,
-    _damped_newton,
     _newton_singles,
     minimize_mixture,
     minimize_single,
@@ -512,7 +512,7 @@ def _posterior_mode(p: EllipticProblem, Y, prior: Potential, eps: float, X0, max
     draw None or the ArithmeticError that stopped its search: a Newton step
     that is not a descent direction, a line search that cannot decrease the
     objective, or ``max_steps`` steps without convergence (see
-    optimizer._damped_newton).  The steps use the exact Hessian with its
+    measure._damped_newton).  The steps use the exact Hessian with its
     eigenvalues taken in absolute value and the Armijo rule.
     """
 
@@ -532,13 +532,14 @@ def _draw_modes(p, truth, etas, eps, prior, j_truth_inv):
     return (Y, *_posterior_mode(p, Y, prior, eps, truth + math.sqrt(eps) * (etas @ j_truth_inv.T)))
 
 
-def _draw_target(p, truth, eta, eps, prior, x_hat, h_eff):
-    """Posterior of one noise draw with mode x_hat, and its mode set."""
-    mu = posterior_family(p, truth, eta, prior).at(eps)
+def _draw_target(p, y, eps, prior, x_hat, h_eff):
+    """Posterior of one noise draw with data y (a row of _draw_modes' Y) and
+    mode x_hat, and its mode set."""
+    mu = TargetMeasure(misfit_potential(p, y), prior, eps)
     ms = ModeSet(
         modes=x_hat[None, :],
         hessians=h_eff[None, :, :],
-        v2_values=np.array([mu.v2.value(x_hat)]),
+        v2_values=np.array([prior.value(x_hat)]),
     )
     return mu, ms
 
@@ -608,10 +609,10 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     """
     Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
     posts = {}
-    for i, eta in enumerate(etas):
+    for i, y in enumerate(Y):
         if errors[i] is None:
             try:
-                posts[i] = _draw_target(p, truth, eta, eps, prior, modes[i], h_effs[i])
+                posts[i] = _draw_target(p, y, eps, prior, modes[i], h_effs[i])
             except _DRAW_ERRORS as exc:
                 errors[i] = exc
     integrals = {}
@@ -807,10 +808,10 @@ def log_z_expectation_check(
     for eps in sorted(set(float(e) for e in eps_list), reverse=True):
         Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
         mode_sets = []
-        for eta, x_hat, h_eff, error in zip(etas, modes, h_effs, errors):
+        for y, x_hat, h_eff, error in zip(Y, modes, h_effs, errors):
             if error is not None:
                 raise error
-            mode_sets.append(_draw_target(p, truth, eta, eps, prior, x_hat, h_eff)[1])
+            mode_sets.append(_draw_target(p, y, eps, prior, x_hat, h_eff)[1])
         values = []
         for result in _draw_integrals(p, Y, eps, prior, grid_spec, mode_sets):
             if isinstance(result, Exception):

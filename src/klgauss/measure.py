@@ -20,9 +20,11 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+# unused here since modes are found by Newton; kept because
+# perfbench/tracer.py patches this name in every BFGS-calling module
+from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
-from .potentials import EvaluationError, Potential, potential_from_spec, zero
+from .potentials import Potential, potential_from_spec, zero
 from .quadrature import (
     BoxTooSmallError,
     GridIntegral,
@@ -160,8 +162,6 @@ class MultistartConfig:
     seed: int = 0
     value_tol: float = 1e-8  # keep minimizers this close to the best value
     dedup_scale: float = 1e-6  # merge radius 1e-6 * (1 + |x|)
-    grad_tol: float = 1e-10
-    max_iter: int = 500
 
 
 def _box_arrays(box, dim):
@@ -173,6 +173,101 @@ def _box_arrays(box, dim):
     return lo, hi
 
 
+# ---------------------------------------------------------------------------
+# batched damped Newton
+# ---------------------------------------------------------------------------
+
+_NEWTON_STEP_TOL = 1e-13  # relative step size at which a Newton run is done
+
+
+def _damped_newton(evaluate, x0, max_steps=50):
+    """Minimize a batch of independent smooth functions by damped Newton.
+
+    ``evaluate(idx, x)`` returns the values (k,), gradients (k, p) and
+    Hessians (k, p, p) of the functions ``idx`` at the points x (k, p); a
+    point where any of them is not finite lies outside the function's
+    domain.  Each step solves with the Hessian's eigenvalues taken in
+    absolute value and backtracks by halving until the trial point lies in
+    the domain and, where the Newton decrement exceeds 1e-9, the Armijo
+    condition holds.  Function i is done when its step is at most
+    _NEWTON_STEP_TOL (1 + max |x_i|); that last step is taken without a
+    further evaluation.
+
+    Returns (x, hess, steps, errors): the last points, the Hessians at the
+    points before them, the evaluated steps, and per function None or the
+    ArithmeticError that stopped it: a start outside the domain, a step that
+    is not a descent direction, a line search that cannot decrease the
+    value, or ``max_steps`` steps without convergence.  One function's
+    failure leaves the others running.
+    """
+    x = np.array(x0, dtype=float)
+    n = x.shape[0]
+    hess = np.zeros((n, x.shape[1], x.shape[1]))
+    steps = np.zeros(n, dtype=int)
+    errors = [None] * n
+
+    def outside(f, g, h):
+        return ~(np.isfinite(f) & np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(h), axis=(1, 2)))
+
+    def stop(mask, message):
+        for i in idx[mask]:
+            errors[i] = ArithmeticError(message)
+
+    def retry_at(r):
+        # Armijo needs differences of the value above its rounding error,
+        # which for a negative log density grows like 1e-16 |y| |y - G| / eps
+        # on the misfit; below a Newton decrement of 1e-9 (the step is then
+        # far inside the density's width) the step is halved only while it
+        # leaves the domain
+        sufficient = f_new[r] <= f[r] - 1e-4 * t[r] * slope[r]
+        return outside(f_new[r], g[r], h[r]) | ((slope[r] > 1e-9) & ~sufficient)
+
+    idx = np.arange(n)
+    f, g, h = evaluate(idx, x)
+    bad = outside(f, g, h)
+    stop(bad, "Newton start outside the objective's domain")
+    idx, f, g, h = idx[~bad], f[~bad], g[~bad], h[~bad]
+    for _ in range(max_steps):
+        if idx.size == 0:
+            break
+        # away from a minimum the Hessian can be indefinite; its absolute
+        # eigenvalues keep the step a descent direction, and the step is the
+        # plain Newton step wherever the Hessian is definite
+        lam, vecs = np.linalg.eigh(h)
+        # a zero eigenvalue (a flat or linear function) gives an infinite or
+        # NaN step, which the descent test or the line search stops
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.einsum("kab,kb->ka", vecs, np.einsum("kba,kb->ka", vecs, g) / np.abs(lam))
+            slope = np.sum(g * step, axis=1)
+        # before the descent test: an iterate can land on g = 0 exactly
+        done = np.max(np.abs(step), axis=1) <= _NEWTON_STEP_TOL * (1.0 + np.max(np.abs(x[idx]), axis=1))
+        # a done run still takes its last step, unevaluated: it lands on the
+        # fixed point where stopping short would leave up to 1e-13 (1 + |x|)
+        x[idx[done]] -= step[done]
+        hess[idx[done]] = h[done]
+        stop(~done & ~(slope > 0.0), "Newton step is not a descent direction")
+        go = ~done & (slope > 0.0)
+        idx, f, step, slope = idx[go], f[go], step[go], slope[go]
+        steps[idx] += 1
+        t = np.ones(idx.size)
+        trial = x[idx] - step
+        f_new, g, h = evaluate(idx, trial)
+        retry = retry_at(slice(None))
+        while np.any(retry):
+            t[retry] *= 0.5
+            stop(retry & (t < 1e-10), "line search cannot decrease the objective")
+            retry &= t >= 1e-10
+            r = np.flatnonzero(retry)
+            trial[r] = x[idx[r]] - t[r, None] * step[r]
+            f_new[r], g[r], h[r] = evaluate(idx[r], trial[r])
+            retry[r] = retry_at(r)
+        live = t >= 1e-10
+        x[idx[live]] = trial[live]
+        idx, f, g, h = idx[live], f_new[live], g[live], h[live]
+    stop(np.ones(idx.size, dtype=bool), f"no convergence in {max_steps} Newton steps")
+    return x, hess, steps, errors
+
+
 def find_modes(
     v1_limit: Potential,
     v2: Potential | None = None,
@@ -180,9 +275,13 @@ def find_modes(
 ) -> ModeSet:
     """Locate the global minimizers of the limit potential by multistart descent.
 
-    Uniform starts in the search box, BFGS descent with the analytic
-    gradient, a short Newton polish, value filtering at ``value_tol`` above
-    the best minimum found, and deduplication within 1e-6 * (1 + |x|).
+    Uniform starts in the search box, one batched _damped_newton run over
+    them with the analytic gradient and Hessian, value filtering at
+    ``value_tol`` above the best minimum found, and deduplication within
+    1e-6 * (1 + |x|).  A start yields a minimizer where the value is finite
+    and the gradient at most 1e-6, whether or not Newton converged: a flat
+    (degenerate) basin stops Newton with a tiny gradient and a Hessian near
+    0, which the Hessian check rejects.
     """
     cfg = config or MultistartConfig()
     v2 = v2 if v2 is not None else zero(v1_limit.dim)
@@ -193,46 +292,19 @@ def find_modes(
     lo, hi = _box_arrays(cfg.box, dim)
     starts = lo + (hi - lo) * rng.random((cfg.count, dim))
 
-    found = []
-    for x0 in starts:
-        try:
-            res = _scipy_minimize(
-                v1_limit.value,
-                x0,
-                jac=v1_limit.gradient,
-                method="BFGS",
-                options={"gtol": cfg.grad_tol, "maxiter": cfg.max_iter},
-            )
-            x = np.asarray(res.x, dtype=float)
-            # Newton polish: BFGS stalls around |g| ~ 1e-9; Newton pushes a
-            # nondegenerate minimizer to ~1e-14 in a few steps, while a flat
-            # (degenerate) basin keeps contracting and exposes itself below.
-            for _ in range(30):
-                g = v1_limit.gradient(x)
-                H = v1_limit.hessian(x)
-                try:
-                    step = np.linalg.solve(H, g)
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(step)):
-                    break
-                x_new = x - step
-                if v1_limit.value(x_new) <= v1_limit.value(x):
-                    x = x_new
-                else:
-                    break
-                if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(x)):
-                    break
-            val = v1_limit.value(x)
-            if np.isfinite(val) and np.linalg.norm(v1_limit.gradient(x)) <= 1e-6:
-                found.append((val, x))
-        except (EvaluationError, FloatingPointError, OverflowError):
-            continue  # descent escaped to a non-finite region; start failed
-    if not found:
+    def evaluate(idx, x):
+        with np.errstate(all="ignore"):  # a non-finite value: outside the domain
+            f, g, h = v1_limit.value_fn(x), v1_limit.grad_fn(x), v1_limit.hess_fn(x)
+        return np.reshape(f, len(x)), np.reshape(g, x.shape), np.reshape(h, (len(x), dim, dim))
+
+    x = _damped_newton(evaluate, starts)[0]
+    values, grads, _ = evaluate(None, x)
+    ok = np.isfinite(values) & (np.linalg.norm(grads, axis=1) <= 1e-6)
+    if not np.any(ok):
         raise ModeSearchError("no minimizer found within the multistart budget")
 
-    best = min(v for v, _ in found)
-    kept = [x for v, x in found if v <= best + cfg.value_tol]
+    best = np.min(values[ok])
+    kept = list(x[ok & (values <= best + cfg.value_tol)])
     # deterministic order, then greedy merge
     kept.sort(key=lambda x: tuple(x))
     modes = []

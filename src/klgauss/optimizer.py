@@ -36,6 +36,7 @@ from .measure import (
     MultistartConfig,
     TargetMeasure,
     _box_arrays,
+    _damped_newton,
     find_modes,
     log_laplace_normalization,
 )
@@ -397,88 +398,6 @@ def minimize_single(
 # ---------------------------------------------------------------------------
 
 _NEWTON_CHUNK_POINTS = 1 << 16  # points per evaluation in a Newton batch
-_NEWTON_STEP_TOL = 1e-13  # relative step size at which a Newton run is done
-
-
-def _damped_newton(evaluate, x0, max_steps=50):
-    """Minimize a batch of independent smooth functions by damped Newton.
-
-    ``evaluate(idx, x)`` returns the values (k,), gradients (k, p) and
-    Hessians (k, p, p) of the functions ``idx`` at the points x (k, p); a
-    point where any of them is not finite lies outside the function's
-    domain.  Each step solves with the Hessian's eigenvalues taken in
-    absolute value and backtracks by halving until the trial point lies in
-    the domain and, where the Newton decrement exceeds 1e-9, the Armijo
-    condition holds.  Function i is done when its step is at most
-    _NEWTON_STEP_TOL (1 + max |x_i|).
-
-    Returns (x, hess, steps, errors): the last points, the Hessians there,
-    the steps taken, and per function None or the ArithmeticError that
-    stopped it: a start outside the domain, a step that is not a descent
-    direction, a line search that cannot decrease the value, or
-    ``max_steps`` steps without convergence.  One function's failure leaves
-    the others running.
-    """
-    x = np.array(x0, dtype=float)
-    n = x.shape[0]
-    hess = np.zeros((n, x.shape[1], x.shape[1]))
-    steps = np.zeros(n, dtype=int)
-    errors = [None] * n
-
-    def outside(f, g, h):
-        return ~(np.isfinite(f) & np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(h), axis=(1, 2)))
-
-    def stop(mask, message):
-        for i in idx[mask]:
-            errors[i] = ArithmeticError(message)
-
-    def retry_at(r):
-        # Armijo needs differences of the value above its rounding error,
-        # which for a negative log density grows like 1e-16 |y| |y - G| / eps
-        # on the misfit; below a Newton decrement of 1e-9 (the step is then
-        # far inside the density's width) the step is halved only while it
-        # leaves the domain
-        sufficient = f_new[r] <= f[r] - 1e-4 * t[r] * slope[r]
-        return outside(f_new[r], g[r], h[r]) | ((slope[r] > 1e-9) & ~sufficient)
-
-    idx = np.arange(n)
-    f, g, h = evaluate(idx, x)
-    bad = outside(f, g, h)
-    stop(bad, "Newton start outside the objective's domain")
-    idx, f, g, h = idx[~bad], f[~bad], g[~bad], h[~bad]
-    for _ in range(max_steps):
-        if idx.size == 0:
-            break
-        # away from a minimum the Hessian can be indefinite; its absolute
-        # eigenvalues keep the step a descent direction, and the step is the
-        # plain Newton step wherever the Hessian is definite
-        lam, vecs = np.linalg.eigh(h)
-        step = np.einsum("kab,kb->ka", vecs, np.einsum("kba,kb->ka", vecs, g) / np.abs(lam))
-        # before the descent test: an iterate can land on g = 0 exactly
-        done = np.max(np.abs(step), axis=1) <= _NEWTON_STEP_TOL * (1.0 + np.max(np.abs(x[idx]), axis=1))
-        hess[idx[done]] = h[done]
-        slope = np.sum(g * step, axis=1)
-        stop(~done & ~(slope > 0.0), "Newton step is not a descent direction")
-        go = ~done & (slope > 0.0)
-        idx, f, step, slope = idx[go], f[go], step[go], slope[go]
-        steps[idx] += 1
-        t = np.ones(idx.size)
-        trial = x[idx] - step
-        f_new, g, h = evaluate(idx, trial)
-        retry = retry_at(slice(None))
-        while np.any(retry):
-            t[retry] *= 0.5
-            stop(retry & (t < 1e-10), "line search cannot decrease the objective")
-            retry &= t >= 1e-10
-            r = np.flatnonzero(retry)
-            trial[r] = x[idx[r]] - t[r, None] * step[r]
-            f_new[r], g[r], h[r] = evaluate(idx[r], trial[r])
-            retry[r] = retry_at(r)
-        live = t >= 1e-10
-        x[idx[live]] = trial[live]
-        idx, f, g, h = idx[live], f_new[live], g[live], h[live]
-    stop(np.ones(idx.size, dtype=bool), f"no convergence in {max_steps} Newton steps")
-    return x, hess, steps, errors
 
 
 def _newton_single(phi, eps, means, chols, nodes):

@@ -248,6 +248,24 @@ def test_find_modes_agrees_with_limit_mode_set():
     assert np.allclose(found.weights, ms.weights, atol=1e-8)
 
 
+@pytest.mark.parametrize("truth", [[1.0], [1.0, 0.5]])
+def test_find_modes_matches_limit_mode_set_closely(truth):
+    # each of the 2^M sign flips of the truth, to rounding, with the
+    # Gauss-Newton Hessian of limit_mode_set (exact at zero residual) and its
+    # weight; the order of the modes is left to the rounding of their entries
+    truth = np.array(truth)
+    p = problem(M=len(truth), f=100.0, variant="square")
+    family = inv.posterior_family(p, truth, np.zeros(p.M))
+    found = kg.find_modes(family.v1_limit, family.v2, kg.MultistartConfig(box=family.default_box))
+    ms = inv.limit_mode_set(p, truth)
+    assert found.n == ms.n == 2**p.M
+    match = [ms.nearest(m)[0] for m in found.modes]
+    assert sorted(match) == list(range(ms.n))
+    assert np.max(np.abs(found.modes - ms.modes[match])) <= 1e-12
+    assert np.max(np.abs(found.hessians - ms.hessians[match])) <= 1e-12 * np.max(ms.hessians)
+    assert np.max(np.abs(found.weights - ms.weights[match])) <= 1e-12
+
+
 # --- asymptotic normality -----------------------------------------------------------------
 
 
@@ -478,11 +496,14 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
     draw_target = inv._draw_target
+    # the data of the draws with eta > 1, as _draw_modes computes it
+    Y = inv.forward(p, cfg.truth) + math.sqrt(cfg.eps_list[0]) * etas
+    failing = {tuple(y) for y in Y[etas[:, 0] > 1.0]}
 
-    def failing_target(p, truth, eta, *args):
-        if eta[0] > 1.0:
+    def failing_target(p, y, *args):
+        if tuple(y) in failing:
             raise np.linalg.LinAlgError("singular")
-        return draw_target(p, truth, eta, *args)
+        return draw_target(p, y, *args)
 
     monkeypatch.setattr(inv, "_draw_target", failing_target)
     level = inv.bvm_experiment(p, cfg).levels[0]
@@ -528,8 +549,8 @@ def level_posteriors(p, cfg, eps, grid_spec=None):
     Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior, j_inv)
     assert errors == [None] * cfg.draws
     targets = [
-        inv._draw_target(p, cfg.truth, eta, eps, prior, x_hat, h_eff)
-        for eta, x_hat, h_eff in zip(etas, modes, h_effs)
+        inv._draw_target(p, y, eps, prior, x_hat, h_eff)
+        for y, x_hat, h_eff in zip(Y, modes, h_effs)
     ]
     integrals = inv._draw_integrals(
         p, Y, eps, prior, grid_spec or inv.GridSpec(), [ms for _, ms in targets]

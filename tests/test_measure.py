@@ -14,7 +14,7 @@ from klgauss.measure import (
     load_problem,
     oracle_integrals,
 )
-from klgauss import quadrature
+from klgauss import measure, quadrature
 from klgauss.quadrature import BoxTooSmallError, OracleDimensionError, integrate_exp_stack
 
 
@@ -49,11 +49,11 @@ def test_find_modes_quadratic(quadratic_family):
 
 def test_find_modes_double_well(double_well_modes):
     ms = double_well_modes
-    # V1'' = 12 x^2 - 4 evaluates to 8 at the two roots; symmetry forces 1/2
-    assert ms.n == 2
-    assert np.allclose(np.sort(ms.modes.ravel()), [-1.0, 1.0], atol=1e-6)
-    assert np.allclose(ms.hessians.ravel(), [8.0, 8.0], atol=1e-6)
-    assert np.allclose(ms.weights, [0.5, 0.5], atol=1e-12)
+    # V1'' = 12 x^2 - 4 evaluates to 8 at the two roots; symmetry forces 1/2.
+    # Newton's last step lands on the roots exactly, so all three are exact
+    assert ms.modes.ravel().tolist() == [-1.0, 1.0]
+    assert ms.hessians.ravel().tolist() == [8.0, 8.0]
+    assert ms.weights.tolist() == [0.5, 0.5]
 
 
 def test_find_modes_shifted_double_well(shifted_modes):
@@ -61,10 +61,52 @@ def test_find_modes_shifted_double_well(shifted_modes):
     ms = shifted_modes
     expected = np.array([math.e, 1.0 / math.e])
     expected = expected / expected.sum()  # = (e^2/(1+e^2), 1/(1+e^2))
-    assert np.allclose(np.sort(ms.modes.ravel()), [-1.0, 1.0], atol=1e-6)
+    assert ms.modes.ravel().tolist() == [-1.0, 1.0]
+    assert ms.hessians.ravel().tolist() == [8.0, 8.0]
     order = np.argsort(ms.modes.ravel())
     assert np.allclose(ms.weights[order], expected, atol=1e-9)
     assert expected[0] == pytest.approx(math.exp(2) / (1 + math.exp(2)))
+
+
+def test_find_modes_quadratic_3d_exact():
+    family = kg.builtin_problem("quadratic", dim=3)
+    ms = kg.find_modes(family.v1_limit, family.v2)
+    assert ms.modes.tolist() == [[0.0, 0.0, 0.0]]
+    assert np.array_equal(ms.hessians[0], np.eye(3))
+
+
+def test_find_modes_drops_starts_outside_the_domain():
+    # the double well walled off (value inf) beyond x = 2.5: the starts
+    # there fail alone, and the others still find both wells exactly
+    well = P.double_well()
+    walled = P.Potential(
+        dim=1,
+        value_fn=lambda x: np.where(x[:, 0] > 2.5, np.inf, well.value_fn(x)),
+        grad_fn=well.grad_fn,
+        hess_fn=well.hess_fn,
+        name="walled-double-well",
+        v1_family=True,
+    )
+    cfg = MultistartConfig()
+    starts = np.random.default_rng(cfg.seed).uniform(*cfg.box, cfg.count)
+    assert np.any(starts > 2.5)
+    ms = kg.find_modes(walled, config=cfg)
+    assert ms.modes.ravel().tolist() == [-1.0, 1.0]
+    assert ms.weights.tolist() == [0.5, 0.5]
+
+
+def test_damped_newton_quadratic_exact():
+    # f(x) = 3 (x - 0.3)^2 / 2 from four starts: one Newton step lands within
+    # rounding of 0.3, and the last (unevaluated) step lands on it
+    def evaluate(idx, x):
+        return 1.5 * (x[:, 0] - 0.3) ** 2, 3.0 * (x - 0.3), np.full((len(x), 1, 1), 3.0)
+
+    x, hess, steps, errors = measure._damped_newton(
+        evaluate, np.array([[-3.0], [0.0], [2.0], [7.5]])
+    )
+    assert errors == [None] * 4
+    assert x.ravel().tolist() == [0.3] * 4
+    assert hess.ravel().tolist() == [3.0] * 4
 
 
 def test_find_modes_degenerate_quartic():
@@ -81,13 +123,11 @@ def test_find_modes_degenerate_quartic():
         kg.find_modes(quartic)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_find_modes_unbounded_potential_errors():
-    # a pure tilt has no minimizer anywhere; the descent overflowing toward
-    # -inf is the expected way for each start to fail
+    # a pure tilt has no minimizer anywhere
     tilt = P.linear(dim=1, slope=[1.0])
     with pytest.raises(kg.measure.ModeSearchError):
-        kg.find_modes(tilt, config=MultistartConfig(count=8, max_iter=50))
+        kg.find_modes(tilt, config=MultistartConfig(count=8))
 
 
 def test_beta_permutation_equivariance(double_well_modes):

@@ -31,9 +31,9 @@ from .measure import (
     MeasureFamily,
     ModeSet,
     TargetMeasure,
+    _concentration_boxes,
     _damped_newton,
     log_laplace_normalization,
-    oracle_box,
     oracle_integrals,
 )
 from .optimizer import (
@@ -559,13 +559,18 @@ def _log_posterior(p, Y, eps, prior):
     return log_f
 
 
-def _draw_integrals(p, Y, eps, prior, grid_spec, mode_sets):
-    """Simpson log Z of every draw (rows of Y) with the given mode sets, by
-    the oracle's box policy (measure.oracle_integrals) on the stacked boxes
-    of all draws.  Returns per draw its GridIntegral or the exception that
-    failed it."""
-    boxes = [oracle_box(grid_spec, ms, eps) for ms in mode_sets]
-    lo, hi = (np.array(side, dtype=float).reshape(len(boxes), -1) for side in zip(*boxes))
+def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
+    """Simpson log Z of every draw (rows of Y) with posterior mode modes[i]
+    and Hessian h_effs[i] there, by the oracle's box policy
+    (measure.oracle_integrals) on the stacked boxes of all draws; the first
+    box of each is ``grid_spec.box`` or the concentration box of its mode
+    (measure.oracle_box), all built at once.  Returns per draw its
+    GridIntegral or the exception that failed it."""
+    if grid_spec.box is None:
+        lo, hi = _concentration_boxes(modes[:, None], h_effs[:, None], eps, grid_spec.radius_floor)
+    else:
+        lo, hi = (np.tile(np.ravel(np.asarray(side, dtype=float)), (len(Y), 1))
+                  for side in grid_spec.box)
     log_f = _log_posterior(p, Y, eps, prior)
     return oracle_integrals(
         lambda idx, grids: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), grids),
@@ -618,8 +623,8 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     integrals = {}
     if p.M <= 3 and posts:
         live = list(posts)
-        mode_sets = [ms for _, ms in posts.values()]
-        for i, result in zip(live, _draw_integrals(p, Y[live], eps, prior, grid_spec, mode_sets)):
+        for i, result in zip(live, _draw_integrals(
+                p, Y[live], eps, prior, grid_spec, modes[live], h_effs[live])):
             if isinstance(result, Exception):
                 errors[i] = result
                 del posts[i]
@@ -807,13 +812,11 @@ def log_z_expectation_check(
     records = []
     for eps in sorted(set(float(e) for e in eps_list), reverse=True):
         Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
-        mode_sets = []
-        for y, x_hat, h_eff, error in zip(Y, modes, h_effs, errors):
+        for error in errors:
             if error is not None:
                 raise error
-            mode_sets.append(_draw_target(p, y, eps, prior, x_hat, h_eff)[1])
         values = []
-        for result in _draw_integrals(p, Y, eps, prior, grid_spec, mode_sets):
+        for result in _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
             if isinstance(result, Exception):
                 raise result
             values.append(result.log_value)

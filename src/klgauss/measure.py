@@ -305,8 +305,10 @@ def find_modes(
 
     best = np.min(values[ok])
     kept = list(x[ok & (values <= best + cfg.value_tol)])
-    # deterministic order, then greedy merge
-    kept.sort(key=lambda x: tuple(x))
+    # deterministic order, then greedy merge; the order is that of the
+    # entries rounded to dedup_scale, so that modes tying in a coordinate are
+    # not ordered by their last bits
+    kept.sort(key=lambda x: (tuple(np.round(x / cfg.dedup_scale)), tuple(x)))
     modes = []
     for x in kept:
         radius = cfg.dedup_scale * (1.0 + np.linalg.norm(x))
@@ -363,22 +365,26 @@ class GridSpec:
 
 
 def concentration_box(centers, hessians, epsilon, radius_floor=2.0):
-    """Union-of-balls bounding box around concentration points."""
+    """Union-of-balls bounding box around concentration points; the one-set
+    case of _concentration_boxes."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     hessians = np.asarray(hessians, dtype=float).reshape(
         centers.shape[0], centers.shape[1], centers.shape[1]
     )
-    lo = np.full(centers.shape[1], np.inf)
-    hi = np.full(centers.shape[1], -np.inf)
-    for c, H in zip(centers, hessians):
-        lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (H + H.T))))
-        if lam_min <= 0:
-            radius = radius_floor
-        else:
-            radius = max(6.0 * math.sqrt(epsilon / lam_min), radius_floor)
-        lo = np.minimum(lo, c - radius)
-        hi = np.maximum(hi, c + radius)
-    return lo, hi
+    lo, hi = _concentration_boxes(centers[None], hessians[None], epsilon, radius_floor)
+    return lo[0], hi[0]
+
+
+def _concentration_boxes(centers, hessians, epsilon, radius_floor):
+    """The union-of-balls boxes of k sets of m centers, (k, m, d), with their
+    Hessians, (k, m, d, d), as lo and hi of shape (k, d).  The ball around a
+    center has radius max(6 sqrt(eps / lambda_min), radius_floor), and
+    radius_floor where lambda_min <= 0."""
+    lam_min = np.min(np.linalg.eigvalsh(0.5 * (hessians + np.swapaxes(hessians, -1, -2))), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lambda_min <= 0: replaced below
+        radius = np.maximum(6.0 * np.sqrt(epsilon / lam_min), radius_floor)
+    radius = np.where(lam_min <= 0, radius_floor, radius)[..., None]
+    return np.min(centers - radius, axis=1), np.max(centers + radius, axis=1)
 
 
 def oracle_integrals(integrate, lo, hi, spec: GridSpec) -> list:

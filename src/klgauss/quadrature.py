@@ -13,6 +13,12 @@ resolution: the integrand is a callable ``f(idx, pts)`` that maps the points
 (k, N, d) of the boxes ``idx`` to values (k, N), and is called on at most
 SIMPSON_CHUNK_POINTS points at a time (one box when a box alone has more).
 ``integrate_exp`` and ``tv_distance_grid`` are the one-box case.
+
+Per chunk the kernel works on whole arrays and reproduces the one-box
+arithmetic bit for bit: the points are np.linspace's values broadcast into
+place, exp is skipped where it can only give 0.0 (numpy's exp is slow
+there), the stride-2 coarse values are gathered once as contiguous rows, and
+each box keeps its own np.dot per rule.
 """
 
 from __future__ import annotations
@@ -91,22 +97,35 @@ def gaussian_expectation_nodes(mean, chol, order: int):
     return x, w, z
 
 
+@lru_cache(maxsize=32)
 def simpson_weights(n: int) -> np.ndarray:
-    """Composite Simpson weights on n equispaced points (n odd), spacing 1."""
+    """Composite Simpson weights on n equispaced points (n odd), spacing 1.
+
+    The array is cached and read-only."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"Simpson rule needs an odd number of points >= 3, got {n}")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    w = w / 3.0
+    w.flags.writeable = False
+    return w
 
 
 def _stack_points(lo, hi, n: int) -> np.ndarray:
     """The points of the n**d grids on the boxes [lo[i], hi[i]], shape
-    (k, n**d, d), the last axis varying fastest (meshgrid "ij" order)."""
-    axes = np.linspace(lo, hi, n, axis=-1)  # (k, d, n)
-    index = np.indices((n,) * lo.shape[1]).reshape(lo.shape[1], -1)
-    return np.ascontiguousarray(np.stack([axes[:, i, ix] for i, ix in enumerate(index)], axis=-1))
+    (k, n**d, d), the last axis varying fastest (meshgrid "ij" order).
+
+    The axes are np.linspace(lo, hi, n) computed as linspace does,
+    lo + j * ((hi - lo) / (n - 1)) with the last point set to hi, and each is
+    broadcast into its slot of a (k, n, ..., n, d) array."""
+    k, d = lo.shape
+    axes = np.arange(n) * ((hi - lo) / (n - 1))[:, :, None] + lo[:, :, None]  # (k, d, n)
+    axes[:, :, -1] = hi
+    pts = np.empty((k,) + (n,) * d + (d,))
+    for i in range(d):
+        pts[..., i] = axes[:, i].reshape((k,) + (1,) * i + (n,) + (1,) * (d - 1 - i))
+    return pts.reshape(k, n**d, d)
 
 
 def _stack_weights(lo, hi, n: int) -> np.ndarray:
@@ -114,10 +133,21 @@ def _stack_weights(lo, hi, n: int) -> np.ndarray:
     with _stack_points: outer products of the per-axis weights w1 * h."""
     h = (hi - lo) / (n - 1)
     w1 = simpson_weights(n)
-    w = np.ones((len(lo), 1))
-    for i in range(lo.shape[1]):
+    w = w1 * h[:, :1]
+    for i in range(1, lo.shape[1]):
         w = (w[:, :, None] * (w1 * h[:, i, None])[:, None, :]).reshape(len(lo), -1)
     return w
+
+
+# exp(x) is 0.0 in double precision for x below about -745.13, and numpy's
+# exp takes a path there many times slower per element than on ordinary inputs
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit, with exp evaluated only where x >= -746 or x
+    is NaN; every other entry, -inf included, is the 0.0 exp gives there."""
+    return np.exp(x, out=np.zeros_like(x), where=~(x < _EXP_ZERO_BELOW))
 
 
 @dataclass(frozen=True)
@@ -173,15 +203,6 @@ class GridIntegral:
         return self.error_estimate / abs(self.value) if self.value else np.inf
 
 
-def _tensor_mask(keep1: np.ndarray, dim: int) -> np.ndarray:
-    """The grid points, flattened as in Grid.points(), whose every index is
-    kept by the per-axis mask ``keep1``."""
-    mask = keep1
-    for _ in range(dim - 1):
-        mask = np.logical_and.outer(mask, keep1)
-    return mask.ravel()
-
-
 def _stacked_boxes(grids):
     """Yield (idx, lo, hi): the boxes of grids[idx], SIMPSON_CHUNK_POINTS
     grid points or one box at a time."""
@@ -224,26 +245,33 @@ def integrate_exp_stack(log_f, grids) -> list:
     is finite nowhere on the grid; one box's failure leaves the others.
     """
     n, dim = grids[0].points_per_dim, grids[0].dim
-    axis = np.arange(n)
-    coarse_points = _tensor_mask(axis % 2 == 0, dim)
-    boundary = ~_tensor_mask((axis > 0) & (axis < n - 1), dim)
+    stride2 = (slice(None),) + (slice(None, None, 2),) * dim
     out = [None] * len(grids)
     for idx, lo, hi in _stacked_boxes(grids):
         logv = _evaluate(log_f, idx, _stack_points(lo, hi, n))
+        grid_shape = (len(idx),) + (n,) * dim
         # one dot product per box on these weights: a stacked product sums
         # in another order and moves the last digits
         fine_w = _stack_weights(lo, hi, n)
         coarse_w = _stack_weights(lo, hi, (n + 1) // 2)
         shift = np.max(logv, axis=1)
         finite = np.isfinite(shift)
-        f = np.exp(logv - np.where(finite, shift, 0.0)[:, None])
-        boundary_max = np.max(logv[:, boundary], axis=1)
+        f = _exp(logv - np.where(finite, shift, 0.0)[:, None])
+        # the stride-2 subgrid in C order, so that its rows are contiguous
+        f_coarse = np.ascontiguousarray(f.reshape(grid_shape)[stride2]).reshape(len(idx), -1)
+        # the largest value on the faces: first and last index of each axis
+        faces = logv.reshape(grid_shape)
+        boundary_max = np.max(
+            [np.max(faces.take([0, -1], axis=a).reshape(len(idx), -1), axis=1)
+             for a in range(1, dim + 1)],
+            axis=0,
+        )
         for j, i in enumerate(idx):
             if not finite[j]:
                 out[i] = ValueError("log integrand is not finite anywhere on the grid")
                 continue
             fine = float(np.dot(fine_w[j], f[j]))
-            coarse = float(np.dot(coarse_w[j], f[j][coarse_points]))
+            coarse = float(np.dot(coarse_w[j], f_coarse[j]))
             # Richardson estimate with a summation-roundoff floor
             err = max(abs(fine - coarse) / 15.0, 8.0 * np.finfo(float).eps * abs(fine))
             scale = np.exp(shift[j])
@@ -281,7 +309,7 @@ def tv_distance_stack(log_p, log_q, grids) -> np.ndarray:
     out = np.empty(len(grids))
     for idx, lo, hi in _stacked_boxes(grids):
         pts = _stack_points(lo, hi, n)
-        diff = np.abs(np.exp(_evaluate(log_p, idx, pts)) - np.exp(_evaluate(log_q, idx, pts)))
+        diff = np.abs(_exp(_evaluate(log_p, idx, pts)) - _exp(_evaluate(log_q, idx, pts)))
         w = _stack_weights(lo, hi, n)
         for j, i in enumerate(idx):
             out[i] = 0.5 * np.dot(w[j], diff[j])

@@ -552,9 +552,7 @@ def level_posteriors(p, cfg, eps, grid_spec=None):
         inv._draw_target(p, y, eps, prior, x_hat, h_eff)
         for y, x_hat, h_eff in zip(Y, modes, h_effs)
     ]
-    integrals = inv._draw_integrals(
-        p, Y, eps, prior, grid_spec or inv.GridSpec(), [ms for _, ms in targets]
-    )
+    integrals = inv._draw_integrals(p, Y, eps, prior, grid_spec or inv.GridSpec(), modes, h_effs)
     posts = [
         (mu, ms, getattr(integral, "log_value", None), integral)
         for (mu, ms), integral in zip(targets, integrals)
@@ -583,6 +581,17 @@ def test_bvm_batched_log_z_is_quadrature_normalization_per_draw():
             box = measure.concentration_box(ms.modes, ms.hessians, eps)
             widened += not np.array_equal(batched.grid.lo, box[0])
     assert widened > 0  # the widen-and-redo loop ran inside the batch
+
+
+def test_bvm_batched_log_z_on_an_explicit_box():
+    # with grid_spec.box every draw's box is that box, used as given
+    p, cfg = bvm_m1_config()
+    spec = inv.GridSpec(box=([-2.0], [2.5]))
+    _, _, posts = level_posteriors(p, cfg, 1e-2, spec)
+    for mu, ms, _, batched in posts:
+        single = kg.quadrature_normalization(mu, spec, mode_set=ms)
+        assert batched.log_value == single.log_value
+        assert batched.grid.lo.tolist() == [-2.0] and batched.grid.hi.tolist() == [2.5]
 
 
 def test_bvm_batched_tv_matches_tv_distance_grid():

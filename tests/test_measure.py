@@ -130,6 +130,53 @@ def test_find_modes_unbounded_potential_errors():
         kg.find_modes(tilt, config=MultistartConfig(count=8))
 
 
+def product_of_distances(points):
+    """V(x) = prod_i |x - m_i|^2: zero exactly at the points m_i, with the
+    Hessian 2 prod_(j != i) |m_i - m_j|^2 I there."""
+    points = np.asarray(points, dtype=float)
+
+    def parts(x):
+        r = x[:, None, :] - points[None]  # (N, m, d)
+        q = np.sum(r * r, axis=2)  # (N, m)
+        others = np.stack([np.prod(np.delete(q, i, axis=1), axis=1) for i in range(len(points))], 1)
+        return r, q, others
+
+    def value(x):
+        return np.prod(parts(x)[1], axis=1)
+
+    def grad(x):
+        r, _, others = parts(x)
+        return np.einsum("nm,nmd->nd", others, 2.0 * r)
+
+    def hess(x):
+        r, q, others = parts(x)
+        eye = np.eye(x.shape[1])
+        h = np.einsum("nm,de->nde", others, 2.0 * eye)
+        for i in range(len(points)):
+            for j in range(len(points)):
+                if i != j:
+                    rest = np.prod(np.delete(q, [i, j], axis=1), axis=1)
+                    h = h + 4.0 * rest[:, None, None] * r[:, i, :, None] * r[:, j, None, :]
+        return h
+
+    return P.Potential(dim=points.shape[1], value_fn=value, grad_fn=grad, hess_fn=hess,
+                       name="product-of-distances", v1_family=True)
+
+
+def test_find_modes_order_ignores_last_bits():
+    # the four corners (+-1, +-1); two modes tie in their first coordinate,
+    # perturbed by a few ulps either way: the order stays the same
+    ulp = np.spacing(1.0)
+    orders = []
+    for a, b in [(0, 0), (-8, 8), (8, -8), (3, -5)]:
+        corners = [[-1.0 + a * ulp, 1.0], [-1.0 + b * ulp, -1.0], [1.0, -1.0], [1.0, 1.0]]
+        modes = kg.find_modes(product_of_distances(corners)).modes
+        assert len(modes) == 4
+        assert np.allclose(sorted(map(tuple, modes)), sorted(map(tuple, corners)), atol=1e-12)
+        orders.append(np.round(modes).tolist())
+    assert orders == [[[-1, -1], [-1, 1], [1, -1], [1, 1]]] * 4
+
+
 def test_beta_permutation_equivariance(double_well_modes):
     flipped = double_well_modes.permuted([1, 0])
     assert np.allclose(flipped.weights, double_well_modes.weights[[1, 0]])
@@ -236,6 +283,29 @@ def test_concentration_box_radius_floor():
     # 6 sqrt(eps / lambda) = 0.067 << floor 2
     assert lo[0] == pytest.approx(-2.0)
     assert hi[0] == pytest.approx(2.0)
+
+
+def test_concentration_boxes_match_per_set_loop():
+    # the stacked boxes against the loop over sets and centers they replace:
+    # one eigvalsh and math.sqrt per center, bit for bit; set 1 has a
+    # centre whose smallest eigenvalue is 0 and set 2 one where it is < 0
+    rng = np.random.default_rng(5)
+    k, m, d, eps, floor = 6, 3, 2, 1e-3, 0.05
+    centers = rng.normal(size=(k, m, d))
+    a = rng.normal(size=(k, m, d, d))
+    hessians = a @ np.swapaxes(a, -1, -2) + 1e-3 * rng.random((k, m, d, d))
+    hessians[1, 0] = [[1.0, 0.0], [0.0, 0.0]]
+    hessians[2, 2] = [[1.0, 0.0], [0.0, -2.0]]
+    lo, hi = measure._concentration_boxes(centers, hessians, eps, floor)
+    for j in range(k):
+        ref_lo, ref_hi = np.full(d, np.inf), np.full(d, -np.inf)
+        for c, H in zip(centers[j], hessians[j]):
+            lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (H + H.T))))
+            radius = floor if lam_min <= 0 else max(6.0 * math.sqrt(eps / lam_min), floor)
+            ref_lo, ref_hi = np.minimum(ref_lo, c - radius), np.maximum(ref_hi, c + radius)
+        assert np.array_equal(lo[j], ref_lo) and np.array_equal(hi[j], ref_hi)
+        one = concentration_box(centers[j], hessians[j], eps, floor)
+        assert np.array_equal(one[0], ref_lo) and np.array_equal(one[1], ref_hi)
 
 
 # --- stacked Simpson boxes --------------------------------------------------------

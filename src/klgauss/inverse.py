@@ -33,7 +33,8 @@ from .measure import (
     TargetMeasure,
     _concentration_boxes,
     _damped_newton,
-    log_laplace_normalization,
+    _laplace_log_betas,
+    _log_laplace,
     oracle_integrals,
 )
 from .optimizer import (
@@ -199,15 +200,15 @@ def misfit_potential(
     )
 
 
-def _misfit_derivatives(p: EllipticProblem, Y, prior: Potential, eps: float, X):
+def _misfit_derivatives(p: EllipticProblem, Y, prior: Potential, eps: float, X, hessian=True):
     """Phi = |y - G(x)|^2 / (2 eps) + V2(x) with one data vector per draw.
 
     Y has shape (n, M), one data vector y per draw, and X shape (n, K, M),
-    K points per draw.  Returns the values (n, K), gradients (n, K, M) and
-    exact Hessians (n, K, M, M) of Phi.  One Thomas pass solves
-    (A+Q) [u | S] = [f | I] at every point; S = (A+Q)^(-1) is symmetric, so
-    the adjoint w = S (y - u) and J = -S diag(u c'(x)) give the formulas of
-    misfit_potential without further solves.
+    K points per draw.  Returns the values (n, K), gradients (n, K, M) and,
+    where ``hessian``, exact Hessians (n, K, M, M) of Phi, else None.  One
+    Thomas pass solves (A+Q) [u | S] = [f | I] at every point; S =
+    (A+Q)^(-1) is symmetric, so the adjoint w = S (y - u) and J = -S diag(u
+    c'(x)) give the formulas of misfit_potential without further solves.
     """
     n, K, M = X.shape
     q = X.reshape(n * K, M)
@@ -216,13 +217,15 @@ def _misfit_derivatives(p: EllipticProblem, Y, prior: Potential, eps: float, X):
     r = np.repeat(Y, K, axis=0) - u
     w = np.einsum("nij,nj->ni", S, r)
     c1 = p.coefficient_derivative(q)
+    value = 0.5 * np.sum(r * r, axis=1) / eps + np.reshape(prior.value_fn(q), n * K)
+    grad = u * c1 * w / eps + np.reshape(prior.grad_fn(q), (n * K, M))
+    if not hessian:
+        return value.reshape(n, K), grad.reshape(n, K, M), None
     J = -S * (u * c1)[:, None, :]
     bJ = (w * c1)[:, :, None] * J
     H = np.einsum("nki,nkj->nij", J, J) + bJ + bJ.transpose(0, 2, 1)
     idx = np.arange(M)
     H[:, idx, idx] += u * w * p.coefficient_second_derivative(q)
-    value = 0.5 * np.sum(r * r, axis=1) / eps + np.reshape(prior.value_fn(q), n * K)
-    grad = u * c1 * w / eps + np.reshape(prior.grad_fn(q), (n * K, M))
     hess = 0.5 * (H + H.transpose(0, 2, 1)) / eps + np.reshape(prior.hess_fn(q), (n * K, M, M))
     return value.reshape(n, K), grad.reshape(n, K, M), hess.reshape(n, K, M, M)
 
@@ -534,7 +537,7 @@ def _draw_modes(p, truth, etas, eps, prior, j_truth_inv):
 
 def _draw_target(p, y, eps, prior, x_hat, h_eff):
     """Posterior of one noise draw with data y (a row of _draw_modes' Y) and
-    mode x_hat, and its mode set."""
+    mode x_hat, and its mode set: the inputs of minimize_single."""
     mu = TargetMeasure(misfit_potential(p, y), prior, eps)
     ms = ModeSet(
         modes=x_hat[None, :],
@@ -573,22 +576,22 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
                   for side in grid_spec.box)
     log_f = _log_posterior(p, Y, eps, prior)
     return oracle_integrals(
-        lambda idx, grids: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), grids),
+        lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
         lo, hi, grid_spec,
     )
 
 
-def _draw_tv(p, Y, eps, prior, integrals, gaussians):
-    """d_TV(N(m_i, L_i L_i^T), posterior of draw i) for every draw, on the
-    grid of its log Z.  ``integrals`` holds per draw the GridIntegral of
-    its log Z and ``gaussians`` its GaussianParams.  The log integrand is
-    evaluated again, not kept from the log Z pass: kept, it would hold
-    draws x grid points values."""
+def _draw_tv(p, Y, eps, prior, integrals, means, chols):
+    """d_TV(N(means[i], chols[i] chols[i]^T), posterior of draw i) for every
+    draw, on the grid of its log Z.  ``integrals`` holds per draw the
+    GridIntegral of its log Z.  The log integrand is evaluated again, not
+    kept from the log Z pass: kept, it would hold draws x grid points
+    values."""
     log_f = _log_posterior(p, Y, eps, prior)
     log_z = np.array([g.log_value for g in integrals])
-    means = np.stack([g.mean for g in gaussians])
-    inv_chols = np.linalg.inv(np.stack([g.chol for g in gaussians]))
-    log_norm = 0.5 * (p.M * LOG_2PI + np.array([g.log_det_cov for g in gaussians]))
+    inv_chols = np.linalg.inv(chols)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    log_norm = 0.5 * (p.M * LOG_2PI + log_det)
 
     def log_gauss(idx, pts):
         z = np.einsum("kab,knb->kna", inv_chols[idx], pts - means[idx][:, None, :])
@@ -596,77 +599,88 @@ def _draw_tv(p, Y, eps, prior, integrals, gaussians):
 
     return tv_distance_stack(
         log_gauss, lambda idx, pts: log_f(idx, pts) - log_z[idx][:, None],
-        [g.grid for g in integrals],
+        np.stack([g.grid.lo for g in integrals]), np.stack([g.grid.hi for g in integrals]),
+        integrals[0].grid.points_per_dim,
     )
 
 
 def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     """One outcome per noise draw at one eps: KL, TV, and a failure's cause.
 
-    The posterior modes of all draws come from one batched Newton search.
-    Up to M = 3, log Z is the Simpson oracle, run once over the stacked
-    boxes of all live draws (_draw_integrals), and TV is taken on the same
-    boxes in one more pass (_draw_tv); above, log Z is the Laplace value
-    and TV is NaN.  The best Gaussians come from one batched Newton solve,
-    with minimize_single per draw where Newton or its certificate fails.
-    A draw that fails at any stage keeps the type name of its exception as
-    its cause; the others go on.
+    The posterior modes of all draws come from one batched Newton search;
+    their Laplace weights come from ModeSet's rule over the batch
+    (measure._laplace_log_betas), so a mode whose Hessian is not positive
+    definite fails its draw with DegenerateModeError.  Up to M = 3, log Z is
+    the Simpson oracle, run once over the stacked boxes of all live draws
+    (_draw_integrals), and TV is taken on the same boxes in one more pass
+    (_draw_tv); above, log Z is the Laplace value and TV is NaN.  The best
+    Gaussians come from one batched Newton solve whose endpoints are
+    certified in batched evaluations (_newton_singles), all on arrays.  Only
+    a draw whose Newton point is not certified gets a posterior and a mode
+    set of its own (_draw_target), for minimize_single.  A draw that fails
+    at any stage keeps the type name of its exception as its cause; the
+    others go on.
     """
     Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
-    posts = {}
-    for i, y in enumerate(Y):
-        if errors[i] is None:
-            try:
-                posts[i] = _draw_target(p, y, eps, prior, modes[i], h_effs[i])
-            except _DRAW_ERRORS as exc:
-                errors[i] = exc
+    n = len(etas)
+
+    def live():
+        return np.flatnonzero([e is None for e in errors])
+
+    idx = live()
+    v2 = np.reshape(prior.value_fn(modes[idx]), len(idx))
+    log_beta, bad = _laplace_log_betas(modes[idx], h_effs[idx], v2)
+    for i, exc in zip(idx, bad):
+        errors[i] = exc
+    log_zs = np.full(n, math.nan)
+    if p.M > 3:
+        log_zs[idx] = _log_laplace(p.M, np.exp(log_beta)[:, None], eps)
     integrals = {}
-    if p.M <= 3 and posts:
-        live = list(posts)
-        for i, result in zip(live, _draw_integrals(
-                p, Y[live], eps, prior, grid_spec, modes[live], h_effs[live])):
+    idx = live()
+    if p.M <= 3 and idx.size:
+        for i, result in zip(idx, _draw_integrals(
+                p, Y[idx], eps, prior, grid_spec, modes[idx], h_effs[idx])):
             if isinstance(result, Exception):
                 errors[i] = result
-                del posts[i]
             else:
-                integrals[i] = result
-    log_zs = {
-        i: integrals[i].log_value if p.M <= 3 else log_laplace_normalization(ms, eps)
-        for i, (_, ms) in posts.items()
-    }
-    results = {}
-    if posts:
-        live = list(posts)
-        mus, mode_sets = zip(*posts.values())
-        rows = Y[live]
-        newton = _newton_singles(
-            mus,
-            list(log_zs.values()),
-            mode_sets,
-            lambda idx, x: _misfit_derivatives(p, rows[idx], prior, eps, x),
-            opt_cfg,
+                integrals[i], log_zs[i] = result, result.log_value
+    kl = np.full(n, math.nan)
+    converged = np.zeros(n, dtype=bool)
+    means = np.full((n, p.M), math.nan)
+    chols = np.full((n, p.M, p.M), math.nan)
+    idx = live()
+    if idx.size:
+        rows = Y[idx]
+        fits = _newton_singles(
+            lambda j, x, hessian: _misfit_derivatives(p, rows[j], prior, eps, x, hessian),
+            eps, log_zs[idx], modes[idx], h_effs[idx], opt_cfg,
         )
-        # where Newton gave no certified point, minimize_single alone; where
-        # choosing the start or GH order raised, minimize_single would too
-        for i, mu, ms, res in zip(live, mus, mode_sets, newton):
+        ok = idx[fits.certified]
+        kl[ok], converged[ok] = fits.values[fits.certified], True
+        means[ok], chols[ok] = fits.means[fits.certified], math.sqrt(eps) * fits.chols[fits.certified]
+        for i, certified, failure in zip(idx, fits.certified, fits.errors):
+            if certified:
+                continue
+            if failure is not None:  # minimize_single would raise it too
+                errors[i] = failure
+                continue
+            # Newton gave no certified point: minimize_single alone
             try:
-                if isinstance(res, Exception):
-                    raise res
-                results[i] = res or minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_zs[i])
+                mu, ms = _draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
+                res = minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_zs[i])
             except _DRAW_ERRORS as exc:
                 errors[i] = exc
-    tv = dict.fromkeys(results, math.nan)
-    if integrals and results:
-        done = list(results)
-        tv.update(zip(done, _draw_tv(
-            p, Y[done], eps, prior, [integrals[i] for i in done],
-            [results[i].params for i in done],
-        )))
+                continue
+            kl[i], converged[i] = res.value, res.converged
+            means[i], chols[i] = res.params.mean, res.params.chol
+    tv = np.full(n, math.nan)
+    idx = live()
+    if integrals and idx.size:
+        tv[idx] = _draw_tv(p, Y[idx], eps, prior, [integrals[i] for i in idx], means[idx], chols[idx])
     outcomes = []
-    for i in range(len(etas)):
-        if i in results:
-            outcomes.append({"kl": results[i].value, "tv": tv[i],
-                             "converged": results[i].converged})
+    for i in range(n):
+        if errors[i] is None:
+            outcomes.append({"kl": float(kl[i]), "tv": float(tv[i]), "converged": bool(converged[i])})
         else:
             outcomes.append({"kl": math.nan, "tv": math.nan, "converged": False,
                              "cause": type(errors[i]).__name__})

@@ -27,10 +27,13 @@ from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 from .potentials import Potential, potential_from_spec, zero
 from .quadrature import (
     BoxTooSmallError,
+    Grid,
     GridIntegral,
     OracleDimensionError,
+    _BAD_BOX,
+    _grid_resolution,
+    _valid_boxes,
     integrate_exp,
-    make_grid,
 )
 
 
@@ -86,6 +89,22 @@ class MeasureFamily:
         return TargetMeasure(v1=v1, v2=self.v2, epsilon=epsilon)
 
 
+def _laplace_log_betas(modes, hessians, v2_values):
+    """Laplace log weights log beta^i = -log det(H_i)^(1/2) - V2(x_i) of the
+    modes x_i (n, d) with Hessians H_i (n, d, d), from one batched Cholesky.
+
+    Returns (log_beta, errors): errors[i] is None or the DegenerateModeError
+    of a Hessian that is not positive definite, where log_beta[i] is NaN.
+    """
+    chols, errors = _batched_linalg(np.linalg.cholesky, hessians)
+    log_beta = -np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1) - v2_values
+    for i, exc in enumerate(errors):
+        if exc is not None:
+            errors[i] = DegenerateModeError(f"Hessian at mode {modes[i]} is not positive definite")
+            errors[i].__cause__ = exc
+    return log_beta, errors
+
+
 @dataclass(frozen=True)
 class ModeSet:
     """Minimizers of the limit potential with Hessians and Laplace weights."""
@@ -101,15 +120,10 @@ class ModeSet:
         n, d = modes.shape
         hess = np.asarray(self.hessians, dtype=float).reshape(n, d, d)
         v2v = np.asarray(self.v2_values, dtype=float).reshape(n)
-        log_beta = np.empty(n)
-        for i in range(n):
-            try:
-                chol = np.linalg.cholesky(hess[i])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateModeError(
-                    f"Hessian at mode {modes[i]} is not positive definite"
-                ) from exc
-            log_beta[i] = -np.sum(np.log(np.diag(chol))) - v2v[i]
+        log_beta, errors = _laplace_log_betas(modes, hess, v2v)
+        for exc in errors:
+            if exc is not None:
+                raise exc
         if n > 1:
             dists = np.linalg.norm(modes[:, None, :] - modes[None, :, :], axis=-1)
             if np.min(dists[np.triu_indices(n, k=1)]) <= 0:
@@ -268,6 +282,27 @@ def _damped_newton(evaluate, x0, max_steps=50):
     return x, hess, steps, errors
 
 
+def _batched_linalg(fn, matrices):
+    """fn of every matrix of a stack (n, d, d), in one batched call.
+
+    Where that call raises LinAlgError, fn runs on each matrix alone.
+    Returns (out, errors): out[i] is fn(matrices[i]), NaN where it raised,
+    and errors[i] None or the LinAlgError of that matrix.
+    """
+    try:
+        return fn(matrices), [None] * len(matrices)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(np.shape(matrices), math.nan)
+    errors = [None] * len(matrices)
+    for i, a in enumerate(matrices):
+        try:
+            out[i] = fn(a)
+        except np.linalg.LinAlgError as exc:
+            errors[i] = exc
+    return out, errors
+
+
 def find_modes(
     v1_limit: Potential,
     v2: Potential | None = None,
@@ -338,12 +373,15 @@ def laplace_normalization(ms: ModeSet, epsilon: float) -> float:
 
 
 def log_laplace_normalization(ms: ModeSet, epsilon: float) -> float:
+    return float(_log_laplace(ms.dim, ms.raw_weights, epsilon))
+
+
+def _log_laplace(dim, raw_weights, epsilon):
+    """log of the Laplace value (2 pi eps)^(d/2) sum_i beta^i of mode sets
+    with raw weights beta (..., n)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return float(
-        0.5 * ms.dim * math.log(2.0 * math.pi * epsilon)
-        + np.log(np.sum(ms.raw_weights))
-    )
+    return 0.5 * dim * math.log(2.0 * math.pi * epsilon) + np.log(np.sum(raw_weights, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -390,34 +428,35 @@ def _concentration_boxes(centers, hessians, epsilon, radius_floor):
 def oracle_integrals(integrate, lo, hi, spec: GridSpec) -> list:
     """The Simpson oracle's box policy over a stack of boxes [lo[i], hi[i]].
 
-    ``integrate(idx, grids)`` integrates the boxes ``idx`` on their grids
-    and returns per grid its GridIntegral or the ValueError that failed it
-    (see quadrature.integrate_exp_stack).  An explicit ``spec.box`` is used
-    as given; a box derived from the modes whose boundary integrand exceeds
+    ``integrate(idx, lo, hi, n)`` integrates the boxes ``idx``, given as
+    arrays lo and hi, on n points per dimension, and returns per box its
+    GridIntegral or the ValueError that failed it (see
+    quadrature.integrate_exp_stack).  An explicit ``spec.box`` is used as
+    given; a box derived from the modes whose boundary integrand exceeds
     ``spec.tail_tol`` of its peak is widened x1.5 about its center and
     integrated again, at most ``spec.max_expand`` times, and only the boxes
-    that failed are redone.
+    that failed are redone.  The boxes are checked as arrays by make_grid's
+    rule (quadrature._valid_boxes).
 
     Returns per box its accepted GridIntegral or the exception that failed
     it alone: BoxTooSmallError when the tail check still fails, or the
-    ValueError of an invalid box or of an integrand finite nowhere.
+    ValueError of an invalid box or of an integrand finite nowhere.  Above
+    dimension 3 raises OracleDimensionError.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    n = _grid_resolution(lo.shape[1], spec.points_per_dim)
     out = [None] * len(lo)
     todo = np.arange(len(lo))
     expansions = 0 if spec.box is not None else spec.max_expand
     for _ in range(expansions + 1):
-        grids = {}
-        for i in todo:
-            try:
-                grids[i] = make_grid(lo[i], hi[i], spec.points_per_dim)
-            except ValueError as exc:
-                out[i] = exc
+        valid = _valid_boxes(lo[todo], hi[todo])
+        for i in todo[~valid]:
+            out[i] = ValueError(_BAD_BOX)
+        todo = todo[valid]
         failed = []
-        if grids:
-            idx = np.fromiter(grids, dtype=int)
-            for i, result in zip(idx, integrate(idx, list(grids.values()))):
+        if todo.size:
+            for i, result in zip(todo, integrate(todo, lo[todo], hi[todo], n)):
                 out[i] = result
                 if isinstance(result, GridIntegral) and result.boundary_ratio > spec.tail_tol:
                     failed.append(i)
@@ -460,10 +499,10 @@ def quadrature_normalization(
     def log_f(pts):
         return -mu.v1.value(pts) / mu.epsilon - mu.v2.value(pts)
 
-    def integrate(idx, grids):
+    def integrate(idx, lo, hi, n):
         # integrate_exp on the one box, so that each grid is one call of the
         # public one-box rule (perfbench/tracer.py counts those calls)
-        return [integrate_exp(log_f, grids[0])]
+        return [integrate_exp(log_f, Grid(lo[0], hi[0], n))]
 
     if spec.box is None and mode_set is None:
         mode_set = find_modes(mu.v1, mu.v2, search)

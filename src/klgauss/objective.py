@@ -4,10 +4,10 @@ For rho = sum_i alpha^i N(m^i, Sigma^i) and the target exp(-V1/eps - V2)/Z,
 
     KL(rho || mu_eps) = sum_i alpha^i E_i[V1/eps + V2 + log rho] + log Z,
 
-with E_i the expectation under component i.  For a single Gaussian the
-entropy term E[log rho] is the closed form -(1/2) log((2 pi)^d det Sigma) -
-d/2.  log Z is always supplied by the caller: Laplace for speed, the Simpson
-grid oracle for exactness.
+with E_i the expectation under component i.  For a single Gaussian on
+Gauss-Hermite nodes the entropy term E[log rho] is the closed form -(1/2)
+log((2 pi)^d det Sigma) - d/2.  log Z is always supplied by the caller:
+Laplace for speed, the Simpson grid oracle for exactness.
 
 ``_Objective`` evaluates this sum on a node set: standard nodes z that every
 component maps through its own mean and Cholesky factor.  A node set is
@@ -168,10 +168,10 @@ class _Objective:
 
     Component i is integrated at the points m_i + sqrt(2 eps) L_i z_k of the
     node set (see _Nodes), so on fixed nodes the objective is smooth and
-    deterministic.  A single Gaussian (n = 1) has its entropy in closed form.
-    For n > 1, log rho is integrated at every component's nodes; given
-    ``xi``, the logarithmic barrier keeps the weights above xi1 and the
-    quadratic hinge pushes the means apart.
+    deterministic.  In value_grad a single Gaussian (n = 1) has its entropy
+    in closed form.  For n > 1, log rho is integrated at every component's
+    nodes; given ``xi``, the logarithmic barrier keeps the weights above xi1
+    and the quadratic hinge pushes the means apart.
 
     The gradient is exact for the node-set value.  Besides the path term
     through the nodes, with grad log rho = -sum_j r_j Sigma_j^-1 (x - m_j),
@@ -332,20 +332,24 @@ class _Objective:
                         g_means[j] += push
         return value, g_alpha, g_means
 
-    def terms(self, alpha, means, chols):
+    def terms(self, alpha, means, chols, kl=True):
         """The value's terms and the standard error of their sum, without gradients.
 
         Returns ({v1_term, v2_term, entropy_term, log_z}, stderr), without
         the barrier and hinge.  On Monte Carlo nodes the stderr is the
         standard error of the mean over k of sum_i alpha_i [V1/eps + V2 +
         log rho](x_ik): the potential and entropy terms nearly cancel point
-        by point, so their errors must not be added as if independent.  log
-        rho is accumulated one component density at a time.
+        by point, so their errors must not be added as if independent.  So
+        for the KL (``kl``) on Monte Carlo nodes log rho is integrated at the
+        nodes for a single Gaussian too.  Elsewhere a single Gaussian takes
+        the closed-form entropy, and the stderr is that of V1/eps + V2
+        alone.  log rho is accumulated one component density at a time.
         """
         eps, w = self.mu.epsilon, self.w
         chols = np.stack(chols)
         inv = np.linalg.inv(chols)
         const = self._log_consts(alpha, chols)
+        closed_form = self.n == 1 and (self.order is not None or not kl)
         combined = np.zeros(w.size)
         v1_term = v2_term = entropy = 0.0
         for a, m, L in zip(alpha, means, chols):
@@ -355,7 +359,7 @@ class _Objective:
             point = v1 / eps + v2
             v1_term += a * float(w @ v1) / eps
             v2_term += a * float(w @ v2)
-            if self.n > 1:
+            if not closed_form:
                 log_rho = None
                 for m_j, inv_j, c_j in zip(means, inv, const):
                     u = (x - m_j) @ inv_j.T / self.sqrt_eps
@@ -364,7 +368,7 @@ class _Objective:
                 entropy += a * float(w @ log_rho)
                 point += log_rho
             combined += a * point
-        if self.n == 1:
+        if closed_form:
             log_det = float(np.sum(np.log(np.diag(chols[0]))))
             entropy = -0.5 * self.d * math.log(2.0 * math.pi * eps) - log_det - 0.5 * self.d
         stderr = 0.0
@@ -384,13 +388,14 @@ class _Objective:
 # ---------------------------------------------------------------------------
 
 
-def _estimate(mu, log_z, est, weights, components) -> KLEstimate:
-    """KL(sum_i weights_i components_i || mu) by one evaluation of the objective."""
+def _estimate(mu, log_z, est, weights, components, kl=True) -> KLEstimate:
+    """KL(sum_i weights_i components_i || mu) by one evaluation of the
+    objective; ``kl`` as in _Objective.terms."""
     est = est or EstimatorConfig()
     obj = _Objective(mu, log_z, _nodes(est, mu.dim), n=len(components))
     root = math.sqrt(mu.epsilon)
     detail, stderr = obj.terms(
-        weights, np.stack([c.mean for c in components]), [c.chol / root for c in components]
+        weights, np.stack([c.mean for c in components]), [c.chol / root for c in components], kl
     )
     return KLEstimate(
         value=sum(detail.values()), stderr=stderr, method=est.method, detail=detail
@@ -408,7 +413,7 @@ def expectation_under_gaussian(
     """
     if f.dim != g.dim:
         raise ValueError("potential and Gaussian dimension mismatch")
-    kl = _estimate(TargetMeasure(f, zero(f.dim), 1.0), 0.0, est, _ONE, (g,))
+    kl = _estimate(TargetMeasure(f, zero(f.dim), 1.0), 0.0, est, _ONE, (g,), kl=False)
     return Estimate(value=kl.detail["v1_term"], stderr=kl.stderr)
 
 
@@ -454,7 +459,7 @@ def mixture_entropy(
     nodes, with the Monte Carlo stderr of the pointwise sum over components.
     """
     flat = zero(mix.dim)
-    kl = _estimate(TargetMeasure(flat, flat, 1.0), 0.0, est, mix.weights, mix.components)
+    kl = _estimate(TargetMeasure(flat, flat, 1.0), 0.0, est, mix.weights, mix.components, kl=False)
     return Estimate(value=kl.detail["entropy_term"], stderr=kl.stderr)
 
 

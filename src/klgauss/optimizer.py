@@ -16,6 +16,11 @@ seeds means at the located modes with covariances from the inverse mode
 Hessians.  Where the ``gh_order`` rule is large, BFGS runs at the lowest of
 its halved orders that is certified against the next finer one (see
 OptimizerConfig).
+
+For a batch of single-Gaussian targets given by the derivatives of their
+potentials (the BvM noise panel), ``_newton_singles`` runs damped Newton on
+the same objective and certifies every endpoint as a BFGS endpoint is
+certified, in batched evaluations.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .measure import (
     ModeSet,
     MultistartConfig,
     TargetMeasure,
+    _batched_linalg,
     _box_arrays,
     _damped_newton,
     find_modes,
@@ -229,28 +235,52 @@ def _gh_ladder(cfg, d):
 
 
 def _agree(coarse, fine, grad_tol):
-    """Whether two (value, gradient) evaluations at one point agree."""
+    """Whether two (value, gradient) evaluations at one point agree; over a
+    batch of values (n,) and gradients (n, p), per point."""
     (v, g), (v_fine, g_fine) = coarse, fine
-    return bool(
-        abs(v - v_fine) <= _REFINE_RTOL * max(1.0, abs(v_fine))
-        and np.max(np.abs(g - g_fine)) <= _REFINE_GRAD_FACTOR * grad_tol
+    return (np.abs(v - v_fine) <= _REFINE_RTOL * np.maximum(1.0, np.abs(v_fine))) & (
+        np.max(np.abs(g - g_fine), axis=-1) <= _REFINE_GRAD_FACTOR * grad_tol
     )
 
 
-def _select_order(make, ladder, theta0, grad_tol):
-    """The lowest ladder order that agrees with the next one at theta0.
+def _select_orders(evaluate, ladder, k, grad_tol):
+    """Per point of k, the lowest ladder order that agrees with the next one.
 
-    ``make(order)`` builds the objective.  Each finer evaluation is the next
-    candidate, so the walk costs at most len(ladder) evaluations; when no
-    order agrees with its successor, the reference order is kept.
+    ``evaluate(order, idx)`` returns the values (m,) and gradients (m, p) of
+    the points ``idx`` at a GH order.  Each finer evaluation is the next
+    candidate, so the walk costs at most len(ladder) evaluations; where no
+    order agrees with its successor, the reference order is kept.  Returns
+    the orders (k,) and None, or the NodeBudgetError that building a rule
+    raised, with order 0 for every point still undecided then.
     """
-    coarse = make(ladder[0]).value_grad(theta0) if len(ladder) > 1 else None
-    for order, finer in zip(ladder, ladder[1:]):
-        fine = make(finer).value_grad(theta0)
-        if _agree(coarse, fine, grad_tol):
-            return order
-        coarse = fine
-    return ladder[-1]
+    orders = np.full(k, ladder[-1])
+    todo = np.arange(k)
+    try:
+        coarse = evaluate(ladder[0], todo) if len(ladder) > 1 else None
+        for order, finer in zip(ladder, ladder[1:]):
+            if todo.size == 0:
+                break
+            fine = evaluate(finer, todo)
+            ok = _agree(coarse, fine, grad_tol)
+            orders[todo[ok]] = order
+            todo, coarse = todo[~ok], (fine[0][~ok], fine[1][~ok])
+    except NodeBudgetError as exc:
+        orders[todo] = 0
+        return orders, exc
+    return orders, None
+
+
+def _select_order(make, ladder, theta0, grad_tol):
+    """_select_orders at the one point theta0 of the objectives make(order)."""
+
+    def evaluate(order, idx):
+        value, grad = make(order).value_grad(theta0)
+        return np.array([value]), grad[None]
+
+    (order,), exc = _select_orders(evaluate, ladder, 1, grad_tol)
+    if exc is not None:
+        raise exc
+    return int(order)
 
 
 def _run_starts(make, ladder, order, starts, cfg, grad_tol):
@@ -400,13 +430,52 @@ def minimize_single(
 _NEWTON_CHUNK_POINTS = 1 << 16  # points per evaluation in a Newton batch
 
 
-def _newton_single(phi, eps, means, chols, nodes):
-    """Best single Gaussians N(m_i, eps L_i L_i^T) for a batch of targets
-    exp(-Phi_i), by damped Newton on the node-set objective.
+class _Layout(NamedTuple):
+    """Where the coordinates of a single Gaussian sit, in dimension d.
 
-    ``phi(idx, x)`` returns Phi, its gradient and its Hessian for the
-    targets ``idx`` at the points x of shape (k, K, d), as arrays of shapes
-    (k, K), (k, K, d) and (k, K, d, d).  The objective is, up to constants,
+    Newton works in v = (m / sqrt(eps), the entries of L on and below the
+    diagonal row by row): the entries ``keep`` of the flattened (d, d + 1)
+    matrix P = [m / sqrt(eps) | L].  ``diag`` indexes the L_aa in flattened
+    P; ``v_diag`` and ``v_lower`` index in v the L_aa and the strictly lower
+    entries in np.tril_indices(d, -1) order, the order _Objective packs.
+    """
+
+    keep: np.ndarray
+    diag: np.ndarray
+    v_diag: np.ndarray
+    v_lower: np.ndarray
+
+
+@functools.cache
+def _layout(d):
+    """The _Layout of dimension d; cached, its arrays read-only."""
+    rows, cols = np.tril_indices(d)
+    lay = _Layout(
+        keep=np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1]),
+        diag=np.arange(d) * (d + 2) + 1,
+        v_diag=d + np.flatnonzero(rows == cols),
+        v_lower=d + np.flatnonzero(rows > cols),
+    )
+    for a in lay:
+        a.flags.writeable = False
+    return lay
+
+
+def _to_v(means, chols, eps):
+    """v of the Gaussians N(means[i], eps chols[i] chols[i]^T), shape (n, p)."""
+    n, d = means.shape
+    P = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
+    return P.reshape(n, d * (d + 1))[:, _layout(d).keep]
+
+
+def _single_evaluate(phi, eps, nodes, idx, v, hessian=True):
+    """The node-set objective of single Gaussians N(m_i, eps L_i L_i^T) for
+    targets exp(-Phi_i), at the points v (k, p) of the targets ``idx``.
+
+    ``phi(idx, x, hessian)`` returns Phi, its gradient and, where
+    ``hessian``, its Hessian (else None) for the targets ``idx`` at the
+    points x of shape (k, K, d), as arrays of shapes (k, K), (k, K, d) and
+    (k, K, d, d).  The objective is, up to constants,
 
         F(m, L) = sum_k w_k Phi(m + sqrt(2 eps) L z_k) - log det L
 
@@ -414,113 +483,177 @@ def _newton_single(phi, eps, means, chols, nodes):
     Barber 2013).  x is linear in (m, L), so the gradient is E[grad Phi] and
     sqrt(2 eps) E[grad Phi z^T] - L^-T, and the Hessian is E[J^T hess Phi J]
     for the Jacobian J of x, plus 1/L_aa^2 on the diagonal entries of L; no
-    third derivatives enter.  Newton runs in (m / sqrt(eps), L), in which
-    every Hessian block stays O(1) as eps shrinks, from the given means and
-    factors.
+    third derivatives enter.  All are taken in v (see _Layout), in which
+    every Hessian block stays O(1) as eps shrinks.  One call of phi sees at
+    most _NEWTON_CHUNK_POINTS points: whole targets while their rule fits,
+    else one target and a slice of the nodes, whose sums add up.
+
+    Returns the values (k,), gradients (k, p) and Hessians (k, p, p) or
+    None; the value is +inf where some L_aa <= 0.
+    """
+    z, w, _ = nodes
+    k, d = len(v), z.shape[1]
+    lay = _layout(d)
+    p_full = d * (d + 1)
+    # x_k = P zeta_k with P = [m / sqrt(eps) | L], a (d, d + 1) matrix
+    zeta = np.hstack([np.full((len(w), 1), math.sqrt(eps)), math.sqrt(2.0 * eps) * z])
+    span = min(len(w), _NEWTON_CHUNK_POINTS)  # nodes per evaluation
+    chunk = _NEWTON_CHUNK_POINTS // span  # targets per evaluation
+    P = np.zeros((k, p_full))
+    P[:, lay.keep] = v
+    f = np.zeros(k)
+    G = np.zeros((k, d, d + 1))
+    H = np.zeros((k, d, d, d + 1, d + 1)) if hessian else None
+    for t in range(0, len(w), span):
+        nodes_t = slice(t, t + span)
+        w_t, zeta_t = w[nodes_t], zeta[nodes_t]
+        wz = w_t[:, None] * zeta_t
+        wzz = (wz[:, :, None] * zeta_t[:, None, :]).reshape(len(w_t), -1) if hessian else None
+        for s in range(0, k, chunk):
+            sl = slice(s, s + chunk)
+            x = np.einsum("nai,ki->nka", P[sl].reshape(-1, d, d + 1), zeta_t)
+            val, grad, hess = phi(idx[sl], x, hessian)
+            f[sl] += val @ w_t
+            G[sl] += grad.transpose(0, 2, 1) @ wz
+            if hessian:
+                m = hess.reshape(len(val), len(w_t), d * d).transpose(0, 2, 1) @ wzz
+                H[sl] += m.reshape(-1, d, d, d + 1, d + 1)
+    G = G.reshape(k, p_full)
+    l_diag = P[:, lay.diag]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f -= np.sum(np.log(l_diag), axis=1)
+        G[:, lay.diag] -= 1.0 / l_diag
+        if hessian:
+            H = H.transpose(0, 1, 3, 2, 4).reshape(k, p_full, p_full)
+            H[:, lay.diag, lay.diag] += 1.0 / l_diag**2
+            H = H[:, lay.keep][:, :, lay.keep]
+    f[~np.all(l_diag > 0.0, axis=1)] = math.inf
+    return f, G[:, lay.keep], H
+
+
+def _single_kl(phi, eps, nodes, log_zs, v):
+    """minimize_single's objective at the single Gaussians v (k, p) of the
+    targets 0..k-1 of ``phi`` (as in _single_evaluate), with log Z log_zs.
+
+    One _single_evaluate without Hessians gives every value, E[Phi] - log
+    det L + log Z - (d/2) log(2 pi eps) - d/2, and every gradient, mapped
+    into _Objective's coordinates (m / sqrt(eps), log L_aa, the strictly
+    lower entries of L).  Returns the values (k,) and gradients (k, p).
+    """
+    d = nodes.z.shape[1]
+    f, G, _ = _single_evaluate(phi, eps, nodes, np.arange(len(v)), v, hessian=False)
+    lay = _layout(d)
+    grad = np.concatenate([G[:, :d], v[:, lay.v_diag] * G[:, lay.v_diag], G[:, lay.v_lower]], axis=1)
+    return f - 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * d + log_zs, grad
+
+
+def _newton_single(phi, eps, means, chols, nodes):
+    """Best single Gaussians N(m_i, eps L_i L_i^T) for a batch of targets
+    exp(-Phi_i), by damped Newton on _single_evaluate from the given means
+    and factors; ``phi`` is as there.
 
     Returns (means, chols, steps, errors) as in _damped_newton.
     """
-    n, d = means.shape
-    z, w, _ = nodes
-    # x_k = P zeta_k with P = [m / sqrt(eps) | L], a (d, d + 1) matrix
-    zeta = np.hstack([np.full((len(w), 1), math.sqrt(eps)), math.sqrt(2.0 * eps) * z])
-    wz = w[:, None] * zeta
-    wzz = (wz[:, :, None] * zeta[:, None, :]).reshape(len(w), -1)
-    rows, cols = np.tril_indices(d)
-    keep = np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1])
-    diag = np.arange(d) * (d + 2) + 1  # the entries L_aa of P, flattened
-    p_full = d * (d + 1)
-    chunk = max(1, _NEWTON_CHUNK_POINTS // len(w))
-
-    def evaluate(idx, v):
-        k = len(idx)
-        P = np.zeros((k, p_full))
-        P[:, keep] = v
-        f = np.empty(k)
-        G = np.empty((k, d, d + 1))
-        H = np.empty((k, d, d, d + 1, d + 1))
-        for s in range(0, k, chunk):
-            sl = slice(s, s + chunk)
-            x = np.einsum("nai,ki->nka", P[sl].reshape(-1, d, d + 1), zeta)
-            val, grad, hess = phi(idx[sl], x)
-            f[sl] = val @ w
-            G[sl] = grad.transpose(0, 2, 1) @ wz
-            m = hess.reshape(len(val), len(w), d * d).transpose(0, 2, 1) @ wzz
-            H[sl] = m.reshape(-1, d, d, d + 1, d + 1)
-        H = H.transpose(0, 1, 3, 2, 4).reshape(k, p_full, p_full)
-        G = G.reshape(k, p_full)
-        l_diag = P[:, diag]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f -= np.sum(np.log(l_diag), axis=1)
-            G[:, diag] -= 1.0 / l_diag
-            H[:, diag, diag] += 1.0 / l_diag**2
-        f[~np.all(l_diag > 0.0, axis=1)] = math.inf
-        return f, G[:, keep], H[:, keep][:, :, keep]
-
-    P0 = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
-    v, _, steps, errors = _damped_newton(evaluate, P0.reshape(n, -1)[:, keep])
-    P = np.zeros((n, p_full))
-    P[:, keep] = v
-    P = P.reshape(n, d, d + 1)
+    d = means.shape[1]
+    evaluate = functools.partial(_single_evaluate, phi, eps, nodes)
+    v, _, steps, errors = _damped_newton(evaluate, _to_v(means, chols, eps))
+    P = np.zeros((len(v), d * (d + 1)))
+    P[:, _layout(d).keep] = v
+    P = P.reshape(-1, d, d + 1)
     return math.sqrt(eps) * P[:, :, 0], P[:, :, 1:], steps, errors
 
 
-def _newton_singles(mus, log_zs, mode_sets, phi, cfg):
-    """Best single Gaussians for a batch of targets by damped Newton, each
-    endpoint certified as minimize_single certifies a BFGS endpoint.
+class _SingleFits(NamedTuple):
+    """The best single Gaussians N(means[i], eps chols[i] chols[i]^T) of a
+    _newton_singles batch, one entry per target.
 
-    Target i is mus[i] with log Z log_zs[i]; all share eps.  Newton starts
-    from the first mode of mode_sets[i] with the inverse mode Hessian as
-    rescaled covariance, the start minimize_single tries first, and runs at
-    the GH order minimize_single would select there, one batch per order.
-    ``phi`` is as in _newton_single, for the whole batch.  The certificate
-    is the objective (_Objective) at that order: a finite value, a gradient
-    of at most cfg.grad_tol, and agreement with the next ladder order where
-    that order is below gh_order (_next_order_refine).
-
-    Returns per target an OptimResult; or the LinAlgError or NodeBudgetError
-    that building the start or choosing its order raised, which
-    minimize_single would raise at the same point; or None where Newton or
-    the certificate failed, leaving the target to minimize_single alone.
+    Where ``certified``, the point is Newton's endpoint, ``values`` the KL
+    there at the GH order ``orders`` Newton ran at, and ``refine`` the
+    refinement error minimize_single would report (NaN for its None).
+    ``errors`` holds the LinAlgError or NodeBudgetError that building a
+    target's start or choosing its order raised, which minimize_single would
+    raise at the same point.  A target neither certified nor failed is left
+    to minimize_single.
     """
-    eps, d = mus[0].epsilon, mus[0].dim
+
+    means: np.ndarray  # (n, d)
+    chols: np.ndarray  # (n, d, d)
+    values: np.ndarray
+    orders: np.ndarray  # 0 where Newton did not run
+    refine: np.ndarray
+    certified: np.ndarray
+    errors: list
+
+
+def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
+    """Best single Gaussians for a batch of targets exp(-Phi_i) with log Z
+    log_zs[i], all at one eps, by damped Newton, each endpoint certified as
+    minimize_single certifies a BFGS endpoint, with no per-target objects.
+
+    ``phi(idx, x, hessian)`` is as in _single_evaluate, for the whole batch.
+    Newton starts from modes[i] with the inverse of hessians[i] as rescaled
+    covariance, the start minimize_single tries first with that one mode;
+    one batched inv and cholesky builds every start.  It runs at the GH
+    order minimize_single would select there (_select_orders over the
+    batch), one batch per order.  The certificate is minimize_single's
+    objective at that order, one _single_kl call for all targets of the
+    order: a finite value, a gradient of at most cfg.grad_tol, and below
+    gh_order agreement with the next ladder order (_agree); at gh_order the
+    refinement error against the half order is recorded.
+
+    Returns _SingleFits.
+    """
+    n, d = modes.shape
     ladder = _gh_ladder(cfg, d)
-    makes = [functools.cache(_at_order(mu, lz)) for mu, lz in zip(mus, log_zs)]
-    means = np.stack([ms.modes[0] for ms in mode_sets])
-    chols = np.zeros((len(mus), d, d))
-    orders = np.zeros(len(mus), dtype=int)  # 0: no Newton run
-    results = [None] * len(mus)
-    for i, (make, ms) in enumerate(zip(makes, mode_sets)):
-        try:
-            chols[i] = np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))
-            theta0 = make(ladder[0]).pack(_ONE, means[i : i + 1], chols[i : i + 1])
-            orders[i] = _select_order(make, ladder, theta0, cfg.grad_tol)
-        except (np.linalg.LinAlgError, NodeBudgetError) as exc:
-            results[i] = exc
-    for order in ladder:
-        idx = np.flatnonzero(orders == order)
+    log_zs = np.asarray(log_zs, dtype=float)
+    chols, errors = _batched_linalg(lambda H: np.linalg.cholesky(np.linalg.inv(H)), hessians)
+    fits = _SingleFits(np.array(modes, dtype=float), chols, np.full(n, math.nan),
+                       np.zeros(n, dtype=int), np.full(n, math.nan), np.zeros(n, dtype=bool),
+                       errors)
+
+    @functools.cache
+    def nodes(order):
+        return _gh_nodes(order, d)
+
+    def kl(order, idx, v):
+        return _single_kl(
+            lambda j, x, hessian: phi(idx[j], x, hessian), eps, nodes(order), log_zs[idx], v
+        )
+
+    live = np.flatnonzero([e is None for e in errors])
+    v0 = _to_v(fits.means[live], fits.chols[live], eps)
+    orders, exc = _select_orders(
+        lambda order, j: kl(order, live[j], v0[j]), ladder, len(live), cfg.grad_tol
+    )
+    fits.orders[live] = orders
+    for i in live[orders == 0]:
+        errors[i] = exc
+
+    for i, order in enumerate(ladder):
+        idx = np.flatnonzero(fits.orders == order)
         if idx.size == 0:
             continue
-        m, L, steps, errors = _newton_single(
-            lambda j, x: phi(idx[j], x), eps, means[idx], chols[idx], _gh_nodes(order, d)
+        m, L, _, newton_errors = _newton_single(
+            lambda j, x, hessian: phi(idx[j], x, hessian),
+            eps, fits.means[idx], fits.chols[idx], nodes(order),
         )
-        for j, i in enumerate(idx):
-            if errors[j] is not None:
-                continue
-            obj = makes[i](order)
-            theta = obj.pack(_ONE, m[j : j + 1], L[j : j + 1])
-            value, grad = obj.value_grad(theta)
-            if not (np.isfinite(value) and np.max(np.abs(grad)) <= cfg.grad_tol):
-                continue
-            if order == ladder[-1]:
-                refine = _reference_refine(makes[i], ladder, value, theta)
-            else:
-                refine, _ = _next_order_refine(makes[i], ladder, order, theta, (value, grad), cfg.grad_tol)
-                if refine is None:
-                    continue
-            best = _Best(float(value), theta, True, int(steps[j]), order, refine)
-            results[i] = _single_result(obj, best)
-    return results
+        ran = np.array([e is None for e in newton_errors])
+        idx, m, L = idx[ran], m[ran], L[ran]
+        fits.means[idx], fits.chols[idx] = m, L
+        v = _to_v(m, L, eps)
+        value, grad = kl(order, idx, v)
+        ok = np.isfinite(value) & (np.max(np.abs(grad), axis=1) <= cfg.grad_tol)
+        idx, v, value, grad = idx[ok], v[ok], value[ok], grad[ok]
+        if order < ladder[-1]:
+            fine = kl(ladder[i + 1], idx, v)
+            ok = _agree((value, grad), fine, cfg.grad_tol)
+            idx, value, refine = idx[ok], value[ok], np.abs(value - fine[0])[ok]
+        elif len(ladder) > 1:
+            refine = np.abs(value - kl(ladder[-2], idx, v)[0])
+        else:
+            refine = math.nan
+        fits.values[idx], fits.refine[idx], fits.certified[idx] = value, refine, True
+    return fits
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ Two rules live here:
   oracle for normalization constants, densities and total-variation
   distances in dimension <= 3.
 
-The Simpson rules run over a stack of boxes that share a dimension and a
-resolution: the integrand is a callable ``f(idx, pts)`` that maps the points
-(k, N, d) of the boxes ``idx`` to values (k, N), and is called on at most
-SIMPSON_CHUNK_POINTS points at a time (one box when a box alone has more).
-``integrate_exp`` and ``tv_distance_grid`` are the one-box case.
+The Simpson rules run over a stack of boxes [lo[i], hi[i]], given as arrays
+lo and hi of shape (k, d), that share a resolution: the integrand is a
+callable ``f(idx, pts)`` that maps the points (k, N, d) of the boxes ``idx``
+to values (k, N), and is called on at most SIMPSON_CHUNK_POINTS points at a
+time (one box when a box alone has more).  ``integrate_exp`` and
+``tv_distance_grid`` are the one-box case, on a Grid.
 
 Per chunk the kernel works on whole arrays and reproduces the one-box
 arithmetic bit for bit: the points are np.linspace's values broadcast into
@@ -171,21 +172,36 @@ class Grid:
         return _stack_weights(self.lo[None], self.hi[None], self.points_per_dim)[0]
 
 
+_BAD_BOX = "grid box must satisfy lo < hi componentwise"
+
+
+def _valid_boxes(lo, hi) -> np.ndarray:
+    """Per box [lo[i], hi[i]] of a stack (..., d), whether no hi <= lo; the
+    others fail with ValueError(_BAD_BOX)."""
+    return ~np.any(hi <= lo, axis=-1)
+
+
 def make_grid(lo, hi, points_per_dim: int | None = None) -> Grid:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValueError("grid box must satisfy lo < hi componentwise")
-    d = lo.size
-    if d > MAX_ORACLE_DIM:
+    if lo.shape != hi.shape or not _valid_boxes(lo, hi):
+        raise ValueError(_BAD_BOX)
+    return Grid(lo, hi, _grid_resolution(lo.size, points_per_dim))
+
+
+def _grid_resolution(dim: int, points_per_dim: int | None = None) -> int:
+    """Simpson points per dimension of a grid: ``points_per_dim``, default
+    DEFAULT_POINTS[dim], raised to 1 (mod 4).  Above MAX_ORACLE_DIM raises
+    OracleDimensionError."""
+    if dim > MAX_ORACLE_DIM:
         raise OracleDimensionError(
-            f"grid oracle supports dimension <= {MAX_ORACLE_DIM}, got {d}"
+            f"grid oracle supports dimension <= {MAX_ORACLE_DIM}, got {dim}"
         )
-    n = points_per_dim or DEFAULT_POINTS[d]
+    n = points_per_dim or DEFAULT_POINTS[dim]
     if n % 4 != 1:
         # keep the stride-2 subgrid a valid Simpson grid
         n += 4 - ((n - 1) % 4)
-    return Grid(lo, hi, n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -203,22 +219,23 @@ class GridIntegral:
         return self.error_estimate / abs(self.value) if self.value else np.inf
 
 
-def _stacked_boxes(grids):
-    """Yield (idx, lo, hi): the boxes of grids[idx], SIMPSON_CHUNK_POINTS
-    grid points or one box at a time."""
-    if len({(g.dim, g.points_per_dim) for g in grids}) > 1:
-        raise ValueError("stacked grids must share dimension and resolution")
-    lo = np.stack([g.lo for g in grids])
-    hi = np.stack([g.hi for g in grids])
-    step = max(1, SIMPSON_CHUNK_POINTS // grids[0].points_per_dim ** grids[0].dim)
-    for start in range(0, len(grids), step):
+def _stacked_boxes(lo, hi, n: int):
+    """Yield (idx, lo[idx], hi[idx]) over the boxes of a stack,
+    SIMPSON_CHUNK_POINTS grid points or one box at a time."""
+    step = max(1, SIMPSON_CHUNK_POINTS // n ** lo.shape[1])
+    for start in range(0, len(lo), step):
         sl = slice(start, start + step)
-        yield np.arange(len(grids))[sl], lo[sl], hi[sl]
+        yield np.arange(len(lo))[sl], lo[sl], hi[sl]
 
 
 def _one_box(fn):
     """fn on (N, d) points as an integrand of a stack of one box."""
     return lambda idx, pts: np.asarray(fn(pts[0]), dtype=float)[None]
+
+
+def _grid_box(grid):
+    """The box of a grid as a stack of one: (lo, hi, points_per_dim)."""
+    return grid.lo[None], grid.hi[None], grid.points_per_dim
 
 
 def _evaluate(fn, idx, pts):
@@ -230,30 +247,32 @@ def _evaluate(fn, idx, pts):
     return values
 
 
-def integrate_exp_stack(log_f, grids) -> list:
-    """Integrate exp(log_f) over each box of a stack by composite Simpson.
+def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
+    """Integrate exp(log_f) over each box [lo[i], hi[i]] of a stack by
+    composite Simpson on points_per_dim points per dimension.
 
     ``log_f(idx, pts)`` maps the points (k, N, d) of the boxes ``idx`` to
     log-integrand values (k, N); evaluation in log space keeps sharply
-    concentrated integrands (the 1/eps regime) numerically sane.  The grids
-    share dimension and points_per_dim.  Per box the error estimate is the
+    concentrated integrands (the 1/eps regime) numerically sane.  The boxes
+    are taken as valid (see make_grid).  Per box the error estimate is the
     Richardson comparison with the stride-2 coarse grid,
     |I_fine - I_coarse| / 15, and the boundary ratio is the largest
     integrand value on the box faces relative to the peak.
 
-    Returns per grid its GridIntegral, or a ValueError where the integrand
-    is finite nowhere on the grid; one box's failure leaves the others.
+    Returns per box its GridIntegral, whose Grid is built here, or a
+    ValueError where the integrand is finite nowhere on the grid; one box's
+    failure leaves the others.
     """
-    n, dim = grids[0].points_per_dim, grids[0].dim
+    n, dim = points_per_dim, lo.shape[1]
     stride2 = (slice(None),) + (slice(None, None, 2),) * dim
-    out = [None] * len(grids)
-    for idx, lo, hi in _stacked_boxes(grids):
-        logv = _evaluate(log_f, idx, _stack_points(lo, hi, n))
+    out = [None] * len(lo)
+    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n):
+        logv = _evaluate(log_f, idx, _stack_points(box_lo, box_hi, n))
         grid_shape = (len(idx),) + (n,) * dim
         # one dot product per box on these weights: a stacked product sums
         # in another order and moves the last digits
-        fine_w = _stack_weights(lo, hi, n)
-        coarse_w = _stack_weights(lo, hi, (n + 1) // 2)
+        fine_w = _stack_weights(box_lo, box_hi, n)
+        coarse_w = _stack_weights(box_lo, box_hi, (n + 1) // 2)
         shift = np.max(logv, axis=1)
         finite = np.isfinite(shift)
         f = _exp(logv - np.where(finite, shift, 0.0)[:, None])
@@ -280,7 +299,7 @@ def integrate_exp_stack(log_f, grids) -> list:
                 log_value=float(shift[j] + np.log(fine) if fine > 0 else -np.inf),
                 error_estimate=float(scale * err),
                 boundary_ratio=float(np.exp(boundary_max[j] - shift[j])),
-                grid=grids[i],
+                grid=Grid(box_lo[j].copy(), box_hi[j].copy(), n),
             )
     return out
 
@@ -291,13 +310,13 @@ def integrate_exp(log_f, grid: Grid) -> GridIntegral:
     ``log_f`` maps (N, d) points to (N,) log-integrand values; the one-box
     case of integrate_exp_stack, whose ValueError it raises.
     """
-    result = integrate_exp_stack(_one_box(log_f), [grid])[0]
+    result = integrate_exp_stack(_one_box(log_f), *_grid_box(grid))[0]
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def tv_distance_stack(log_p, log_q, grids) -> np.ndarray:
+def tv_distance_stack(log_p, log_q, lo, hi, points_per_dim: int) -> np.ndarray:
     """Total-variation distances (1/2) * int |p - q| on each box of a stack.
 
     ``log_p(idx, pts)`` and ``log_q(idx, pts)`` give the log densities of
@@ -305,12 +324,12 @@ def tv_distance_stack(log_p, log_q, grids) -> np.ndarray:
     densities must be normalized and essentially live inside their box;
     mass outside is ignored.
     """
-    n = grids[0].points_per_dim
-    out = np.empty(len(grids))
-    for idx, lo, hi in _stacked_boxes(grids):
-        pts = _stack_points(lo, hi, n)
+    n = points_per_dim
+    out = np.empty(len(lo))
+    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n):
+        pts = _stack_points(box_lo, box_hi, n)
         diff = np.abs(_exp(_evaluate(log_p, idx, pts)) - _exp(_evaluate(log_q, idx, pts)))
-        w = _stack_weights(lo, hi, n)
+        w = _stack_weights(box_lo, box_hi, n)
         for j, i in enumerate(idx):
             out[i] = 0.5 * np.dot(w[j], diff[j])
     return out
@@ -322,4 +341,4 @@ def tv_distance_grid(log_p, log_q, grid: Grid) -> float:
     ``log_p`` and ``log_q`` map (N, d) points to log-density values; the
     one-box case of tv_distance_stack.
     """
-    return float(tv_distance_stack(_one_box(log_p), _one_box(log_q), [grid])[0])
+    return float(tv_distance_stack(_one_box(log_p), _one_box(log_q), *_grid_box(grid))[0])

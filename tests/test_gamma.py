@@ -252,7 +252,7 @@ def test_sweep_mixture_short(double_well_family, double_well_modes):
 @pytest.mark.parametrize(
     "kind, eps_list, kwargs",
     [
-        ("single", [1e-1, 3e-2], {}),
+        ("single", [3e-1, 1e-1, 3e-2], {}),
         ("mixture", [1e-1, 3e-2, 1e-2, 3e-3], {"n": 2, "cfg": OptimizerConfig(multistart=4)}),
     ],
     ids=["single", "mixture"],
@@ -273,11 +273,12 @@ def test_sweep_mc_reestimation(double_well_family, double_well_modes, kind, eps_
         assert mc_r.stderr > 0
         assert abs(mc_r.value - gh_r.value) <= 4 * mc_r.stderr + 1e-6
         assert mc_r.gap - mc_r.value == pytest.approx(gh_r.gap - gh_r.value)
-    if kind == "mixture":
-        # the potential and entropy terms cancel point by point, so every
-        # gap clears the fit's noise floor of 10 stderr
-        assert sw_mc.gap_fit is not None
-        assert sw_mc.gap_fit.n_used == len(eps_list)
+    # the potential and entropy terms cancel point by point, for a single
+    # Gaussian as for a mixture, so the gaps clear the fit's noise floor of
+    # 10 stderr: every gap of the mixture, and of the single Gaussian, whose
+    # Phi is not quadratic, those at eps 0.3 and 0.1
+    assert sw_mc.gap_fit is not None
+    assert sw_mc.gap_fit.n_used == (len(eps_list) if kind == "mixture" else 2)
 
 
 def test_sweep_warm_start_tracks_one_well(double_well_family, double_well_modes):

@@ -393,9 +393,14 @@ def test_gh_node_budget_at_d8(monkeypatch):
     # the batched Newton walks the same ladder once and hands the error to
     # the BvM level as the draw's cause, where minimize_single would meet it
     built.clear()
-    log_z = inv.log_laplace_normalization(ms, 1e-3)
-    (res,) = optim._newton_singles([mu], [log_z], [ms], None, OptimizerConfig(multistart=1))
-    assert isinstance(res, quadrature.NodeBudgetError)
+    log_z = measure.log_laplace_normalization(ms, 1e-3)
+    Y, prior = (inv.forward(p, truth) + math.sqrt(1e-3) * eta)[None], quadratic(dim=8)
+    fits = optim._newton_singles(
+        lambda idx, x, hessian: inv._misfit_derivatives(p, Y[idx], prior, 1e-3, x, hessian),
+        1e-3, [log_z], ms.modes[:1], ms.hessians[:1], OptimizerConfig(multistart=1),
+    )
+    assert isinstance(fits.errors[0], quadrature.NodeBudgetError)
+    assert not fits.certified[0]
     assert built == [2**8, 5**8]
 
 
@@ -495,7 +500,15 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     p = problem(M=1, f=100.0)
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
-    draw_target = inv._draw_target
+    draw_target, newton_single = inv._draw_target, optim._newton_single
+
+    def failing_newton(*args, **kwargs):
+        means, chols, steps, errors = newton_single(*args, **kwargs)
+        return means, chols, steps, [ArithmeticError("forced")] * len(errors)
+
+    # no Newton point is certified, so every draw builds its own posterior
+    # for minimize_single (_draw_target), the level's only per-draw objects
+    monkeypatch.setattr(optim, "_newton_single", failing_newton)
     # the data of the draws with eta > 1, as _draw_modes computes it
     Y = inv.forward(p, cfg.truth) + math.sqrt(cfg.eps_list[0]) * etas
     failing = {tuple(y) for y in Y[etas[:, 0] > 1.0]}
@@ -519,6 +532,7 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     with pytest.raises(TypeError):
         inv.bvm_experiment(p, cfg)
     monkeypatch.setattr(inv, "_draw_target", draw_target)
+    monkeypatch.setattr(optim, "_newton_single", newton_single)
 
     # a mode search stopped inside the batch fails its draw with the cause
     posterior_mode = inv._posterior_mode
@@ -530,6 +544,16 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     level = inv.bvm_experiment(p, cfg).levels[0]
     assert level.failures == cfg.draws
     assert level.failure_causes == {"ArithmeticError": cfg.draws}
+
+    # a mode whose Hessian is not positive definite fails its draw, as ModeSet would
+    def indefinite(*args):
+        X, hess, errs = posterior_mode(*args)
+        hess[etas[:, 0] > 1.0] *= -1.0
+        return X, hess, errs
+
+    monkeypatch.setattr(inv, "_posterior_mode", indefinite)
+    level = inv.bvm_experiment(p, cfg).levels[0]
+    assert level.failure_causes == {"DegenerateModeError": n_failed}
 
 
 def bvm_m1_config():
@@ -606,7 +630,8 @@ def test_bvm_batched_tv_matches_tv_distance_grid():
             kg.GaussianParams(ms.modes[0], 1.1 * np.linalg.cholesky(np.linalg.inv(ms.hessians[0]) * eps))
             for _, ms, _, _ in posts
         ]
-        tv = inv._draw_tv(p, Y, eps, prior, [post[3] for post in posts], gaussians)
+        tv = inv._draw_tv(p, Y, eps, prior, [post[3] for post in posts],
+                          np.stack([g.mean for g in gaussians]), np.stack([g.chol for g in gaussians]))
         for (mu, _, log_z, integral), gauss, batched in zip(posts, gaussians, tv):
             def log_mu(pts):
                 return kg.unnormalized_log_density(mu, pts) - log_z
@@ -664,28 +689,45 @@ def bvm_optimizer_config(cfg):
 def test_bvm_newton_agrees_with_bfgs_and_is_certified():
     # every draw of bvm-m1 at every eps: the batched Newton point passes the
     # certificate, and its mean and factor are within 1e-6 of the scale
-    # sqrt(eps) L of the BFGS point minimize_single returns
+    # sqrt(eps) L of the BFGS point minimize_single returns.  The batched
+    # certificate (_single_kl) is minimize_single's objective (_Objective) at
+    # the Newton points and at the starts: values to 1e-13 absolute,
+    # gradients to 1e-2 * grad_tol, the bound _agree uses
     p, cfg = bvm_m1_config()
     opt_cfg = bvm_optimizer_config(cfg)
+    nodes = objective._gh_nodes(opt_cfg.gh_order, 1)
     for eps in cfg.eps_list:
         Y, prior, posts = level_posteriors(p, cfg, eps)
         mus, mode_sets, log_zs, _ = zip(*posts)
-        results = optim._newton_singles(
-            mus, log_zs, mode_sets,
-            lambda idx, x: inv._misfit_derivatives(p, Y[idx], prior, eps, x), opt_cfg,
-        )
-        for mu, ms, log_z, res in zip(mus, mode_sets, log_zs, results):
-            assert res is not None and res.converged
-            obj = optim._at_order(mu, log_z)(opt_cfg.gh_order)
-            theta = obj.pack(np.ones(1), [res.params.mean],
-                             [np.linalg.cholesky(res.rescaled_covariances)])
-            value, grad = obj.value_grad(theta)
-            assert np.max(np.abs(grad)) <= opt_cfg.grad_tol
-            assert value == pytest.approx(res.value, rel=0, abs=1e-12)
+        modes = np.stack([ms.modes[0] for ms in mode_sets])
+        hessians = np.stack([ms.hessians[0] for ms in mode_sets])
+
+        def phi(idx, x, hessian):
+            return inv._misfit_derivatives(p, Y[idx], prior, eps, x, hessian)
+
+        fits = optim._newton_singles(phi, eps, log_zs, modes, hessians, opt_cfg)
+        assert fits.certified.all()
+        assert fits.errors == [None] * len(mus)
+        assert np.all(fits.orders == opt_cfg.gh_order)
+        starts = np.linalg.cholesky(np.linalg.inv(hessians))
+        for means, chols in ((fits.means, fits.chols), (modes, starts)):
+            v = optim._to_v(means, chols, eps)
+            values, grads = optim._single_kl(phi, eps, nodes, np.array(log_zs), v)
+            if means is fits.means:
+                assert np.array_equal(values, fits.values)
+            for i, (mu, log_z) in enumerate(zip(mus, log_zs)):
+                obj = optim._at_order(mu, log_z)(opt_cfg.gh_order)
+                value, grad = obj.value_grad(obj.pack(np.ones(1), means[i : i + 1], chols[i : i + 1]))
+                assert abs(value - values[i]) <= 1e-13
+                assert np.max(np.abs(grad - grads[i])) <= 1e-2 * opt_cfg.grad_tol
+                if means is fits.means:
+                    assert np.max(np.abs(grad)) <= opt_cfg.grad_tol
+        for i, (mu, ms, log_z) in enumerate(zip(mus, mode_sets, log_zs)):
             bfgs = optim.minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z)
             scale = np.max(np.abs(bfgs.params.chol))
-            assert np.max(np.abs(res.params.mean - bfgs.params.mean)) <= 1e-6 * scale
-            assert np.max(np.abs(res.params.chol - bfgs.params.chol)) <= 1e-6 * scale
+            chol = math.sqrt(eps) * fits.chols[i]
+            assert np.max(np.abs(fits.means[i] - bfgs.params.mean)) <= 1e-6 * scale
+            assert np.max(np.abs(chol - bfgs.params.chol)) <= 1e-6 * scale
 
 
 def test_newton_single_chunks_are_bit_identical(monkeypatch):
@@ -702,7 +744,7 @@ def test_newton_single_chunks_are_bit_identical(monkeypatch):
 
     def run():
         return optim._newton_single(
-            lambda idx, x: inv._misfit_derivatives(p, Y[idx], prior, eps, x),
+            lambda idx, x, hessian: inv._misfit_derivatives(p, Y[idx], prior, eps, x, hessian),
             eps, modes, chols, objective._gh_nodes(20, 2),
         )
 
@@ -710,9 +752,9 @@ def test_newton_single_chunks_are_bit_identical(monkeypatch):
     calls = []
     misfit = inv._misfit_derivatives
 
-    def counting(p, Y, prior, eps, X):
+    def counting(p, Y, prior, eps, X, hessian):
         calls.append(X.shape[0])
-        return misfit(p, Y, prior, eps, X)
+        return misfit(p, Y, prior, eps, X, hessian)
 
     monkeypatch.setattr(inv, "_misfit_derivatives", counting)
     monkeypatch.setattr(optim, "_NEWTON_CHUNK_POINTS", 1000)
@@ -722,6 +764,33 @@ def test_newton_single_chunks_are_bit_identical(monkeypatch):
     assert whole[2].max() >= 2
     for a, b in zip(chunked[:3], whole[:3]):
         assert np.array_equal(a, b)
+
+
+def test_single_evaluate_splits_a_rule_above_the_chunk(monkeypatch):
+    # M = 2, order 20: 400 nodes a draw; a chunk of 150 points gives every
+    # call one draw and at most 150 nodes, and the slices' sums match the
+    # whole rule's to rounding
+    p, eps, prior = problem(M=2, f=100.0), 1e-2, quadratic(dim=2)
+    rng = np.random.default_rng(8)
+    Y = inv.forward(p, np.zeros(2)) + math.sqrt(eps) * rng.standard_normal((3, 2))
+    v = np.array([[0.1, -0.2, 0.9, 0.1, 1.1], [0.0, 0.3, 1.2, -0.2, 0.8], [-0.1, 0.0, 1.0, 0.0, 1.0]])
+    calls = []
+
+    def phi(idx, x, hessian):
+        calls.append(x.shape[:2])
+        return inv._misfit_derivatives(p, Y[idx], prior, eps, x, hessian)
+
+    def run():
+        return optim._single_evaluate(phi, eps, objective._gh_nodes(20, 2), np.arange(3), v)
+
+    whole = run()
+    assert calls == [(3, 400)]
+    calls.clear()
+    monkeypatch.setattr(optim, "_NEWTON_CHUNK_POINTS", 150)
+    split = run()
+    assert sorted(set(calls)) == [(1, 100), (1, 150)] and len(calls) == 9
+    for a, b in zip(split, whole):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_bvm_newton_failure_falls_back_to_minimize_single(monkeypatch):
@@ -747,6 +816,100 @@ def test_bvm_newton_failure_falls_back_to_minimize_single(monkeypatch):
     expected = [optim.minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z).value
                 for mu, ms, log_z, _ in posts]
     assert np.array_equal(level.kl_values, expected)
+
+
+def test_bvm_level_above_m3_takes_the_laplace_log_z(monkeypatch):
+    # above M = 3 the panel has no Simpson oracle: every draw's log Z is the
+    # Laplace value of its one-mode set, bit for bit, and TV is NaN
+    p, eps, prior = problem(M=4, f=1000.0), 1e-3, quadratic(dim=4)
+    truth = np.zeros(4)
+    etas = np.random.default_rng(5).standard_normal((2, 4))
+    j_inv = np.linalg.inv(inv.jacobian(p, truth))
+    opt_cfg = OptimizerConfig(multistart=1)
+    Y, modes, h_effs, errors = inv._draw_modes(p, truth, etas, eps, prior, j_inv)
+    assert errors == [None, None]
+    seen, newton_singles = [], optim._newton_singles
+
+    def recording(phi, eps, log_zs, *args):
+        seen.append(np.array(log_zs))
+        return newton_singles(phi, eps, log_zs, *args)
+
+    monkeypatch.setattr(inv, "_newton_singles", recording)
+    outcomes = inv._bvm_level(p, truth, etas, eps, prior, inv.GridSpec(), opt_cfg, j_inv)
+    mode_sets = [inv._draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])[1] for i in range(2)]
+    expected = [measure.log_laplace_normalization(ms, eps) for ms in mode_sets]
+    assert np.array_equal(seen[0], expected)
+    assert all(o["converged"] and math.isfinite(o["kl"]) and math.isnan(o["tv"]) for o in outcomes)
+
+
+def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
+    # M = 3 runs the GH order selection and the next-order certificate that
+    # bvm-m1 (d = 1) never reaches: at eps 1e-2 these six draws run at orders
+    # 10 and 20.  Newton is forced to fail on draws 0 and 4; only they reach
+    # minimize_single, and every other draw matches the per-draw path (order
+    # selection, Newton and the certificate on its own _Objective)
+    p, eps, prior = problem(M=3, f=100.0), 1e-2, quadratic(dim=3)
+    truth = np.zeros(3)
+    etas = np.random.default_rng(20).standard_normal((6, 3))
+    j_inv = np.linalg.inv(inv.jacobian(p, truth))
+    spec = inv.GridSpec(points_per_dim=17)  # log Z only has to be the same on both paths
+    opt_cfg = OptimizerConfig(multistart=1, seed=20, grad_tol=1e-7)
+    Y, modes, h_effs, errors = inv._draw_modes(p, truth, etas, eps, prior, j_inv)
+    assert errors == [None] * 6
+    failing, fits, fallbacks = [0, 4], [], []
+    newton_single, newton_singles = optim._newton_single, optim._newton_singles
+
+    def draw_of(mode):
+        return next(i for i in range(len(modes)) if np.array_equal(mode, modes[i]))
+
+    def failing_newton(phi, eps, means, chols, nodes):
+        *out, errs = newton_single(phi, eps, means, chols, nodes)
+        return (*out, [ArithmeticError("forced") if draw_of(m) in failing else e
+                       for m, e in zip(means, errs)])
+
+    def recording(*args):
+        fits.append(newton_singles(*args))
+        return fits[-1]
+
+    def counting_minimize_single(mu, cfg, mode_set=None, log_z=None):
+        fallbacks.append(draw_of(mode_set.modes[0]))
+        return optim.minimize_single(mu, cfg, mode_set=mode_set, log_z=log_z)
+
+    monkeypatch.setattr(optim, "_newton_single", failing_newton)
+    monkeypatch.setattr(inv, "_newton_singles", recording)
+    monkeypatch.setattr(inv, "minimize_single", counting_minimize_single)
+    outcomes = inv._bvm_level(p, truth, etas, eps, prior, spec, opt_cfg, j_inv)
+    assert sorted(fallbacks) == failing
+    assert all(o["converged"] and math.isfinite(o["kl"]) for o in outcomes)
+    (fit,) = fits
+    assert set(fit.orders) == {10, 20}
+    assert not fit.certified[failing].any() and fit.certified.sum() == 4
+
+    log_zs = [g.log_value for g in inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)]
+    ladder = optim._gh_ladder(opt_cfg, 3)
+    for i in sorted(set(range(6)) - set(failing)):
+        mu, _ = inv._draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
+        make = optim._at_order(mu, log_zs[i])
+        chol0 = np.linalg.cholesky(np.linalg.inv(h_effs[i]))[None]
+        order = optim._select_order(
+            make, ladder, make(ladder[0]).pack(np.ones(1), modes[i : i + 1], chol0), opt_cfg.grad_tol)
+        means, chols, _, errs = newton_single(
+            lambda j, x, hessian: inv._misfit_derivatives(p, Y[i : i + 1][j], prior, eps, x, hessian),
+            eps, modes[i : i + 1], chol0, objective._gh_nodes(order, 3))
+        assert errs == [None]
+        theta = make(order).pack(np.ones(1), means, chols)
+        value, grad = make(order).value_grad(theta)
+        assert np.max(np.abs(grad)) <= opt_cfg.grad_tol
+        if order < ladder[-1]:
+            refine, _ = optim._next_order_refine(
+                make, ladder, order, theta, (value, grad), opt_cfg.grad_tol)
+        else:
+            refine = optim._reference_refine(make, ladder, value, theta)
+        assert fit.orders[i] == order
+        assert abs(fit.refine[i] - refine) <= 1e-10
+        assert np.max(np.abs(fit.means[i] - means[0])) <= 1e-10
+        assert np.max(np.abs(fit.chols[i] - chols[0])) <= 1e-10
+        assert abs(outcomes[i]["kl"] - value) <= 1e-10
 
 
 def test_bvm_kl_leading_constant():

@@ -326,7 +326,7 @@ def stacked_integrals(log_f, centers, eps, spec):
     boxes = [concentration_box(c[None], np.eye(d)[None], eps, spec.radius_floor) for c in centers]
     lo, hi = (np.array(side) for side in zip(*boxes))
     return oracle_integrals(
-        lambda idx, grids: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), grids),
+        lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
         lo, hi, spec,
     )
 
@@ -373,6 +373,29 @@ def test_stacked_oracle_failures_stay_per_box():
     assert isinstance(results[2], BoxTooSmallError)
     alone = stacked_integrals(gauss, centers[[0, 3]], 1e-2, GridSpec())
     for r, a in zip([results[0], results[3]], alone):
+        assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
+
+
+def test_stacked_oracle_invalid_box_fails_alone():
+    # the boxes are checked as arrays, as make_grid checks one box: a box
+    # empty in one coordinate fails alone with make_grid's ValueError, and
+    # the others integrate as they would without it
+    centers = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, -0.5]])
+
+    def integrals(rows, lo, hi):
+        log_f = gaussian_stack(centers[rows], 1e-1)
+        return oracle_integrals(
+            lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
+            lo, hi, GridSpec(),
+        )
+
+    lo, hi = centers - 2.0, centers + 2.0
+    hi[1, 1] = lo[1, 1]
+    results = integrals([0, 1, 2], lo, hi)
+    with pytest.raises(ValueError) as made:
+        quadrature.make_grid(lo[1], hi[1])
+    assert type(results[1]) is ValueError and str(results[1]) == str(made.value)
+    for r, a in zip([results[0], results[2]], integrals([0, 2], lo[[0, 2]], hi[[0, 2]])):
         assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
 
 

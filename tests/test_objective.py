@@ -60,6 +60,17 @@ def test_gh_matches_monte_carlo_oracle(double_well_family):
     assert abs(gh.value - mc.value) <= 3 * mc.stderr
 
 
+def test_monte_carlo_stderr_is_that_of_f():
+    # f + log g is constant for f = |x|^2 / 2 under g = N(0, I), but the
+    # estimate of E[f] has the noise of f alone: sqrt(Var f / N) = sqrt(d / (2 N))
+    d, n = 3, 40_000
+    est = expectation_under_gaussian(
+        P.quadratic(dim=d), std_normal(d), EstimatorConfig(method=MONTE_CARLO, mc_samples=n, seed=6)
+    )
+    assert est.stderr == pytest.approx(math.sqrt(d / (2 * n)), rel=0.05)
+    assert est.value == pytest.approx(d / 2, abs=4 * est.stderr)
+
+
 def test_order_below_two_rejected():
     with pytest.raises(ValueError):
         EstimatorConfig(gh_order=1)
@@ -199,7 +210,9 @@ def far_mixture(sep=100.0, var=1.0, weights=(0.5, 0.5)):
 def test_entropy_single_component():
     mix = MixtureParams((std_normal(),), np.array([1.0]), xi=(0.5, 1.0))
     est = mixture_entropy(mix, EstimatorConfig(method=MONTE_CARLO, mc_samples=50_000))
-    assert est.value == pytest.approx(GAUSS_ENTROPY_1D, abs=3 * est.stderr + 1e-6)
+    # one component keeps the closed form on Monte Carlo nodes too
+    assert est.value == pytest.approx(GAUSS_ENTROPY_1D, abs=1e-12)
+    assert est.stderr == 0.0
     assert GAUSS_ENTROPY_1D == pytest.approx(-1.418939, abs=1e-6)
 
 

@@ -6,6 +6,7 @@ import pytest
 import klgauss as kg
 from klgauss import optimizer
 from klgauss.objective import _gh_nodes
+from klgauss.potentials import zero
 from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
@@ -404,7 +405,7 @@ def test_gh_fields_in_verbose_json_only():
 def _quadratic_phi(centers, precisions, eps):
     """phi(idx, x) for Phi_i(x) = (x - c_i)^T A_i (x - c_i) / (2 eps)."""
 
-    def phi(idx, x):
+    def phi(idx, x, hessian=True):
         A = precisions[idx] / eps
         diff = x - centers[idx][:, None, :]
         grad = np.einsum("nab,nkb->nka", A, diff)
@@ -477,9 +478,10 @@ def test_newton_single_mixed_batch_converges_the_good_draws():
 
 
 def _measure_phi(mus):
-    """phi(idx, x) of the targets mus: Phi = V1/eps + V2, one target at a time."""
+    """phi(idx, x, hessian) of the targets mus: Phi = V1/eps + V2, one target
+    at a time, always with Hessians."""
 
-    def phi(idx, x):
+    def phi(idx, x, hessian=True):
         parts = []
         for i, pts in zip(idx, x):
             mu, eps = mus[i], mus[i].epsilon
@@ -493,6 +495,19 @@ def _measure_phi(mus):
     return phi
 
 
+def _orders_agree_at_start_only(v0):
+    """_single_kl plus (order - 2) 1e-3 |v - v0|^2: every order agrees with
+    the next at v0, and order 2 with order 5 nowhere else."""
+    single_kl = optimizer._single_kl
+
+    def kl(phi, eps, nodes, log_zs, v):
+        value, grad = single_kl(phi, eps, nodes, log_zs, v)
+        c, diff = 1e-3 * (nodes.order - 2), v - v0
+        return value + c * np.sum(diff * diff, axis=1), grad + 2.0 * c * diff
+
+    return kl
+
+
 def test_newton_singles_certified_on_the_ladder(monkeypatch):
     # d = 3: order selection runs; on a Gaussian target minimize_single
     # selects order 2, and so does the Newton batch, whose endpoint passes
@@ -501,21 +516,84 @@ def test_newton_singles_certified_on_the_ladder(monkeypatch):
     ms = kg.ModeSet(modes=(center + 0.2)[None], hessians=(0.5 * np.eye(3))[None],
                     v2_values=np.zeros(1))
     cfg = OptimizerConfig(multistart=1)
-    (res,) = optimizer._newton_singles([mu], [log_z], [ms], _measure_phi([mu]), cfg)
-    assert res.converged and res.kind == "single"
-    assert res.gh_order == 2
-    assert res.gh_refine_error <= 1e-10
-    assert abs(res.value) <= 1e-10
-    assert np.allclose(res.params.mean, center, rtol=0, atol=1e-7)
-    assert np.allclose(res.rescaled_covariances, cov, rtol=0, atol=1e-7)
-    obj = _Objective(mu, log_z, _gh_nodes(2, 3))
-    theta = obj.pack(_ONE_WEIGHT, [res.params.mean], [np.linalg.cholesky(res.rescaled_covariances)])
-    value, grad = obj.value_grad(theta)
-    assert value == res.value
+    phi = _measure_phi([mu])
+    fits = optimizer._newton_singles(phi, mu.epsilon, [log_z], ms.modes, ms.hessians, cfg)
+    assert fits.certified[0] and fits.errors == [None]
+    assert fits.orders[0] == 2
+    assert fits.refine[0] <= 1e-10
+    assert abs(fits.values[0]) <= 1e-10
+    assert np.allclose(fits.means[0], center, rtol=0, atol=1e-7)
+    assert np.allclose(fits.chols[0] @ fits.chols[0].T, cov, rtol=0, atol=1e-7)
+    # the value is the certificate's at the returned point, and minimize_single's
+    # objective agrees with it there
+    v = optimizer._to_v(fits.means[:1], fits.chols[:1], mu.epsilon)
+    value, grad = optimizer._single_kl(phi, mu.epsilon, _gh_nodes(2, 3), np.array([log_z]), v)
+    assert value[0] == fits.values[0]
     assert np.max(np.abs(grad)) <= cfg.grad_tol
+    obj = _Objective(mu, log_z, _gh_nodes(2, 3))
+    theta = obj.pack(_ONE_WEIGHT, fits.means[:1], fits.chols[:1])
+    obj_value, obj_grad = obj.value_grad(theta)
+    assert abs(obj_value - fits.values[0]) <= 1e-13
+    assert np.max(np.abs(obj_grad)) <= cfg.grad_tol
     # an objective on which the orders agree only at the start: the Newton
     # point fails the certificate, and the target is left to minimize_single
-    theta0 = obj.pack(_ONE_WEIGHT, ms.modes, [np.linalg.cholesky(np.linalg.inv(ms.hessians[0]))])
-    monkeypatch.setattr(_LowOrdersAgreeAtStartOnly, "theta0", theta0)
-    monkeypatch.setattr(optimizer, "_Objective", _LowOrdersAgreeAtStartOnly)
-    assert optimizer._newton_singles([mu], [log_z], [ms], _measure_phi([mu]), cfg) == [None]
+    v0 = optimizer._to_v(ms.modes, np.linalg.cholesky(np.linalg.inv(ms.hessians)), mu.epsilon)
+    single_kl = optimizer._single_kl
+    monkeypatch.setattr(optimizer, "_single_kl", _orders_agree_at_start_only(v0))
+    fits = optimizer._newton_singles(phi, mu.epsilon, [log_z], ms.modes, ms.hessians, cfg)
+    assert fits.orders[0] == 2
+    assert not fits.certified[0] and fits.errors == [None]
+
+    # a gradient above grad_tol at the Newton point (an offset that every
+    # order shares, so the orders still agree) fails the certificate too
+    def steep(*args):
+        value, grad = single_kl(*args)
+        return value, grad + 10.0 * cfg.grad_tol
+
+    monkeypatch.setattr(optimizer, "_single_kl", steep)
+    fits = optimizer._newton_singles(phi, mu.epsilon, [log_z], ms.modes, ms.hessians, cfg)
+    assert fits.orders[0] == 2
+    assert not fits.certified[0] and fits.errors == [None]
+
+
+def _quadratic_target(center, precision, eps):
+    """exp(-(x - c)^T A (x - c) / (2 eps)) as a TargetMeasure."""
+    d = len(center)
+
+    def value(x):
+        diff = x - center
+        return 0.5 * np.sum(diff * (diff @ precision), axis=1)
+
+    v1 = kg.Potential(dim=d, value_fn=value, grad_fn=lambda x: (x - center) @ precision,
+                      hess_fn=lambda x: np.broadcast_to(precision, (len(x), d, d)))
+    return kg.TargetMeasure(v1, zero(d), eps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_single_kl_matches_objective_on_quadratics(d, eps):
+    # the batched certificate against _Objective.value_grad at the same
+    # points: values to 1e-13 absolute, gradients to 1e-2 * grad_tol, the
+    # bound _agree uses; at the exact optimum N(c, eps A^-1) the KL with the
+    # exact log Z is 0 and the gradient vanishes
+    centers, precisions, _, _ = _quadratic_batch(d)
+    phi = _quadratic_phi(centers, precisions, eps)
+    log_zs = 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * np.linalg.slogdet(precisions)[1]
+    optimum = np.linalg.cholesky(np.linalg.inv(precisions))
+    rng = np.random.default_rng(d)
+    near = (centers + 0.3 * math.sqrt(eps) * rng.standard_normal(centers.shape),
+            optimum * rng.uniform(0.8, 1.2, (len(centers), 1, 1)))
+    grad_tol = OptimizerConfig().grad_tol
+    for order in (3, 20):
+        nodes = _gh_nodes(order, d)
+        for means, chols in ((centers, optimum), near):
+            values, grads = optimizer._single_kl(
+                phi, eps, nodes, log_zs, optimizer._to_v(means, chols, eps))
+            for i, (c, A) in enumerate(zip(centers, precisions)):
+                obj = _Objective(_quadratic_target(c, A, eps), log_zs[i], nodes)
+                value, grad = obj.value_grad(obj.pack(_ONE_WEIGHT, means[i : i + 1], chols[i : i + 1]))
+                assert abs(values[i] - value) <= 1e-13
+                assert np.max(np.abs(grads[i] - grad)) <= 1e-2 * grad_tol
+            if means is centers:
+                assert np.max(np.abs(values)) <= 1e-13
+                assert np.max(np.abs(grads)) <= 1e-2 * grad_tol

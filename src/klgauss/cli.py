@@ -1,8 +1,8 @@
 """Command-line driver: mode finding, approximation, sweeps, BvM experiment.
 
-Exit codes: 0 success, 1 validation/parse error, 2 degenerate problem,
-3 optimizer non-convergence (result still printed), 4 experiment abort.
-All commands are deterministic for a fixed --seed.
+Exit codes: 0 success, 1 validation/parse error (usage errors included),
+2 degenerate problem, 3 optimizer non-convergence (result still printed),
+4 experiment abort.  All commands are deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ DEFAULT_SEED = 1234
 
 class ValidationError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, exiting with EXIT_VALIDATION on a usage error
+    where argparse exits with 2, the code of a degenerate problem."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
 def _write(text: str, out: str | None):
@@ -168,17 +177,17 @@ def cmd_bvm(args) -> int:
             prior=prior,
             eps_list=tuple(doc["eps_list"]),
             draws=draws,
-            seed=int(doc.get("seed", args.seed)),
+            seed=args.seed if args.seed is not None else int(doc.get("seed", DEFAULT_SEED)),
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    result = inverse.bvm_experiment(problem, cfg, jobs=args.jobs)
+    result = inverse.bvm_experiment(problem, cfg)
     _write(result.to_csv(), args.out)
     return EXIT_ABORTED if result.any_aborted else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="klgauss",
         description=(
             "Best-KL Gaussian/mixture approximation of concentrating measures"
@@ -189,13 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("-v", "--verbose", action="store_true")
+
+    def estimators(p):
         p.add_argument("--estimator", choices=("gh", "mc"), default="gh")
         p.add_argument("--logz", choices=("laplace", "quadrature"), default="laplace")
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="accepted and ignored: each BvM eps level is solved as one batch",
-        )
-        p.add_argument("-v", "--verbose", action="store_true")
 
     p_modes = sub.add_parser("modes", help="locate modes and Laplace weights")
     p_modes.add_argument("--problem", required=True)
@@ -210,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--xi1", type=float, default=0.05)
     p_approx.add_argument("--xi2", type=float, default=1.0)
     common(p_approx)
+    estimators(p_approx)
     p_approx.set_defaults(handler=cmd_approx)
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with rate fits (CSV)")
@@ -220,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--xi1", type=float, default=0.05)
     p_sweep.add_argument("--xi2", type=float, default=1.0)
     common(p_sweep)
+    estimators(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_bvm = sub.add_parser("bvm", help="Bernstein-von Mises rate experiment (CSV)")
@@ -227,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bvm.add_argument("--draws", type=int, default=None,
                        help="override the config's noise draws per level")
     common(p_bvm)
-    p_bvm.set_defaults(handler=cmd_bvm)
+    # seed None: the config's seed, else DEFAULT_SEED
+    p_bvm.set_defaults(handler=cmd_bvm, seed=None)
 
     return parser
 

@@ -30,7 +30,6 @@ from .measure import (
     GridSpec,
     MeasureFamily,
     ModeSet,
-    TargetMeasure,
     _concentration_boxes,
     _damped_newton,
     _laplace_log_betas,
@@ -271,10 +270,9 @@ def posterior_family(
     )
 
 
-def posterior(
-    p: EllipticProblem, truth, eta, epsilon: float, prior: Potential | None = None
-) -> TargetMeasure:
-    """Posterior at a fixed noise scale: exp(-|y - G(x)|^2/(2 eps) - V0(x))."""
+def posterior(p: EllipticProblem, truth, eta, epsilon: float, prior: Potential | None = None):
+    """Posterior at a fixed noise scale, the TargetMeasure
+    exp(-|y - G(x)|^2/(2 eps) - V0(x))."""
     return posterior_family(p, truth, eta, prior).at(epsilon)
 
 
@@ -505,9 +503,6 @@ class BvMResult:
         return "\n".join(lines) + "\n"
 
 
-_DRAW_ERRORS = (ArithmeticError, ValueError, RuntimeError)  # a failed draw, by cause
-
-
 def _posterior_mode(p: EllipticProblem, Y, prior: Potential, eps: float, X0, max_steps: int = 50):
     """Minimize V1/eps + V2 for every row y of Y by batched damped Newton from X0.
 
@@ -533,18 +528,6 @@ def _draw_modes(p, truth, etas, eps, prior, j_truth_inv):
     DG(truth)^(-1) eta."""
     Y = forward(p, truth) + math.sqrt(eps) * etas
     return (Y, *_posterior_mode(p, Y, prior, eps, truth + math.sqrt(eps) * (etas @ j_truth_inv.T)))
-
-
-def _draw_target(p, y, eps, prior, x_hat, h_eff):
-    """Posterior of one noise draw with data y (a row of _draw_modes' Y) and
-    mode x_hat, and its mode set: the inputs of minimize_single."""
-    mu = TargetMeasure(misfit_potential(p, y), prior, eps)
-    ms = ModeSet(
-        modes=x_hat[None, :],
-        hessians=h_eff[None, :, :],
-        v2_values=np.array([prior.value(x_hat)]),
-    )
-    return mu, ms
 
 
 def _log_posterior(p, Y, eps, prior):
@@ -612,14 +595,13 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     (measure._laplace_log_betas), so a mode whose Hessian is not positive
     definite fails its draw with DegenerateModeError.  Up to M = 3, log Z is
     the Simpson oracle, run once over the stacked boxes of all live draws
-    (_draw_integrals), and TV is taken on the same boxes in one more pass
-    (_draw_tv); above, log Z is the Laplace value and TV is NaN.  The best
-    Gaussians come from one batched Newton solve whose endpoints are
-    certified in batched evaluations (_newton_singles), all on arrays.  Only
-    a draw whose Newton point is not certified gets a posterior and a mode
-    set of its own (_draw_target), for minimize_single.  A draw that fails
-    at any stage keeps the type name of its exception as its cause; the
-    others go on.
+    (_draw_integrals); above, log Z is the Laplace value and TV is NaN.  The
+    best Gaussians come from one batched Newton solve whose endpoints are
+    certified in batched evaluations (_newton_singles), all on arrays, and
+    TV is taken for the certified draws on their log Z boxes in one more
+    pass (_draw_tv).  A draw that fails at any stage keeps the type name of
+    its exception as its cause; a draw whose Newton point fails the
+    certificate is not converged.  The others go on.
     """
     Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
     n = len(etas)
@@ -644,10 +626,8 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
                 errors[i] = result
             else:
                 integrals[i], log_zs[i] = result, result.log_value
-    kl = np.full(n, math.nan)
-    converged = np.zeros(n, dtype=bool)
-    means = np.full((n, p.M), math.nan)
-    chols = np.full((n, p.M, p.M), math.nan)
+    kl, tv = np.full(n, math.nan), np.full(n, math.nan)
+    certified = np.zeros(n, dtype=bool)
     idx = live()
     if idx.size:
         rows = Y[idx]
@@ -655,32 +635,17 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
             lambda j, x, hessian: _misfit_derivatives(p, rows[j], prior, eps, x, hessian),
             eps, log_zs[idx], modes[idx], h_effs[idx], opt_cfg,
         )
-        ok = idx[fits.certified]
-        kl[ok], converged[ok] = fits.values[fits.certified], True
-        means[ok], chols[ok] = fits.means[fits.certified], math.sqrt(eps) * fits.chols[fits.certified]
-        for i, certified, failure in zip(idx, fits.certified, fits.errors):
-            if certified:
-                continue
-            if failure is not None:  # minimize_single would raise it too
-                errors[i] = failure
-                continue
-            # Newton gave no certified point: minimize_single alone
-            try:
-                mu, ms = _draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
-                res = minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_zs[i])
-            except _DRAW_ERRORS as exc:
-                errors[i] = exc
-                continue
-            kl[i], converged[i] = res.value, res.converged
-            means[i], chols[i] = res.params.mean, res.params.chol
-    tv = np.full(n, math.nan)
-    idx = live()
-    if integrals and idx.size:
-        tv[idx] = _draw_tv(p, Y[idx], eps, prior, [integrals[i] for i in idx], means[idx], chols[idx])
+        for i, exc in zip(idx, fits.errors):
+            errors[i] = exc
+        ok, sel = idx[fits.certified], fits.certified
+        kl[ok], certified[ok] = fits.values[sel], True
+        if integrals and ok.size:
+            tv[ok] = _draw_tv(p, Y[ok], eps, prior, [integrals[i] for i in ok],
+                              fits.means[sel], math.sqrt(eps) * fits.chols[sel])
     outcomes = []
     for i in range(n):
         if errors[i] is None:
-            outcomes.append({"kl": float(kl[i]), "tv": float(tv[i]), "converged": bool(converged[i])})
+            outcomes.append({"kl": float(kl[i]), "tv": float(tv[i]), "converged": bool(certified[i])})
         else:
             outcomes.append({"kl": math.nan, "tv": math.nan, "converged": False,
                              "cause": type(errors[i]).__name__})
@@ -717,7 +682,7 @@ def bvm_experiment(
     etas = rng.standard_normal((cfg.draws, p.M))
     j_truth_inv = np.linalg.inv(jacobian(p, truth))
     grid_spec = grid_spec or GridSpec()
-    opt_cfg = OptimizerConfig(multistart=1, seed=cfg.seed, grad_tol=1e-7)
+    opt_cfg = OptimizerConfig(grad_tol=1e-7)
 
     levels = []
     for eps in cfg.eps_list:

@@ -174,8 +174,12 @@ class MultistartConfig:
     count: int = 64
     box: tuple = (-4.0, 4.0)
     seed: int = 0
-    value_tol: float = 1e-8  # keep minimizers this close to the best value
-    dedup_scale: float = 1e-6  # merge radius 1e-6 * (1 + |x|)
+
+
+# find_modes keeps minimizers within _VALUE_TOL of the best value and
+# merges those within _DEDUP_SCALE * (1 + |x|) of each other
+_VALUE_TOL = 1e-8
+_DEDUP_SCALE = 1e-6
 
 
 def _box_arrays(box, dim):
@@ -312,8 +316,8 @@ def find_modes(
 
     Uniform starts in the search box, one batched _damped_newton run over
     them with the analytic gradient and Hessian, value filtering at
-    ``value_tol`` above the best minimum found, and deduplication within
-    1e-6 * (1 + |x|).  A start yields a minimizer where the value is finite
+    _VALUE_TOL above the best minimum found, and deduplication within
+    _DEDUP_SCALE * (1 + |x|).  A start yields a minimizer where the value is finite
     and the gradient at most 1e-6, whether or not Newton converged: a flat
     (degenerate) basin stops Newton with a tiny gradient and a Hessian near
     0, which the Hessian check rejects.
@@ -339,14 +343,14 @@ def find_modes(
         raise ModeSearchError("no minimizer found within the multistart budget")
 
     best = np.min(values[ok])
-    kept = list(x[ok & (values <= best + cfg.value_tol)])
+    kept = list(x[ok & (values <= best + _VALUE_TOL)])
     # deterministic order, then greedy merge; the order is that of the
-    # entries rounded to dedup_scale, so that modes tying in a coordinate are
+    # entries rounded to _DEDUP_SCALE, so that modes tying in a coordinate are
     # not ordered by their last bits
-    kept.sort(key=lambda x: (tuple(np.round(x / cfg.dedup_scale)), tuple(x)))
+    kept.sort(key=lambda x: (tuple(np.round(x / _DEDUP_SCALE)), tuple(x)))
     modes = []
     for x in kept:
-        radius = cfg.dedup_scale * (1.0 + np.linalg.norm(x))
+        radius = _DEDUP_SCALE * (1.0 + np.linalg.norm(x))
         if all(np.linalg.norm(x - m) > radius for m in modes):
             modes.append(x)
     modes = np.asarray(modes)

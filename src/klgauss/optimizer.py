@@ -19,8 +19,9 @@ OptimizerConfig).
 
 For a batch of single-Gaussian targets given by the derivatives of their
 potentials (the BvM noise panel), ``_newton_singles`` runs damped Newton on
-the same objective and certifies every endpoint as a BFGS endpoint is
-certified, in batched evaluations.
+the same objective instead of BFGS, and certifies every endpoint as a BFGS
+endpoint is certified, in batched evaluations; a target whose Newton search
+fails or whose endpoint fails the certificate has no fit.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ _SELECT_MIN_NODES = 1000
 _REFINE_RTOL = 1e-10
 _REFINE_GRAD_FACTOR = 1e-2
 
+# mixtures: weight of the logarithmic barrier on the weight floor, and the
+# first weight of the separation hinge, escalated x10 per round
+_BARRIER = 1e-6
+_SEPARATION_WEIGHT = 100.0
+
 
 class InfeasibleConstraintError(ValueError):
     """The requested constraint set is empty (e.g. xi1 > 1/n)."""
@@ -82,8 +88,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     multistart: int = 8
     box: tuple | None = None
-    barrier: float = 1e-6
-    separation_weight: float = 100.0
     seed: int = 0
     gh_order: int = 20
 
@@ -570,10 +574,11 @@ class _SingleFits(NamedTuple):
     Where ``certified``, the point is Newton's endpoint, ``values`` the KL
     there at the GH order ``orders`` Newton ran at, and ``refine`` the
     refinement error minimize_single would report (NaN for its None).
-    ``errors`` holds the LinAlgError or NodeBudgetError that building a
-    target's start or choosing its order raised, which minimize_single would
-    raise at the same point.  A target neither certified nor failed is left
-    to minimize_single.
+    ``errors`` holds per target None or the exception that failed it: the
+    LinAlgError of building its start, the NodeBudgetError of choosing its
+    order, or the ArithmeticError that stopped its Newton search.  A target
+    neither certified nor failed ended at a Newton point that failed the
+    certificate.
     """
 
     means: np.ndarray  # (n, d)
@@ -599,7 +604,8 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
     objective at that order, one _single_kl call for all targets of the
     order: a finite value, a gradient of at most cfg.grad_tol, and below
     gh_order agreement with the next ladder order (_agree); at gh_order the
-    refinement error against the half order is recorded.
+    refinement error against the half order is recorded.  Each target ends
+    certified or failed; nothing falls back to BFGS.
 
     Returns _SingleFits.
     """
@@ -637,6 +643,8 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
             lambda j, x, hessian: phi(idx[j], x, hessian),
             eps, fits.means[idx], fits.chols[idx], nodes(order),
         )
+        for target, exc in zip(idx, newton_errors):
+            errors[target] = exc
         ran = np.array([e is None for e in newton_errors])
         idx, m, L = idx[ran], m[ran], L[ran]
         fits.means[idx], fits.chols[idx] = m, L
@@ -720,14 +728,14 @@ def minimize_mixture(
     log_z, mode_set = _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts)
     rng = np.random.default_rng(cfg.seed)
 
-    sep_weight = cfg.separation_weight
+    sep_weight = _SEPARATION_WEIGHT
     grad_tol = max(cfg.grad_tol, 1e-6)
     ladder = _gh_ladder(cfg, mu.dim)
     starts = None
     traces = []
     for _ in range(5):
         make = _at_order(
-            mu, log_z, n=n, xi=(xi1, xi2), barrier=cfg.barrier, separation_weight=sep_weight
+            mu, log_z, n=n, xi=(xi1, xi2), barrier=_BARRIER, separation_weight=sep_weight
         )
         obj = make(ladder[0])  # packing and splitting do not depend on the order
         if starts is None:

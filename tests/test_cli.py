@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from klgauss.cli import main
 
@@ -138,7 +139,7 @@ def test_sweep_bad_eps_list(capsys):
 # --- bvm --------------------------------------------------------------------------
 
 
-def bvm_config(tmp_path, draws):
+def bvm_config(tmp_path, draws, seed=11):
     doc = {
         "M": 1,
         "variant": "exp",
@@ -147,8 +148,10 @@ def bvm_config(tmp_path, draws):
         "prior": {"id": "quadratic", "params": {}},
         "eps_list": [1e-2, 3e-3],
         "draws": draws,
-        "seed": 11,
+        "seed": seed,
     }
+    if seed is None:
+        del doc["seed"]
     path = tmp_path / "bvm.json"
     path.write_text(json.dumps(doc))
     return path
@@ -159,7 +162,7 @@ def test_bvm_small_config_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"
     assert run_cli(capsys, "bvm", "--config", str(cfg), "--out", str(out1))[0] == 0
-    assert run_cli(capsys, "bvm", "--config", str(cfg), "--out", str(out2), "--jobs", "3")[0] == 0
+    assert run_cli(capsys, "bvm", "--config", str(cfg), "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert lines[0] == "epsilon,mean_kl,stderr_kl,failures,d_tv_violations"
@@ -184,6 +187,21 @@ def test_bvm_draws_flag_overrides_config(tmp_path, capsys):
     assert code == 1
 
 
+def test_bvm_seed_flag_overrides_config(tmp_path, capsys):
+    def run(cfg, *flags):
+        code, out, _ = run_cli(capsys, "bvm", "--config", str(cfg), *flags)
+        assert code == 0
+        return out
+
+    cfg = bvm_config(tmp_path, draws=30)
+    own = run(cfg)
+    assert run(cfg, "--seed", "11") == own
+    assert run(cfg, "--seed", "5") != own
+    # without a seed in the config, the default seed
+    unseeded = bvm_config(tmp_path, draws=30, seed=None)
+    assert run(unseeded) == run(unseeded, "--seed", "1234") != own
+
+
 def test_bvm_missing_config_rejected(capsys):
     code, _, err = run_cli(capsys, "bvm", "--config", "no-such-config.json")
     assert code == 1
@@ -196,6 +214,29 @@ def test_bvm_bundled_config_resolves():
     doc = _load_bvm_config("bvm-m1.json")
     assert doc["M"] == 1 and doc["variant"] == "exp"
     assert doc["draws"] == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ("approx", "--problem", "double-well"),  # --eps missing
+    ("approx", "--problem", "double-well", "--eps", "0.01", "--family", "foo"),
+    ("modes", "--problem", "double-well", "--logz", "quadrature"),  # not a modes flag
+    ("bvm", "--config", "bvm-m1.json", "--jobs", "2"),  # no such flag
+    ("no-such-command",),
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # a usage error is a validation error (1), not a degenerate problem (2)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["approx", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--estimator" in capsys.readouterr().out
 
 
 def test_exit_codes_documented():

@@ -500,38 +500,30 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     p = problem(M=1, f=100.0)
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
-    draw_target, newton_single = inv._draw_target, optim._newton_single
+    newton_single = optim._newton_single
+    # the posterior modes of the draws with eta > 1, Newton's starts for them
+    j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
+    _, modes, _, _ = inv._draw_modes(p, cfg.truth, etas, cfg.eps_list[0], quadratic(dim=1), j_inv)
+    failing = {tuple(m) for m in modes[etas[:, 0] > 1.0]}
 
-    def failing_newton(*args, **kwargs):
-        means, chols, steps, errors = newton_single(*args, **kwargs)
-        return means, chols, steps, [ArithmeticError("forced")] * len(errors)
+    def failing_newton(phi, eps, means, chols, nodes):
+        *out, errs = newton_single(phi, eps, means, chols, nodes)
+        return (*out, [np.linalg.LinAlgError("singular") if tuple(m) in failing else e
+                       for m, e in zip(means, errs)])
 
-    # no Newton point is certified, so every draw builds its own posterior
-    # for minimize_single (_draw_target), the level's only per-draw objects
     monkeypatch.setattr(optim, "_newton_single", failing_newton)
-    # the data of the draws with eta > 1, as _draw_modes computes it
-    Y = inv.forward(p, cfg.truth) + math.sqrt(cfg.eps_list[0]) * etas
-    failing = {tuple(y) for y in Y[etas[:, 0] > 1.0]}
-
-    def failing_target(p, y, *args):
-        if tuple(y) in failing:
-            raise np.linalg.LinAlgError("singular")
-        return draw_target(p, y, *args)
-
-    monkeypatch.setattr(inv, "_draw_target", failing_target)
     level = inv.bvm_experiment(p, cfg).levels[0]
     n_failed = int(np.sum(etas[:, 0] > 1.0))
     assert n_failed > 0
     assert level.failures == n_failed
     assert level.failure_causes == {"LinAlgError": n_failed}
 
-    def broken_target(*args):
+    def broken_newton(*args):
         raise TypeError("a programming error is not a failed draw")
 
-    monkeypatch.setattr(inv, "_draw_target", broken_target)
+    monkeypatch.setattr(optim, "_newton_single", broken_newton)
     with pytest.raises(TypeError):
         inv.bvm_experiment(p, cfg)
-    monkeypatch.setattr(inv, "_draw_target", draw_target)
     monkeypatch.setattr(optim, "_newton_single", newton_single)
 
     # a mode search stopped inside the batch fails its draw with the cause
@@ -564,6 +556,15 @@ def bvm_m1_config():
     return p, cfg
 
 
+def draw_target(p, y, eps, prior, x_hat, h_eff):
+    """Posterior of one noise draw with data y (a row of _draw_modes' Y) and
+    mode x_hat, and its one-mode set: the inputs of minimize_single."""
+    mu = kg.TargetMeasure(inv.misfit_potential(p, y), prior, eps)
+    ms = kg.ModeSet(modes=x_hat[None, :], hessians=h_eff[None, :, :],
+                    v2_values=np.array([prior.value(x_hat)]))
+    return mu, ms
+
+
 def level_posteriors(p, cfg, eps, grid_spec=None):
     """Every draw's data and (mu, mode set, log Z, log Z integral), as
     bvm_experiment builds them."""
@@ -573,7 +574,7 @@ def level_posteriors(p, cfg, eps, grid_spec=None):
     Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior, j_inv)
     assert errors == [None] * cfg.draws
     targets = [
-        inv._draw_target(p, y, eps, prior, x_hat, h_eff)
+        draw_target(p, y, eps, prior, x_hat, h_eff)
         for y, x_hat, h_eff in zip(Y, modes, h_effs)
     ]
     integrals = inv._draw_integrals(p, Y, eps, prior, grid_spec or inv.GridSpec(), modes, h_effs)
@@ -793,29 +794,60 @@ def test_single_evaluate_splits_a_rule_above_the_chunk(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-def test_bvm_newton_failure_falls_back_to_minimize_single(monkeypatch):
+def test_bvm_newton_failure_fails_every_draw(monkeypatch):
+    # Newton is the panel's only optimizer: where it fails, the draw fails
+    # with Newton's own error, and nothing reaches minimize_single
     p = problem(M=1, f=100.0)
     cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(1e-2,), draws=30, seed=4)
-    newton_single, fallbacks = optim._newton_single, []
+    newton_single = optim._newton_single
 
     def failing_newton(*args, **kwargs):
         means, chols, steps, errors = newton_single(*args, **kwargs)
         return means, chols, steps, [ArithmeticError("forced")] * len(errors)
 
-    def counting_minimize_single(*args, **kwargs):
-        fallbacks.append(1)
-        return optim.minimize_single(*args, **kwargs)
+    def no_minimize_single(*args, **kwargs):
+        raise AssertionError("the panel called minimize_single")
 
     monkeypatch.setattr(optim, "_newton_single", failing_newton)
-    monkeypatch.setattr(inv, "minimize_single", counting_minimize_single)
+    monkeypatch.setattr(inv, "minimize_single", no_minimize_single)
     level = inv.bvm_experiment(p, cfg).levels[0]
-    assert level.failures == 0
-    assert len(fallbacks) == cfg.draws
-    _, _, posts = level_posteriors(p, cfg, 1e-2)
-    opt_cfg = bvm_optimizer_config(cfg)
-    expected = [optim.minimize_single(mu, opt_cfg, mode_set=ms, log_z=log_z).value
-                for mu, ms, log_z, _ in posts]
-    assert np.array_equal(level.kl_values, expected)
+    assert level.failures == cfg.draws and level.n_ok == 0
+    assert level.failure_causes == {"ArithmeticError": cfg.draws}
+    assert level.aborted
+
+
+def test_bvm_panel_runs_without_minimize_single_or_bfgs(monkeypatch, bvm_smoke):
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the panel called minimize_single or BFGS")
+
+    monkeypatch.setattr(inv, "minimize_single", no_optimizer)
+    monkeypatch.setattr(optim, "minimize_single", no_optimizer)
+    monkeypatch.setattr(optim, "_scipy_minimize", no_optimizer)
+    p = problem(M=1, f=100.0)
+    cfg = inv.BvMConfig(truth=np.array([0.0]), eps_list=(3e-2, 1e-2, 3e-3), draws=30, seed=20)
+    result = inv.bvm_experiment(p, cfg)
+    for level, smoke in zip(result.levels, bvm_smoke.levels):
+        assert level.failures == 0
+        assert np.array_equal(level.kl_values, smoke.kl_values)
+        assert np.array_equal(level.tv_values, smoke.tv_values)
+
+
+def test_bvm_level_uncertified_newton_points_are_not_converged():
+    # no Newton endpoint has a gradient of at most 1e-300: every draw fails
+    # the certificate, without an exception, and counts as NotConverged
+    p, eps, prior = problem(M=1, f=100.0), 1e-2, quadratic(dim=1)
+    truth = np.zeros(1)
+    etas = np.random.default_rng(4).standard_normal((30, 1))
+    j_inv = np.linalg.inv(inv.jacobian(p, truth))
+    outcomes = inv._bvm_level(p, truth, etas, eps, prior, inv.GridSpec(),
+                              OptimizerConfig(grad_tol=1e-300), j_inv)
+    assert len(outcomes) == 30
+    for o in outcomes:
+        assert not o["converged"] and "cause" not in o
+        assert math.isnan(o["kl"]) and math.isnan(o["tv"])
+    default = inv._bvm_level(p, truth, etas, eps, prior, inv.GridSpec(),
+                             OptimizerConfig(grad_tol=1e-7), j_inv)
+    assert all(o["converged"] and math.isfinite(o["tv"]) for o in default)
 
 
 def test_bvm_level_above_m3_takes_the_laplace_log_z(monkeypatch):
@@ -836,7 +868,7 @@ def test_bvm_level_above_m3_takes_the_laplace_log_z(monkeypatch):
 
     monkeypatch.setattr(inv, "_newton_singles", recording)
     outcomes = inv._bvm_level(p, truth, etas, eps, prior, inv.GridSpec(), opt_cfg, j_inv)
-    mode_sets = [inv._draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])[1] for i in range(2)]
+    mode_sets = [draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])[1] for i in range(2)]
     expected = [measure.log_laplace_normalization(ms, eps) for ms in mode_sets]
     assert np.array_equal(seen[0], expected)
     assert all(o["converged"] and math.isfinite(o["kl"]) and math.isnan(o["tv"]) for o in outcomes)
@@ -845,8 +877,8 @@ def test_bvm_level_above_m3_takes_the_laplace_log_z(monkeypatch):
 def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
     # M = 3 runs the GH order selection and the next-order certificate that
     # bvm-m1 (d = 1) never reaches: at eps 1e-2 these six draws run at orders
-    # 10 and 20.  Newton is forced to fail on draws 0 and 4; only they reach
-    # minimize_single, and every other draw matches the per-draw path (order
+    # 10 and 20.  Newton is forced to fail on draws 0 and 4, which fail with
+    # its error; every other draw matches the per-draw path (order
     # selection, Newton and the certificate on its own _Objective)
     p, eps, prior = problem(M=3, f=100.0), 1e-2, quadratic(dim=3)
     truth = np.zeros(3)
@@ -856,7 +888,7 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
     opt_cfg = OptimizerConfig(multistart=1, seed=20, grad_tol=1e-7)
     Y, modes, h_effs, errors = inv._draw_modes(p, truth, etas, eps, prior, j_inv)
     assert errors == [None] * 6
-    failing, fits, fallbacks = [0, 4], [], []
+    failing, fits = [0, 4], []
     newton_single, newton_singles = optim._newton_single, optim._newton_singles
 
     def draw_of(mode):
@@ -871,24 +903,23 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
         fits.append(newton_singles(*args))
         return fits[-1]
 
-    def counting_minimize_single(mu, cfg, mode_set=None, log_z=None):
-        fallbacks.append(draw_of(mode_set.modes[0]))
-        return optim.minimize_single(mu, cfg, mode_set=mode_set, log_z=log_z)
-
     monkeypatch.setattr(optim, "_newton_single", failing_newton)
     monkeypatch.setattr(inv, "_newton_singles", recording)
-    monkeypatch.setattr(inv, "minimize_single", counting_minimize_single)
     outcomes = inv._bvm_level(p, truth, etas, eps, prior, spec, opt_cfg, j_inv)
-    assert sorted(fallbacks) == failing
-    assert all(o["converged"] and math.isfinite(o["kl"]) for o in outcomes)
+    for i, o in enumerate(outcomes):
+        if i in failing:
+            assert o.get("cause") == "ArithmeticError" and not o["converged"]
+        else:
+            assert o["converged"] and math.isfinite(o["kl"]) and math.isfinite(o["tv"])
     (fit,) = fits
     assert set(fit.orders) == {10, 20}
     assert not fit.certified[failing].any() and fit.certified.sum() == 4
+    assert all(isinstance(fit.errors[i], ArithmeticError) for i in failing)
 
     log_zs = [g.log_value for g in inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)]
     ladder = optim._gh_ladder(opt_cfg, 3)
     for i in sorted(set(range(6)) - set(failing)):
-        mu, _ = inv._draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
+        mu, _ = draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
         make = optim._at_order(mu, log_zs[i])
         chol0 = np.linalg.cholesky(np.linalg.inv(h_effs[i]))[None]
         order = optim._select_order(

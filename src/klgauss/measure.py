@@ -31,7 +31,9 @@ from .quadrature import (
     GridIntegral,
     OracleDimensionError,
     _BAD_BOX,
+    _face_max_stack,
     _grid_resolution,
+    _one_box,
     _valid_boxes,
     integrate_exp,
 )
@@ -388,15 +390,28 @@ def _log_laplace(dim, raw_weights, epsilon):
     return 0.5 * dim * math.log(2.0 * math.pi * epsilon) + np.log(np.sum(raw_weights, axis=-1))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Brute-force oracle grid selection.
 
     With ``box=None`` the box is derived from the modes of the target: the
-    union of balls of radius max(6*sqrt(eps/lambda_min), 2) around each mode,
-    expanded by x1.5 (up to ``max_expand`` rounds) while the boundary
-    integrand stays above ``tail_tol`` of the peak.  Explicit boxes are used
-    verbatim and fail hard if too small.
+    union of balls of radius max(6*sqrt(eps/lambda_min), radius_floor)
+    around each mode, expanded by x1.5 (up to ``max_expand`` rounds) while
+    the boundary integrand stays above ``tail_tol`` of the peak; a box whose
+    faces alone, against the integrand at the modes, show that it will fail
+    is expanded without being integrated (see oracle_integrals).  Where the
+    modes hold the maximum of the integrand, the accepted box is the one
+    integrating every box would accept.  Explicit boxes are used verbatim
+    and fail hard if too small.
+
+    ``points_per_dim`` is None (DEFAULT_POINTS) or an int >= 3, raised to
+    1 (mod 4); 0 < tail_tol <= 1, where 1 accepts every box; ``max_expand``
+    is an int >= 0; ``radius_floor`` is finite and >= 0.  Other values raise
+    ValueError.
     """
 
     points_per_dim: int | None = None
@@ -404,6 +419,17 @@ class GridSpec:
     tail_tol: float = 1e-14
     radius_floor: float = 2.0
     max_expand: int = 8
+
+    def __post_init__(self):
+        n = self.points_per_dim
+        if n is not None and not (_is_int(n) and n >= 3):
+            raise ValueError(f"points_per_dim must be None or an int >= 3, got {n!r}")
+        if not 0.0 < self.tail_tol <= 1.0:
+            raise ValueError(f"tail_tol must be in (0, 1], got {self.tail_tol!r}")
+        if not (_is_int(self.max_expand) and self.max_expand >= 0):
+            raise ValueError(f"max_expand must be an int >= 0, got {self.max_expand!r}")
+        if not (math.isfinite(self.radius_floor) and self.radius_floor >= 0.0):
+            raise ValueError(f"radius_floor must be finite and >= 0, got {self.radius_floor!r}")
 
 
 def concentration_box(centers, hessians, epsilon, radius_floor=2.0):
@@ -429,18 +455,32 @@ def _concentration_boxes(centers, hessians, epsilon, radius_floor):
     return np.min(centers - radius, axis=1), np.max(centers + radius, axis=1)
 
 
-def oracle_integrals(integrate, lo, hi, spec: GridSpec) -> list:
+def oracle_integrals(integrate, log_f, lo, hi, peaks, spec: GridSpec) -> list:
     """The Simpson oracle's box policy over a stack of boxes [lo[i], hi[i]].
 
     ``integrate(idx, lo, hi, n)`` integrates the boxes ``idx``, given as
     arrays lo and hi, on n points per dimension, and returns per box its
     GridIntegral or the ValueError that failed it (see
-    quadrature.integrate_exp_stack).  An explicit ``spec.box`` is used as
-    given; a box derived from the modes whose boundary integrand exceeds
-    ``spec.tail_tol`` of its peak is widened x1.5 about its center and
-    integrated again, at most ``spec.max_expand`` times, and only the boxes
-    that failed are redone.  The boxes are checked as arrays by make_grid's
-    rule (quadrature._valid_boxes).
+    quadrature.integrate_exp_stack); ``log_f(idx, pts)`` is the log
+    integrand it integrates, at the points (k, N, d) of the boxes ``idx``.
+    ``peaks[i]`` is the largest log integrand of box i at its target's
+    modes.  An explicit ``spec.box`` is used as given; a box derived from
+    the modes whose boundary integrand exceeds ``spec.tail_tol`` of its peak
+    is widened x1.5 about its center, at most ``spec.max_expand`` times.
+    The boxes are checked as arrays by make_grid's rule
+    (quadrature._valid_boxes).
+
+    Each round but the last first evaluates log_f on the faces of the grids
+    of the boxes still to do, at the integration's own points, and widens
+    without integrating every box where exp(face max - peak) > tail_tol,
+    both finite; the others are integrated, and widened where the tail
+    check fails on the grid.  The last round integrates every box left, so
+    its error reports the grid's own ratio.  Where the modes hold the
+    maximum of the integrand, no grid value exceeds the peak, so a box
+    widened on its faces would fail the tail check on its grid: the
+    accepted box is the one integrating every box gives, bit for bit.
+    Where they do not, a wider box may be accepted.  Every accepted box
+    passes the tail check on its full grid.
 
     Returns per box its accepted GridIntegral or the exception that failed
     it alone: BoxTooSmallError when the tail check still fails, or the
@@ -449,27 +489,35 @@ def oracle_integrals(integrate, lo, hi, spec: GridSpec) -> list:
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    peaks = np.asarray(peaks, dtype=float)
     n = _grid_resolution(lo.shape[1], spec.points_per_dim)
     out = [None] * len(lo)
     todo = np.arange(len(lo))
     expansions = 0 if spec.box is not None else spec.max_expand
-    for _ in range(expansions + 1):
+    for expansion in range(expansions + 1):
         valid = _valid_boxes(lo[todo], hi[todo])
         for i in todo[~valid]:
             out[i] = ValueError(_BAD_BOX)
         todo = todo[valid]
-        failed = []
-        if todo.size:
-            for i, result in zip(todo, integrate(todo, lo[todo], hi[todo], n)):
+        widen = np.zeros(todo.size, dtype=bool)
+        if todo.size and expansion < expansions:
+            face_max = _face_max_stack(lambda j, pts: log_f(todo[j], pts), lo[todo], hi[todo], n)
+            with np.errstate(over="ignore", invalid="ignore"):  # not finite: no skip
+                widen = (np.isfinite(face_max) & np.isfinite(peaks[todo])
+                         & (np.exp(face_max - peaks[todo]) > spec.tail_tol))
+        run = np.flatnonzero(~widen)
+        if run.size:
+            for j, result in zip(run, integrate(todo[run], lo[todo[run]], hi[todo[run]], n)):
+                i = todo[j]
                 out[i] = result
                 if isinstance(result, GridIntegral) and result.boundary_ratio > spec.tail_tol:
-                    failed.append(i)
+                    widen[j] = True
                     out[i] = BoxTooSmallError(
                         f"boundary integrand at {result.boundary_ratio:.2e} of peak "
                         f"exceeds tail_tol={spec.tail_tol:.1e} after {expansions} "
                         "box expansions"
                     )
-        todo = np.array(failed, dtype=int)
+        todo = todo[widen]
         center = 0.5 * (lo[todo] + hi[todo])
         lo[todo] = center + 1.5 * (lo[todo] - center)
         hi[todo] = center + 1.5 * (hi[todo] - center)
@@ -494,7 +542,10 @@ def quadrature_normalization(
 ) -> GridIntegral:
     """Brute-force Z = int exp(-v1/eps - v2) dx by tensor Simpson (dim <= 3).
 
-    The one-box case of oracle_integrals, whose exception it raises.
+    The one-box case of oracle_integrals, whose exception it raises; the
+    peak is the log integrand's largest value at the modes of ``mode_set``
+    (found by find_modes when needed), the minimizers of the limit
+    potential v1.
     """
     spec = grid or GridSpec()
     if mu.dim > 3:
@@ -511,7 +562,10 @@ def quadrature_normalization(
     if spec.box is None and mode_set is None:
         mode_set = find_modes(mu.v1, mu.v2, search)
     lo, hi = oracle_box(spec, mode_set, mu.epsilon)
-    result = oracle_integrals(integrate, [lo], [hi], spec)[0]
+    # without modes the box is explicit: its one round integrates it, and
+    # the peak is not read
+    peak = math.nan if mode_set is None else np.max(log_f(mode_set.modes))
+    result = oracle_integrals(integrate, _one_box(log_f), [lo], [hi], [peak], spec)[0]
     if isinstance(result, Exception):
         raise result
     return result

@@ -113,20 +113,50 @@ def simpson_weights(n: int) -> np.ndarray:
     return w
 
 
+def _axis_points(lo, hi, n: int, j) -> np.ndarray:
+    """The coordinates j of the axes np.linspace(lo, hi, n) of the boxes
+    [lo[i], hi[i]], shape (k, d, len(j)), computed as linspace does:
+    lo + j * ((hi - lo) / (n - 1)), with hi at j = n - 1."""
+    j = np.asarray(j)
+    axes = j * ((hi - lo) / (n - 1))[:, :, None] + lo[:, :, None]
+    axes[:, :, j == n - 1] = hi[:, :, None]
+    return axes
+
+
+def _tensor_points(axes) -> np.ndarray:
+    """The points of the tensor grids whose axis i has the coordinates
+    axes[i] (k, m_i), shape (k, m_0 * ... * m_(d-1), d), the last axis
+    varying fastest (meshgrid "ij" order); each axis is broadcast into its
+    slot of a (k, m_0, ..., m_(d-1), d) array."""
+    k, d = len(axes[0]), len(axes)
+    shape = tuple(a.shape[1] for a in axes)
+    pts = np.empty((k,) + shape + (d,))
+    for i, a in enumerate(axes):
+        pts[..., i] = a.reshape((k,) + (1,) * i + (shape[i],) + (1,) * (d - 1 - i))
+    return pts.reshape(k, -1, d)
+
+
 def _stack_points(lo, hi, n: int) -> np.ndarray:
     """The points of the n**d grids on the boxes [lo[i], hi[i]], shape
-    (k, n**d, d), the last axis varying fastest (meshgrid "ij" order).
+    (k, n**d, d), on the axes of _axis_points."""
+    axes = _axis_points(lo, hi, n, np.arange(n))
+    return _tensor_points([axes[:, i] for i in range(lo.shape[1])])
 
-    The axes are np.linspace(lo, hi, n) computed as linspace does,
-    lo + j * ((hi - lo) / (n - 1)) with the last point set to hi, and each is
-    broadcast into its slot of a (k, n, ..., n, d) array."""
-    k, d = lo.shape
-    axes = np.arange(n) * ((hi - lo) / (n - 1))[:, :, None] + lo[:, :, None]  # (k, d, n)
-    axes[:, :, -1] = hi
-    pts = np.empty((k,) + (n,) * d + (d,))
-    for i in range(d):
-        pts[..., i] = axes[:, i].reshape((k,) + (1,) * i + (n,) + (1,) * (d - 1 - i))
-    return pts.reshape(k, n**d, d)
+
+def _stack_faces(lo, hi, n: int) -> np.ndarray:
+    """The points on the faces of the grids of _stack_points, the same
+    values bit for bit: per axis, the grid with that axis at its first and
+    last coordinate, shape (k, 2 d n**(d-1), d), edge points repeated.  In
+    d = 1 the faces are lo and hi, and no axis is built: it would be the
+    whole grid."""
+    d = lo.shape[1]
+    ends = _axis_points(lo, hi, n, [0, n - 1])
+    axes = _axis_points(lo, hi, n, np.arange(n)) if d > 1 else None
+    return np.concatenate(
+        [_tensor_points([ends[:, i] if i == a else axes[:, i] for i in range(d)])
+         for a in range(d)],
+        axis=1,
+    )
 
 
 def _stack_weights(lo, hi, n: int) -> np.ndarray:
@@ -219,10 +249,11 @@ class GridIntegral:
         return self.error_estimate / abs(self.value) if self.value else np.inf
 
 
-def _stacked_boxes(lo, hi, n: int):
-    """Yield (idx, lo[idx], hi[idx]) over the boxes of a stack,
-    SIMPSON_CHUNK_POINTS grid points or one box at a time."""
-    step = max(1, SIMPSON_CHUNK_POINTS // n ** lo.shape[1])
+def _stacked_boxes(lo, hi, box_points: int):
+    """Yield (idx, lo[idx], hi[idx]) over the boxes of a stack, whose
+    integrand is evaluated on box_points points a box, SIMPSON_CHUNK_POINTS
+    points or one box at a time."""
+    step = max(1, SIMPSON_CHUNK_POINTS // box_points)
     for start in range(0, len(lo), step):
         sl = slice(start, start + step)
         yield np.arange(len(lo))[sl], lo[sl], hi[sl]
@@ -266,7 +297,7 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
     n, dim = points_per_dim, lo.shape[1]
     stride2 = (slice(None),) + (slice(None, None, 2),) * dim
     out = [None] * len(lo)
-    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n):
+    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n ** dim):
         logv = _evaluate(log_f, idx, _stack_points(box_lo, box_hi, n))
         grid_shape = (len(idx),) + (n,) * dim
         # one dot product per box on these weights: a stacked product sums
@@ -304,6 +335,18 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
     return out
 
 
+def _face_max_stack(log_f, lo, hi, points_per_dim: int) -> np.ndarray:
+    """Per box of a stack, the largest log_f on the faces of its grid
+    (_stack_faces): the value integrate_exp_stack takes for its boundary
+    ratio, from the same points, without evaluating the interior.
+    ``log_f`` is called as in integrate_exp_stack."""
+    n, dim = points_per_dim, lo.shape[1]
+    out = np.empty(len(lo))
+    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, 2 * dim * n ** (dim - 1)):
+        out[idx] = np.max(_evaluate(log_f, idx, _stack_faces(box_lo, box_hi, n)), axis=1)
+    return out
+
+
 def integrate_exp(log_f, grid: Grid) -> GridIntegral:
     """Integrate exp(log_f(x)) over the grid box by composite Simpson.
 
@@ -326,7 +369,7 @@ def tv_distance_stack(log_p, log_q, lo, hi, points_per_dim: int) -> np.ndarray:
     """
     n = points_per_dim
     out = np.empty(len(lo))
-    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n):
+    for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n ** lo.shape[1]):
         pts = _stack_points(box_lo, box_hi, n)
         diff = np.abs(_exp(_evaluate(log_p, idx, pts)) - _exp(_evaluate(log_q, idx, pts)))
         w = _stack_weights(box_lo, box_hi, n)

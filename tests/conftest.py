@@ -32,3 +32,59 @@ def shifted_modes(shifted_family):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def _integrate_every_box(integrate, lo, hi, spec):
+    """The Simpson oracle's box policy without the face check: each round
+    integrates every box left and widens x1.5 those that fail the tail
+    check, up to spec.max_expand times (no rounds for an explicit box).
+    ``integrate`` is as in measure.oracle_integrals; the boxes are taken as
+    valid.  Returns per box its last GridIntegral or exception, and the
+    number of boxes integrated in each round."""
+    from klgauss.quadrature import BoxTooSmallError, GridIntegral, _grid_resolution
+
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    n = _grid_resolution(lo.shape[1], spec.points_per_dim)
+    out = [None] * len(lo)
+    rounds = []
+    todo = np.arange(len(lo))
+    for _ in range(1 if spec.box is not None else spec.max_expand + 1):
+        rounds.append(len(todo))
+        failed = []
+        for i, result in zip(todo, integrate(todo, lo[todo], hi[todo], n)):
+            out[i] = result
+            if isinstance(result, GridIntegral) and result.boundary_ratio > spec.tail_tol:
+                failed.append(i)
+                out[i] = BoxTooSmallError(f"boundary ratio {result.boundary_ratio:.2e}")
+        todo = np.array(failed, dtype=int)
+        if not todo.size:
+            break
+        center = 0.5 * (lo[todo] + hi[todo])
+        lo[todo] = center + 1.5 * (lo[todo] - center)
+        hi[todo] = center + 1.5 * (hi[todo] - center)
+    return out, rounds
+
+
+@pytest.fixture(scope="session")
+def integrate_every_box():
+    return _integrate_every_box
+
+
+@pytest.fixture(scope="session")
+def assert_same_integrals():
+    """assert_same_integrals(got, want): every GridIntegral field and grid,
+    and every exception type, of two lists of oracle results agree."""
+
+    def check(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            if isinstance(b, Exception):
+                continue
+            for name in ("value", "log_value", "error_estimate", "boundary_ratio"):
+                assert getattr(a, name) == getattr(b, name)
+            assert np.array_equal(a.grid.lo, b.grid.lo)
+            assert np.array_equal(a.grid.hi, b.grid.hi)
+            assert a.grid.points_per_dim == b.grid.points_per_dim
+
+    return check

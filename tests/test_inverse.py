@@ -608,6 +608,41 @@ def test_bvm_batched_log_z_is_quadrature_normalization_per_draw():
     assert widened > 0  # the widen-and-redo loop ran inside the batch
 
 
+@pytest.mark.parametrize("case, eps, boxes, every_box", [
+    ("bvm-m1", 0.1, 100, 442), ("bvm-m1", 0.03, 100, 229), ("M=2", 0.01, 30, 131),
+])
+def test_bvm_face_check_integrates_each_box_once(
+        case, eps, boxes, every_box, integrate_every_box, assert_same_integrals, monkeypatch):
+    # every draw's log Z is the one integrating every box of every round
+    # gives, field for field, but each draw's box is integrated once: the
+    # posterior modes hold the maximum, so a box whose faces fail against it
+    # is widened without being integrated
+    if case == "bvm-m1":
+        p, cfg = bvm_m1_config()
+    else:
+        p = problem(M=2, f=100.0)
+        cfg = inv.BvMConfig(truth=np.zeros(2), eps_list=(eps,), draws=30, seed=20)
+    prior = quadratic(dim=p.M)
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, p.M))
+    j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
+    Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior, j_inv)
+    assert errors == [None] * cfg.draws
+    spec = inv.GridSpec()
+    integrated = []
+    stack = inv.integrate_exp_stack
+    monkeypatch.setattr(inv, "integrate_exp_stack",
+                        lambda f, lo, hi, n: integrated.append(len(lo)) or stack(f, lo, hi, n))
+    results = inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)
+    assert sum(integrated) == boxes == cfg.draws
+    log_f = inv._log_posterior(p, Y, eps, prior)
+    lo, hi = measure._concentration_boxes(modes[:, None], h_effs[:, None], eps, spec.radius_floor)
+    reference, rounds = integrate_every_box(
+        lambda idx, lo, hi, n: stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
+        lo, hi, spec)
+    assert_same_integrals(results, reference)
+    assert sum(rounds) == every_box
+
+
 def test_bvm_batched_log_z_on_an_explicit_box():
     # with grid_spec.box every draw's box is that box, used as given
     p, cfg = bvm_m1_config()

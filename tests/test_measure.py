@@ -321,14 +321,25 @@ def gaussian_stack(centers, eps):
     return log_f
 
 
+def stack_oracle(log_f, lo, hi, peaks, spec):
+    """oracle_integrals over integrate_exp_stack, as inverse._draw_integrals
+    runs it."""
+    return oracle_integrals(
+        lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
+        log_f, lo, hi, peaks, spec,
+    )
+
+
+def center_peaks(log_f, centers):
+    """log_f of each box at its center, (k,)."""
+    return log_f(np.arange(len(centers)), np.asarray(centers, dtype=float)[:, None, :])[:, 0]
+
+
 def stacked_integrals(log_f, centers, eps, spec):
     d = centers.shape[1]
     boxes = [concentration_box(c[None], np.eye(d)[None], eps, spec.radius_floor) for c in centers]
     lo, hi = (np.array(side) for side in zip(*boxes))
-    return oracle_integrals(
-        lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-        lo, hi, spec,
-    )
+    return stack_oracle(log_f, lo, hi, center_peaks(log_f, centers), spec)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -371,7 +382,8 @@ def test_stacked_oracle_failures_stay_per_box():
     results = stacked_integrals(log_f, centers, 1e-2, GridSpec())
     assert isinstance(results[1], ValueError) and "not finite" in str(results[1])
     assert isinstance(results[2], BoxTooSmallError)
-    alone = stacked_integrals(gauss, centers[[0, 3]], 1e-2, GridSpec())
+    kept = centers[[0, 3]]
+    alone = stacked_integrals(gaussian_stack(kept, 1e-2), kept, 1e-2, GridSpec())
     for r, a in zip([results[0], results[3]], alone):
         assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
 
@@ -384,10 +396,7 @@ def test_stacked_oracle_invalid_box_fails_alone():
 
     def integrals(rows, lo, hi):
         log_f = gaussian_stack(centers[rows], 1e-1)
-        return oracle_integrals(
-            lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-            lo, hi, GridSpec(),
-        )
+        return stack_oracle(log_f, lo, hi, center_peaks(log_f, centers[rows]), GridSpec())
 
     lo, hi = centers - 2.0, centers + 2.0
     hi[1, 1] = lo[1, 1]
@@ -397,6 +406,168 @@ def test_stacked_oracle_invalid_box_fails_alone():
     assert type(results[1]) is ValueError and str(results[1]) == str(made.value)
     for r, a in zip([results[0], results[2]], integrals([0, 2], lo[[0, 2]], hi[[0, 2]])):
         assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
+
+
+# --- GridSpec and the face check ----------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("points_per_dim", -3), ("points_per_dim", 0), ("points_per_dim", 2),
+    ("points_per_dim", 5.0), ("points_per_dim", True),
+    ("tail_tol", 0.0), ("tail_tol", -1e-14), ("tail_tol", 1.5), ("tail_tol", math.nan),
+    ("max_expand", -1), ("max_expand", 2.0), ("max_expand", False),
+    ("radius_floor", -1.0), ("radius_floor", math.inf), ("radius_floor", math.nan),
+])
+def test_grid_spec_rejects_invalid_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        GridSpec(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"points_per_dim": 3}, {"points_per_dim": np.int64(17)}, {"tail_tol": 1.0},
+    {"max_expand": 0}, {"radius_floor": 0.0},
+])
+def test_grid_spec_accepts_edge_values(kwargs):
+    assert getattr(GridSpec(**kwargs), next(iter(kwargs))) == next(iter(kwargs.values()))
+
+
+def counting_integrate(log_f, rounds):
+    """integrate for oracle_integrals over integrate_exp_stack, appending to
+    ``rounds`` the number of boxes of each call."""
+
+    def integrate(idx, lo, hi, n):
+        rounds.append(len(idx))
+        return integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n)
+
+    return integrate
+
+
+def test_face_check_keeps_the_boxes_on_a_correlated_gaussian(
+        integrate_every_box, assert_same_integrals):
+    # a correlated 2-D Gaussian: the largest value on a face lies off its
+    # axis; boxes of 3 to 30 standard units need 6 to 0 widenings, and the
+    # face check integrates each box once where integrating every box
+    # integrates it in every round
+    eps = 1e-2
+    a, b, c = 1.0, 0.95, 1.0  # precision [[a, b], [b, c]]
+    centers = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 2))
+    half = math.sqrt(eps) * np.array([3.0, 5.0, 8.0, 12.0, 20.0, 30.0])[:, None]
+    lo, hi = centers - half, centers + half
+
+    def log_f(idx, pts):
+        z = pts - centers[idx][:, None, :]
+        x, y = z[..., 0], z[..., 1]
+        return -0.5 * (a * x * x + 2.0 * b * x * y + c * y * y) / eps
+
+    rounds = []
+    results = oracle_integrals(counting_integrate(log_f, rounds), log_f, lo, hi,
+                               center_peaks(log_f, centers), GridSpec())
+    reference, ref_rounds = integrate_every_box(counting_integrate(log_f, []), lo, hi, GridSpec())
+    assert_same_integrals(results, reference)
+    assert sum(rounds) == len(centers) < sum(ref_rounds)
+    for r in results:
+        assert r.boundary_ratio <= GridSpec().tail_tol
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.03, 0.01, 0.003])
+def test_face_check_keeps_the_double_well_union_box(
+        eps, double_well_family, double_well_modes, integrate_every_box,
+        assert_same_integrals, monkeypatch):
+    # the union box of the two wells, from balls without the radius floor,
+    # fails the tail check at first; quadrature_normalization integrates it
+    # once, on the box integrating every box accepts
+    mu = double_well_family.at(eps)
+    spec = GridSpec(radius_floor=0.0)
+    lo, hi = measure.oracle_box(spec, double_well_modes, eps)
+
+    def log_f(pts):
+        return kg.unnormalized_log_density(mu, pts)
+
+    def integrate(idx, lo, hi, n):
+        return [quadrature.integrate_exp(log_f, quadrature.Grid(lo[0], hi[0], n))]
+
+    reference, ref_rounds = integrate_every_box(integrate, [lo], [hi], spec)
+    grids = []
+    integrate_exp = measure.integrate_exp
+    monkeypatch.setattr(measure, "integrate_exp",
+                        lambda f, g: grids.append(g) or integrate_exp(f, g))
+    result = kg.quadrature_normalization(mu, spec, mode_set=double_well_modes)
+    assert_same_integrals([result], reference)
+    assert len(grids) == 1 and len(ref_rounds) > 1
+
+
+def test_face_check_with_the_lower_of_two_modes_accepts_a_wider_box(integrate_every_box):
+    # two wells of weight 1e-3 and 1 - 1e-3; the peak passed is the lower
+    # one, so the faces are judged against a peak 6.9 below the maximum.
+    # The first box leaves exp(-34) of the maximum at its upper face:
+    # integrating every box accepts it, the face check widens it.  The
+    # wider box still passes the tail check on its grid and gives the exact
+    # log Z
+    eps = 1e-2
+    log_w = np.log([1e-3, 1.0 - 1e-3])
+    wells = np.array([-1.0, 1.0])
+
+    def log_f(idx, pts):
+        x = pts[..., 0]
+        return np.logaddexp(log_w[0] - (x - wells[0]) ** 2 / (2.0 * eps),
+                            log_w[1] - (x - wells[1]) ** 2 / (2.0 * eps))
+
+    r = math.sqrt(68.0 * eps)
+    lo, hi = np.array([[-1.0 - r]]), np.array([[1.0 + r]])
+    lower_peak = log_f(None, np.array([[[-1.0]]]))[:, 0]
+    spec = GridSpec()
+    result = oracle_integrals(counting_integrate(log_f, []), log_f, lo, hi, lower_peak, spec)[0]
+    (every,), _ = integrate_every_box(counting_integrate(log_f, []), lo, hi, spec)
+    assert every.grid.hi[0] == hi[0, 0] and result.grid.hi[0] > every.grid.hi[0]
+    assert result.boundary_ratio <= spec.tail_tol
+    exact = math.sqrt(2.0 * math.pi * eps) * np.sum(np.exp(log_w))
+    assert abs(result.value - exact) <= result.error_estimate
+
+
+@pytest.mark.parametrize("peak, face", [
+    (-math.inf, None), (math.nan, None), (0.0, math.inf),
+])
+def test_face_check_skips_only_on_finite_values(
+        peak, face, integrate_every_box, assert_same_integrals):
+    # a box of two standard units fails the tail check; with a peak of -inf
+    # or NaN, or +inf on a face, the face check skips nothing, and every
+    # round integrates the boxes integrating every box does
+    eps = 1e-2
+    lo, hi = np.array([[-0.2]]), np.array([[0.2]])
+
+    def log_f(idx, pts):
+        out = -pts[..., 0] ** 2 / (2.0 * eps)
+        if face is not None:
+            out[pts[..., 0] == hi[0, 0]] = face
+        return out
+
+    rounds = []
+    results = oracle_integrals(counting_integrate(log_f, rounds), log_f, lo, hi, [peak], GridSpec())
+    reference, ref_rounds = integrate_every_box(counting_integrate(log_f, []), lo, hi, GridSpec())
+    assert_same_integrals(results, reference)
+    assert rounds == ref_rounds
+    assert len(rounds) == (1 if face is not None else 5)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(max_expand=0), GridSpec(box=([-0.2], [0.2]))])
+def test_face_check_does_not_run_without_a_widening(spec):
+    # with no widening left every box is integrated in the one round, no
+    # face is evaluated, and a box too small reports its grid's own ratio
+    eps = 1e-2
+    lo, hi = np.array([[-0.2], [-0.1]]), np.array([[0.2], [0.1]])
+    shapes = []
+
+    def log_f(idx, pts):
+        shapes.append(pts.shape)
+        return -pts[..., 0] ** 2 / (2.0 * eps)
+
+    rounds = []
+    results = oracle_integrals(counting_integrate(log_f, rounds), log_f, lo, hi, [0.0, 0.0], spec)
+    n = quadrature.DEFAULT_POINTS[1]
+    assert rounds == [2] and shapes == [(2, n, 1)]
+    for r, h in zip(results, (0.2, 0.1)):
+        assert isinstance(r, BoxTooSmallError)
+        assert f"{math.exp(-h * h / (2.0 * eps)):.2e}" in str(r)
 
 
 # --- catalog / JSON -------------------------------------------------------------

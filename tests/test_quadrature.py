@@ -78,6 +78,39 @@ def test_stack_points_is_linspace_meshgrid(d):
         assert same_bits(pts, ref)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_face_points_are_the_grid_faces(d):
+    # the face points are those of the full grid with some index first or
+    # last, bit for bit, and the face maximum is the one the kernel's
+    # boundary ratio takes
+    rng = np.random.default_rng(d)
+    k = 3
+    lo = rng.uniform(-5.0, 1.0, (k, d))
+    hi = lo + rng.uniform(1e-3, 7.0, (k, d))
+    n = quadrature.DEFAULT_POINTS[d]
+    on_face = np.zeros((n,) * d, dtype=bool)
+    for a in range(d):
+        on_face[(slice(None),) * a + ([0, -1],)] = True
+    grid = quadrature._stack_points(lo, hi, n)
+    faces = quadrature._stack_faces(lo, hi, n)
+    assert faces.shape == (k, 2 * d * n ** (d - 1), d)
+    for j in range(k):
+        want = grid[j][on_face.ravel()]
+        assert same_bits(np.unique(faces[j], axis=0), np.unique(want, axis=0))
+
+    scale = rng.uniform(0.5, 2.0, d)
+    peak_at = lo + rng.uniform(0.2, 0.8, (k, d)) * (hi - lo)
+
+    def log_f(idx, pts):
+        return -sum(scale[a] * (pts[..., a] - peak_at[idx, a][:, None]) ** 2 for a in range(d))
+
+    face_max = quadrature._face_max_stack(log_f, lo, hi, n)
+    values = log_f(np.arange(k), grid)
+    assert same_bits(face_max, np.max(values[:, on_face.ravel()], axis=1))
+    for j, result in enumerate(integrate_exp_stack(log_f, lo, hi, n)):
+        assert result.boundary_ratio == float(np.exp(face_max[j] - np.max(values[j])))
+
+
 def test_exp_is_numpy_exp_bit_for_bit():
     special = [-np.inf, np.inf, np.nan, -746.0, -745.14, -745.13, -745.0, -708.0, -707.9,
                0.0, -0.0, 1.0, 709.7, 710.0, -1e300]

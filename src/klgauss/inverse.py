@@ -550,22 +550,21 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
     and Hessian h_effs[i] there, by the oracle's box policy
     (measure.oracle_integrals) on the stacked boxes of all draws; the first
     box of each is ``grid_spec.box`` or the concentration box of its mode
-    (measure.oracle_box), all built at once.  The peak of draw i is its log
-    posterior at modes[i]: where that mode is the posterior's global
-    maximum, a box whose faces already fail the tail check against it is
-    widened without being integrated, and the accepted boxes are those of
-    integrating every box.  Returns per draw its GridIntegral or the
-    exception that failed it."""
+    (measure.oracle_box), all built at once.  The oracle is given modes[i]
+    as the mode of draw i: where that mode is the posterior's global
+    maximum, a box whose faces already fail the tail check against the log
+    posterior there is widened without being integrated, and the accepted
+    boxes are those of integrating every box.  Returns per draw its
+    GridIntegral or the exception that failed it."""
     if grid_spec.box is None:
         lo, hi = _concentration_boxes(modes[:, None], h_effs[:, None], eps, grid_spec.radius_floor)
     else:
         lo, hi = (np.tile(np.ravel(np.asarray(side, dtype=float)), (len(Y), 1))
                   for side in grid_spec.box)
     log_f = _log_posterior(p, Y, eps, prior)
-    peaks = log_f(np.arange(len(Y)), modes[:, None, :])[:, 0]
     return oracle_integrals(
         lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-        log_f, lo, hi, peaks, grid_spec,
+        lo, hi, grid_spec, log_f, modes[:, None],
     )
 
 

@@ -31,9 +31,9 @@ from .quadrature import (
     GridIntegral,
     OracleDimensionError,
     _BAD_BOX,
+    _evaluate,
     _face_max_stack,
     _grid_resolution,
-    _one_box,
     _valid_boxes,
     integrate_exp,
 )
@@ -401,9 +401,10 @@ class GridSpec:
     With ``box=None`` the box is derived from the modes of the target: the
     union of balls of radius max(6*sqrt(eps/lambda_min), radius_floor)
     around each mode, expanded by x1.5 (up to ``max_expand`` rounds) while
-    the boundary integrand stays above ``tail_tol`` of the peak; a box whose
+    the boundary integrand stays above ``tail_tol`` of the peak.  Where the
+    oracle is given the modes (the BvM panel's stacked boxes), a box whose
     faces alone, against the integrand at the modes, show that it will fail
-    is expanded without being integrated (see oracle_integrals).  Where the
+    is expanded without being integrated (see oracle_integrals); where the
     modes hold the maximum of the integrand, the accepted box is the one
     integrating every box would accept.  Explicit boxes are used verbatim
     and fail hard if too small.
@@ -455,32 +456,34 @@ def _concentration_boxes(centers, hessians, epsilon, radius_floor):
     return np.min(centers - radius, axis=1), np.max(centers + radius, axis=1)
 
 
-def oracle_integrals(integrate, log_f, lo, hi, peaks, spec: GridSpec) -> list:
+def oracle_integrals(integrate, lo, hi, spec: GridSpec, log_f=None, modes=None) -> list:
     """The Simpson oracle's box policy over a stack of boxes [lo[i], hi[i]].
 
     ``integrate(idx, lo, hi, n)`` integrates the boxes ``idx``, given as
     arrays lo and hi, on n points per dimension, and returns per box its
     GridIntegral or the ValueError that failed it (see
-    quadrature.integrate_exp_stack); ``log_f(idx, pts)`` is the log
-    integrand it integrates, at the points (k, N, d) of the boxes ``idx``.
-    ``peaks[i]`` is the largest log integrand of box i at its target's
-    modes.  An explicit ``spec.box`` is used as given; a box derived from
-    the modes whose boundary integrand exceeds ``spec.tail_tol`` of its peak
-    is widened x1.5 about its center, at most ``spec.max_expand`` times.
-    The boxes are checked as arrays by make_grid's rule
-    (quadrature._valid_boxes).
+    quadrature.integrate_exp_stack).  An explicit ``spec.box`` is used as
+    given; a box derived from the modes whose boundary integrand exceeds
+    ``spec.tail_tol`` of its peak is widened x1.5 about its center, at most
+    ``spec.max_expand`` times.  The boxes are checked as arrays by
+    make_grid's rule (quadrature._valid_boxes).
 
-    Each round but the last first evaluates log_f on the faces of the grids
-    of the boxes still to do, at the integration's own points, and widens
-    without integrating every box where exp(face max - peak) > tail_tol,
-    both finite; the others are integrated, and widened where the tail
-    check fails on the grid.  The last round integrates every box left, so
-    its error reports the grid's own ratio.  Where the modes hold the
-    maximum of the integrand, no grid value exceeds the peak, so a box
-    widened on its faces would fail the tail check on its grid: the
-    accepted box is the one integrating every box gives, bit for bit.
-    Where they do not, a wider box may be accepted.  Every accepted box
-    passes the tail check on its full grid.
+    Without ``modes`` every round integrates every box left.  With them,
+    ``log_f(idx, pts)`` is the log integrand ``integrate`` integrates, at
+    the points (k, N, d) of the boxes ``idx``, and ``modes`` (k, m, d) the
+    target's modes of each box; the peak of box i is the largest log_f at
+    its modes.  Each round but the last then first evaluates log_f on the
+    faces of the grids of the boxes still to do, at the integration's own
+    points, and widens without integrating every box where exp(face max -
+    peak) > tail_tol, both finite; the others are integrated, and widened
+    where the tail check fails on the grid.  The last round integrates
+    every box left, so its error reports the grid's own ratio.  Where the
+    modes hold the maximum of the integrand, no grid value exceeds the
+    peak, so a box widened on its faces would fail the tail check on its
+    grid: the accepted box is the one integrating every box gives, bit for
+    bit.  Where they do not (the minimizers of v1 under a tilting v2, say),
+    a wider box may be accepted.  Every accepted box passes the tail check
+    on its full grid.
 
     Returns per box its accepted GridIntegral or the exception that failed
     it alone: BoxTooSmallError when the tail check still fails, or the
@@ -489,18 +492,20 @@ def oracle_integrals(integrate, log_f, lo, hi, peaks, spec: GridSpec) -> list:
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    peaks = np.asarray(peaks, dtype=float)
     n = _grid_resolution(lo.shape[1], spec.points_per_dim)
     out = [None] * len(lo)
     todo = np.arange(len(lo))
     expansions = 0 if spec.box is not None else spec.max_expand
+    check_faces = modes is not None and expansions > 0
+    if check_faces:
+        peaks = np.max(_evaluate(log_f, todo, np.asarray(modes, dtype=float)), axis=1)
     for expansion in range(expansions + 1):
         valid = _valid_boxes(lo[todo], hi[todo])
         for i in todo[~valid]:
             out[i] = ValueError(_BAD_BOX)
         todo = todo[valid]
         widen = np.zeros(todo.size, dtype=bool)
-        if todo.size and expansion < expansions:
+        if check_faces and todo.size and expansion < expansions:
             face_max = _face_max_stack(lambda j, pts: log_f(todo[j], pts), lo[todo], hi[todo], n)
             with np.errstate(over="ignore", invalid="ignore"):  # not finite: no skip
                 widen = (np.isfinite(face_max) & np.isfinite(peaks[todo])
@@ -542,10 +547,10 @@ def quadrature_normalization(
 ) -> GridIntegral:
     """Brute-force Z = int exp(-v1/eps - v2) dx by tensor Simpson (dim <= 3).
 
-    The one-box case of oracle_integrals, whose exception it raises; the
-    peak is the log integrand's largest value at the modes of ``mode_set``
-    (found by find_modes when needed), the minimizers of the limit
-    potential v1.
+    The one-box case of oracle_integrals, whose exception it raises.  It
+    passes no modes, so every box of every round is integrated: the modes
+    of ``mode_set`` are the minimizers of the limit potential v1, which a
+    tilting v2 leaves below the integrand's maximum.
     """
     spec = grid or GridSpec()
     if mu.dim > 3:
@@ -562,10 +567,7 @@ def quadrature_normalization(
     if spec.box is None and mode_set is None:
         mode_set = find_modes(mu.v1, mu.v2, search)
     lo, hi = oracle_box(spec, mode_set, mu.epsilon)
-    # without modes the box is explicit: its one round integrates it, and
-    # the peak is not read
-    peak = math.nan if mode_set is None else np.max(log_f(mode_set.modes))
-    result = oracle_integrals(integrate, _one_box(log_f), [lo], [hi], [peak], spec)[0]
+    result = oracle_integrals(integrate, [lo], [hi], spec)[0]
     if isinstance(result, Exception):
         raise result
     return result

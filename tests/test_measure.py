@@ -321,25 +321,20 @@ def gaussian_stack(centers, eps):
     return log_f
 
 
-def stack_oracle(log_f, lo, hi, peaks, spec):
+def stack_oracle(log_f, lo, hi, modes, spec):
     """oracle_integrals over integrate_exp_stack, as inverse._draw_integrals
-    runs it."""
+    runs it, with the modes (k, m, d) of each box."""
     return oracle_integrals(
         lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-        log_f, lo, hi, peaks, spec,
+        lo, hi, spec, log_f, modes,
     )
-
-
-def center_peaks(log_f, centers):
-    """log_f of each box at its center, (k,)."""
-    return log_f(np.arange(len(centers)), np.asarray(centers, dtype=float)[:, None, :])[:, 0]
 
 
 def stacked_integrals(log_f, centers, eps, spec):
     d = centers.shape[1]
     boxes = [concentration_box(c[None], np.eye(d)[None], eps, spec.radius_floor) for c in centers]
     lo, hi = (np.array(side) for side in zip(*boxes))
-    return stack_oracle(log_f, lo, hi, center_peaks(log_f, centers), spec)
+    return stack_oracle(log_f, lo, hi, centers[:, None], spec)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -396,7 +391,7 @@ def test_stacked_oracle_invalid_box_fails_alone():
 
     def integrals(rows, lo, hi):
         log_f = gaussian_stack(centers[rows], 1e-1)
-        return stack_oracle(log_f, lo, hi, center_peaks(log_f, centers[rows]), GridSpec())
+        return stack_oracle(log_f, lo, hi, centers[rows][:, None], GridSpec())
 
     lo, hi = centers - 2.0, centers + 2.0
     hi[1, 1] = lo[1, 1]
@@ -460,8 +455,8 @@ def test_face_check_keeps_the_boxes_on_a_correlated_gaussian(
         return -0.5 * (a * x * x + 2.0 * b * x * y + c * y * y) / eps
 
     rounds = []
-    results = oracle_integrals(counting_integrate(log_f, rounds), log_f, lo, hi,
-                               center_peaks(log_f, centers), GridSpec())
+    results = oracle_integrals(counting_integrate(log_f, rounds), lo, hi, GridSpec(),
+                               log_f, centers[:, None])
     reference, ref_rounds = integrate_every_box(counting_integrate(log_f, []), lo, hi, GridSpec())
     assert_same_integrals(results, reference)
     assert sum(rounds) == len(centers) < sum(ref_rounds)
@@ -470,15 +465,22 @@ def test_face_check_keeps_the_boxes_on_a_correlated_gaussian(
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.03, 0.01, 0.003])
-def test_face_check_keeps_the_double_well_union_box(
-        eps, double_well_family, double_well_modes, integrate_every_box,
-        assert_same_integrals, monkeypatch):
+@pytest.mark.parametrize("tilted", [False, True])
+def test_face_check_on_the_double_well_union_box(
+        eps, tilted, double_well_family, double_well_modes, shifted_family, shifted_modes,
+        integrate_every_box, assert_same_integrals, monkeypatch):
     # the union box of the two wells, from balls without the radius floor,
-    # fails the tail check at first; quadrature_normalization integrates it
-    # once, on the box integrating every box accepts
-    mu = double_well_family.at(eps)
+    # fails the tail check at first.  Given the modes of v1, the face check
+    # integrates it once; on the double well they hold the maximum and the
+    # box is the one integrating every box accepts, while under the tilt of
+    # the shifted double well's v2 they may lie below it and a box as wide
+    # or wider is accepted.  quadrature_normalization passes no modes and
+    # integrates every box of every round
+    family, modes = (shifted_family, shifted_modes) if tilted else (
+        double_well_family, double_well_modes)
+    mu = family.at(eps)
     spec = GridSpec(radius_floor=0.0)
-    lo, hi = measure.oracle_box(spec, double_well_modes, eps)
+    lo, hi = measure.oracle_box(spec, modes, eps)
 
     def log_f(pts):
         return kg.unnormalized_log_density(mu, pts)
@@ -486,23 +488,36 @@ def test_face_check_keeps_the_double_well_union_box(
     def integrate(idx, lo, hi, n):
         return [quadrature.integrate_exp(log_f, quadrature.Grid(lo[0], hi[0], n))]
 
-    reference, ref_rounds = integrate_every_box(integrate, [lo], [hi], spec)
+    (want,), ref_rounds = integrate_every_box(integrate, [lo], [hi], spec)
+    assert len(ref_rounds) > 1
     grids = []
     integrate_exp = measure.integrate_exp
     monkeypatch.setattr(measure, "integrate_exp",
                         lambda f, g: grids.append(g) or integrate_exp(f, g))
-    result = kg.quadrature_normalization(mu, spec, mode_set=double_well_modes)
-    assert_same_integrals([result], reference)
-    assert len(grids) == 1 and len(ref_rounds) > 1
+    assert_same_integrals([kg.quadrature_normalization(mu, spec, mode_set=modes)], [want])
+    assert len(grids) == len(ref_rounds)
+
+    rounds = []
+    (got,) = oracle_integrals(lambda *a: rounds.append(1) or integrate(*a), [lo], [hi], spec,
+                              quadrature._one_box(log_f), np.asarray(modes.modes)[None])
+    assert rounds == [1]
+    if not tilted:
+        assert_same_integrals([got], [want])
+    else:
+        assert got.grid.lo[0] <= want.grid.lo[0] and got.grid.hi[0] >= want.grid.hi[0]
+        assert got.boundary_ratio <= spec.tail_tol
+        assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate
 
 
-def test_face_check_with_the_lower_of_two_modes_accepts_a_wider_box(integrate_every_box):
-    # two wells of weight 1e-3 and 1 - 1e-3; the peak passed is the lower
-    # one, so the faces are judged against a peak 6.9 below the maximum.
+def test_face_check_with_the_lower_of_two_modes_accepts_a_wider_box(
+        integrate_every_box, assert_same_integrals):
+    # two wells of weight 1e-3 and 1 - 1e-3; only the lower mode is passed,
+    # so the faces are judged against a peak 6.9 below the maximum.
     # The first box leaves exp(-34) of the maximum at its upper face:
     # integrating every box accepts it, the face check widens it.  The
     # wider box still passes the tail check on its grid and gives the exact
-    # log Z
+    # log Z.  Given both modes, the peak is the larger value, and the box
+    # is the one integrating every box accepts
     eps = 1e-2
     log_w = np.log([1e-3, 1.0 - 1e-3])
     wells = np.array([-1.0, 1.0])
@@ -514,14 +529,16 @@ def test_face_check_with_the_lower_of_two_modes_accepts_a_wider_box(integrate_ev
 
     r = math.sqrt(68.0 * eps)
     lo, hi = np.array([[-1.0 - r]]), np.array([[1.0 + r]])
-    lower_peak = log_f(None, np.array([[[-1.0]]]))[:, 0]
     spec = GridSpec()
-    result = oracle_integrals(counting_integrate(log_f, []), log_f, lo, hi, lower_peak, spec)[0]
+    result = oracle_integrals(counting_integrate(log_f, []), lo, hi, spec,
+                              log_f, [[[wells[0]]]])[0]
     (every,), _ = integrate_every_box(counting_integrate(log_f, []), lo, hi, spec)
     assert every.grid.hi[0] == hi[0, 0] and result.grid.hi[0] > every.grid.hi[0]
     assert result.boundary_ratio <= spec.tail_tol
     exact = math.sqrt(2.0 * math.pi * eps) * np.sum(np.exp(log_w))
     assert abs(result.value - exact) <= result.error_estimate
+    both = oracle_integrals(counting_integrate(log_f, []), lo, hi, spec, log_f, wells[None, :, None])
+    assert_same_integrals(both, [every])
 
 
 @pytest.mark.parametrize("peak, face", [
@@ -530,19 +547,23 @@ def test_face_check_with_the_lower_of_two_modes_accepts_a_wider_box(integrate_ev
 def test_face_check_skips_only_on_finite_values(
         peak, face, integrate_every_box, assert_same_integrals):
     # a box of two standard units fails the tail check; with a peak of -inf
-    # or NaN, or +inf on a face, the face check skips nothing, and every
-    # round integrates the boxes integrating every box does
+    # or NaN at the mode passed (at 5, outside every box), or +inf on a
+    # face, the face check skips nothing, and every round integrates the
+    # boxes integrating every box does
     eps = 1e-2
     lo, hi = np.array([[-0.2]]), np.array([[0.2]])
+    mode = 5.0
 
     def log_f(idx, pts):
         out = -pts[..., 0] ** 2 / (2.0 * eps)
+        out[pts[..., 0] == mode] = peak
         if face is not None:
             out[pts[..., 0] == hi[0, 0]] = face
         return out
 
     rounds = []
-    results = oracle_integrals(counting_integrate(log_f, rounds), log_f, lo, hi, [peak], GridSpec())
+    results = oracle_integrals(counting_integrate(log_f, rounds), lo, hi, GridSpec(),
+                               log_f, [[[mode]]])
     reference, ref_rounds = integrate_every_box(counting_integrate(log_f, []), lo, hi, GridSpec())
     assert_same_integrals(results, reference)
     assert rounds == ref_rounds
@@ -552,7 +573,8 @@ def test_face_check_skips_only_on_finite_values(
 @pytest.mark.parametrize("spec", [GridSpec(max_expand=0), GridSpec(box=([-0.2], [0.2]))])
 def test_face_check_does_not_run_without_a_widening(spec):
     # with no widening left every box is integrated in the one round, no
-    # face is evaluated, and a box too small reports its grid's own ratio
+    # peak or face is evaluated, and a box too small reports its grid's own
+    # ratio
     eps = 1e-2
     lo, hi = np.array([[-0.2], [-0.1]]), np.array([[0.2], [0.1]])
     shapes = []
@@ -562,7 +584,8 @@ def test_face_check_does_not_run_without_a_widening(spec):
         return -pts[..., 0] ** 2 / (2.0 * eps)
 
     rounds = []
-    results = oracle_integrals(counting_integrate(log_f, rounds), log_f, lo, hi, [0.0, 0.0], spec)
+    results = oracle_integrals(counting_integrate(log_f, rounds), lo, hi, spec,
+                               log_f, np.zeros((2, 1, 1)))
     n = quadrature.DEFAULT_POINTS[1]
     assert rounds == [2] and shapes == [(2, n, 1)]
     for r, h in zip(results, (0.2, 0.1)):

@@ -25,12 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .gaussian import LOG_2PI, GaussianParams, MixtureParams
+from .gaussian import LOG_2PI, GaussianParams, MixtureParams, _logsumexp
 from .measure import MeasureFamily, TargetMeasure
 from .potentials import EvaluationError, Potential, zero
 from .quadrature import gauss_hermite
@@ -127,8 +127,19 @@ def _nodes(est, d):
     the nodes' density."""
     if est.method == GAUSS_HERMITE:
         return _gh_nodes(est.gh_order, d)
-    y = np.random.default_rng(est.seed).standard_normal((est.mc_samples, d))
-    return _Nodes(y / math.sqrt(2.0), np.full(est.mc_samples, 1.0 / est.mc_samples), None)
+    return _mc_nodes(est.mc_samples, est.seed, d)
+
+
+@lru_cache(maxsize=1)
+def _mc_nodes(samples, seed, d):
+    """The Monte Carlo node set, read-only.  One entry is kept: a sweep
+    re-estimates every level on the same draws, and a larger cache would
+    only hold the draws of seeds no longer in use."""
+    z = np.random.default_rng(seed).standard_normal((samples, d)) / math.sqrt(2.0)
+    w = np.full(samples, 1.0 / samples)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return _Nodes(z, w, None)
 
 
 def _n_chol_params(d):
@@ -200,7 +211,7 @@ class _Objective:
         if n == 1:
             return _ONE, means, chols
         logits = np.concatenate([[0.0], theta[: n - 1]])
-        return np.exp(logits - logsumexp(logits)), means, chols
+        return np.exp(logits - _logsumexp(logits)), means, chols
 
     def pack(self, alpha, means, chols):
         logits = np.log(np.asarray(alpha, dtype=float))
@@ -288,7 +299,7 @@ class _Objective:
         score = np.einsum("jba,ijkb->ijka", inv, u) / sqrt_eps  # Sigma_j^-1 (x - m_j)
         const = self._log_consts(alpha, chols)
         comp_log = const[None, :, None] - 0.5 * np.sum(u * u, axis=-1)  # (i, j, K)
-        log_rho = logsumexp(comp_log, axis=1)
+        log_rho = _logsumexp(comp_log, axis=1)
         r = np.exp(comp_log - log_rho[:, None])
         entropy = log_rho @ w
         value = float(alpha @ (pot + entropy)) + self.log_z
@@ -344,6 +355,11 @@ class _Objective:
         nodes for a single Gaussian too.  Elsewhere a single Gaussian takes
         the closed-form entropy, and the stderr is that of V1/eps + V2
         alone.  log rho is accumulated one component density at a time.
+
+        No step calls BLAS: the node sums and the maps of the nodes are
+        numpy's own einsum loops, whose arithmetic does not depend on the
+        thread count, so a Monte Carlo estimate has the same bytes on any
+        number of cores.
         """
         eps, w = self.mu.epsilon, self.w
         chols = np.stack(chols)
@@ -353,19 +369,19 @@ class _Objective:
         combined = np.zeros(w.size)
         v1_term = v2_term = entropy = 0.0
         for a, m, L in zip(alpha, means, chols):
-            x = self._points(m, L)
+            x = m + self.scale * np.einsum("kb,ab->ka", self.z, L)
             v1 = self.mu.v1.value(x)
             v2 = self.mu.v2.value(x)
             point = v1 / eps + v2
-            v1_term += a * float(w @ v1) / eps
-            v2_term += a * float(w @ v2)
+            v1_term += a * float(np.einsum("k,k->", w, v1)) / eps
+            v2_term += a * float(np.einsum("k,k->", w, v2))
             if not closed_form:
                 log_rho = None
                 for m_j, inv_j, c_j in zip(means, inv, const):
-                    u = (x - m_j) @ inv_j.T / self.sqrt_eps
-                    comp = c_j - 0.5 * np.sum(u * u, axis=1)
+                    u = np.einsum("kb,ab->ka", x - m_j, inv_j) / self.sqrt_eps
+                    comp = c_j - 0.5 * np.einsum("ka,ka->k", u, u)
                     log_rho = comp if log_rho is None else np.logaddexp(log_rho, comp)
-                entropy += a * float(w @ log_rho)
+                entropy += a * float(np.einsum("k,k->", w, log_rho))
                 point += log_rho
             combined += a * point
         if closed_form:

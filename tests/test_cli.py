@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import klgauss
 from klgauss.cli import main
 
 
@@ -346,3 +351,25 @@ def test_sweep_mc_estimator_runs(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_sweep_mc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each sweep runs in its own process, because OpenBLAS reads its thread
+    # count once, at load time
+    src = str(Path(klgauss.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [
+                sys.executable, "-c", "import sys; from klgauss.cli import main; sys.exit(main())",
+                "sweep", "--problem", "double-well", "--eps-list", "0.1,0.01,0.001",
+                "--family", "mixture", "--n", "2", "--logz", "quadrature",
+                "--estimator", "mc", "--out", str(out),
+            ],
+            env=env, check=True, timeout=300,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

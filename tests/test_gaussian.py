@@ -2,15 +2,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from klgauss import (
     GaussianParams,
     MixtureParams,
     kl_categorical,
     kl_gaussian_gaussian,
+    objective,
     sample,
 )
+from klgauss.gaussian import _logsumexp
 from klgauss.quadrature import gaussian_expectation_nodes, make_grid, tv_distance_grid
+
+# _logsumexp reproduces scipy.special.logsumexp's arithmetic since scipy
+# separated the maximum term out of the sum; an older scipy rounds
+# log(1 + e^-40) to 0
+scipy_separates_max = pytest.mark.skipif(
+    not scipy.special.logsumexp([0.0, -40.0]) > 0.0,
+    reason="the installed scipy.special.logsumexp does not separate the maximum term",
+)
 
 
 def std_normal(d=1):
@@ -243,3 +254,100 @@ def test_mixture_json_roundtrip():
     assert np.allclose(back.weights, mix.weights)
     assert np.allclose(back.components[1].covariance, [[2.0]])
     assert back.xi == mix.xi
+
+
+# --- _logsumexp --------------------------------------------------------------------
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _logsumexp_cases(rng, count):
+    """Random shapes and axes: magnitudes 1e-3 to 1e3, ties, -inf entries,
+    all -inf slices, +inf and NaN."""
+    for _ in range(count):
+        shape = tuple(int(k) for k in rng.integers(1, 6, size=rng.integers(1, 4)))
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        r = rng.random(shape)
+        if rng.random() < 0.3:
+            a = np.round(a)  # ties, among them ties of the maximum
+        if rng.random() < 0.3:
+            a[r < 0.3] = -np.inf
+        if rng.random() < 0.1:
+            a[..., 0] = -np.inf
+            a[0] = -np.inf
+        if rng.random() < 0.1:
+            a[r > 0.9] = np.inf
+        if rng.random() < 0.1:
+            a[r > 0.95] = np.nan
+        axis = None if rng.random() < 0.3 else int(rng.integers(0, a.ndim))
+        yield a, axis
+
+
+@scipy_separates_max
+def test_logsumexp_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    cases = list(_logsumexp_cases(rng, 3000)) + [
+        (np.array([0.0, -40.0]), None),
+        (np.array([2.0, 2.0, 2.0]), None),
+        (np.full((3, 4), -np.inf), 0),
+        (np.array([[1.0, np.inf], [np.inf, np.inf]]), 1),
+        (np.array([[np.nan, 1.0], [-np.inf, 3.0]]), 1),
+        (np.array([-1e3, 1e3, 1e3 - 1e-3]), None),
+        (np.array(1.5), None),
+    ]
+    nonfinite = 0
+    for a, axis in cases:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            ours = _logsumexp(a, axis)
+        ref = scipy.special.logsumexp(a, axis=axis)
+        assert type(ours) is type(ref)
+        assert _same_bits(ours, ref), (a, axis)
+        nonfinite += not np.all(np.isfinite(ref))
+    assert nonfinite > 100  # the fallback was exercised
+
+
+@scipy_separates_max
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (0.3, 0.0, 0.7)], ids=["n2", "n3"])
+def test_mixture_log_density_is_the_scipy_logsumexp_one(weights, rng):
+    comps = (
+        GaussianParams.from_covariance([-1.0, 0.5], [[0.5, 0.1], [0.1, 0.3]]),
+        GaussianParams.from_covariance([0.5, 0.0], [[1.3, 0.0], [0.0, 0.2]]),
+        GaussianParams.from_covariance([2.0, -1.0], [[0.2, -0.05], [-0.05, 0.4]]),
+    )[: len(weights)]
+    mix = MixtureParams(comps, np.array(weights), xi=(0.01, 0.1))
+    x = rng.normal(scale=3.0, size=(400, 2))
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.array(weights))
+    ref = scipy.special.logsumexp(
+        np.stack([c.log_density(x) for c in comps]) + logw[:, None], axis=0
+    )
+    assert _same_bits(mix.log_density(x), ref)
+    assert _same_bits(mix.log_density(x[7]), ref[7])
+
+
+@scipy_separates_max
+def test_mixture_objective_is_the_scipy_logsumexp_one(double_well_family, monkeypatch):
+    # split's weights and value_grad, the two places the objective takes a
+    # log-sum-exp, give the bits they gave with scipy.special.logsumexp
+    obj = objective._Objective(
+        double_well_family.at(0.05), 0.4, objective._gh_nodes(20, 1), n=3,
+        xi=(0.05, 0.5), barrier=0.1, separation_weight=10.0,
+    )
+    theta = np.array([0.3, -0.2, -4.1, 0.2, 4.5, 0.1, -0.3, 0.05])
+
+    def evaluate():
+        alpha = obj.split(theta)[0]
+        value, grad = obj.value_grad(theta)
+        return alpha, value, grad
+
+    ours = evaluate()
+    monkeypatch.setattr(
+        objective, "_logsumexp", lambda a, axis=None: scipy.special.logsumexp(a, axis=axis)
+    )
+    ref = evaluate()
+    assert np.isfinite(ours[1])
+    for x, y in zip(ours, ref):
+        assert _same_bits(x, y)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from klgauss.objective import (
     expectation_under_gaussian,
     f_eps,
     g_eps,
+    _mc_nodes,
+    _nodes,
     gaussian_entropy_term,
     kl_single,
     mixture_entropy,
@@ -74,6 +77,62 @@ def test_monte_carlo_stderr_is_that_of_f():
 def test_order_below_two_rejected():
     with pytest.raises(ValueError):
         EstimatorConfig(gh_order=1)
+
+
+# --- the Monte Carlo node set ------------------------------------------------------
+
+
+class _CountingGenerator(np.random.Generator):
+    """default_rng(seed)'s generator, recording the size of every
+    standard_normal draw."""
+
+    def __init__(self, seed, draws):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = draws
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.draws.append(size)
+        return super().standard_normal(size, *args, **kwargs)
+
+
+@pytest.fixture()
+def mc_draws(monkeypatch):
+    """The sizes of the standard-normal draws made through default_rng,
+    starting from an empty Monte Carlo node cache."""
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _CountingGenerator(seed, draws))
+    _mc_nodes.cache_clear()
+    yield draws
+    _mc_nodes.cache_clear()
+
+
+def test_one_monte_carlo_draw_per_sweep(double_well_family, double_well_modes, mc_draws):
+    # every level of a sweep is re-estimated on the same draws
+    est = EstimatorConfig(method=MONTE_CARLO, mc_samples=5_000, seed=0)
+    kg.sweep(
+        double_well_family, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4], kind="mixture", n=2,
+        mode_set=double_well_modes, logz="quadrature", estimator=est,
+    )
+    assert mc_draws.count((5_000, 1)) == 1
+
+
+def test_monte_carlo_nodes_are_read_only_and_per_estimator(mc_draws):
+    est = EstimatorConfig(method=MONTE_CARLO, mc_samples=1_000, seed=3)
+    nodes = _nodes(est, 1)
+    with pytest.raises(ValueError):
+        nodes.z[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        nodes.w[0] = 0.0
+    assert _nodes(est, 1).z is nodes.z
+    assert len(mc_draws) == 1
+    # another seed, sample count or dimension gets its own draws
+    for other, d in ((replace(est, seed=4), 1), (replace(est, mc_samples=1_001), 1), (est, 2)):
+        z, w, order = _nodes(other, d)
+        y = np.random.Generator(np.random.PCG64(other.seed)).standard_normal((other.mc_samples, d))
+        assert np.array_equal(z, y / math.sqrt(2.0))
+        assert np.array_equal(w, np.full(other.mc_samples, 1.0 / other.mc_samples))
+        assert order is None
+    assert len(mc_draws) == 4
 
 
 # --- kl_single -----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .optimizer import (
     minimize_single,
 )
 from .potentials import Potential, potential_from_spec, quadratic
-from .quadrature import integrate_exp_stack, tv_distance_stack
+from .quadrature import integrate_exp_stack
 
 VARIANTS = ("exp", "square")
 
@@ -545,7 +545,26 @@ def _log_posterior(p, Y, eps, prior):
     return log_f
 
 
-def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
+def _log_gaussian(means, chols, fitted):
+    """log_q(idx, pts) = log N(x; means[i], chols[i] chols[i]^T) of the draws
+    ``idx`` at their points (k, N, M), NaN for a draw that is not
+    ``fitted``: only the fitted draws' means and factors are used, since a
+    failed fit's can be NaN or singular."""
+    means = np.where(fitted[:, None], means, math.nan)
+    inv_chols = np.full_like(chols, math.nan)
+    log_norm = np.full(len(means), math.nan)
+    inv_chols[fitted] = np.linalg.inv(chols[fitted])
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chols[fitted], axis1=1, axis2=2)), axis=1)
+    log_norm[fitted] = 0.5 * (means.shape[1] * LOG_2PI + log_det)
+
+    def log_q(idx, pts):
+        z = np.einsum("kab,knb->kna", inv_chols[idx], pts - means[idx][:, None, :])
+        return -0.5 * np.sum(z * z, axis=2) - log_norm[idx][:, None]
+
+    return log_q
+
+
+def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs, log_q=None):
     """Simpson log Z of every draw (rows of Y) with posterior mode modes[i]
     and Hessian h_effs[i] there, by the oracle's box policy
     (measure.oracle_integrals) on the stacked boxes of all draws; the first
@@ -554,7 +573,15 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
     as the mode of draw i: where that mode is the posterior's global
     maximum, a box whose faces already fail the tail check against the log
     posterior there is widened without being integrated, and the accepted
-    boxes are those of integrating every box.  Returns per draw its
+    boxes are those of integrating every box.
+
+    With ``log_q`` (as _log_gaussian gives it, over the same draws), each
+    integral also carries the TV distance of draw i's Gaussian to its
+    posterior (GridIntegral.tv), taken from the log posterior values that
+    give its log Z (quadrature.integrate_exp_stack): the posterior is
+    evaluated once per grid point, and no grid values outlive their chunk.
+    The TV of a box the oracle widens is dropped with its integral: each
+    draw's TV is that of its accepted box.  Returns per draw its
     GridIntegral or the exception that failed it."""
     if grid_spec.box is None:
         lo, hi = _concentration_boxes(modes[:, None], h_effs[:, None], eps, grid_spec.radius_floor)
@@ -562,33 +589,14 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs):
         lo, hi = (np.tile(np.ravel(np.asarray(side, dtype=float)), (len(Y), 1))
                   for side in grid_spec.box)
     log_f = _log_posterior(p, Y, eps, prior)
-    return oracle_integrals(
-        lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-        lo, hi, grid_spec, log_f, modes[:, None],
-    )
 
+    def integrate(idx, lo, hi, n):
+        return integrate_exp_stack(
+            lambda j, pts: log_f(idx[j], pts), lo, hi, n,
+            None if log_q is None else lambda j, pts: log_q(idx[j], pts),
+        )
 
-def _draw_tv(p, Y, eps, prior, integrals, means, chols):
-    """d_TV(N(means[i], chols[i] chols[i]^T), posterior of draw i) for every
-    draw, on the grid of its log Z.  ``integrals`` holds per draw the
-    GridIntegral of its log Z.  The log integrand is evaluated again, not
-    kept from the log Z pass: kept, it would hold draws x grid points
-    values."""
-    log_f = _log_posterior(p, Y, eps, prior)
-    log_z = np.array([g.log_value for g in integrals])
-    inv_chols = np.linalg.inv(chols)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    log_norm = 0.5 * (p.M * LOG_2PI + log_det)
-
-    def log_gauss(idx, pts):
-        z = np.einsum("kab,knb->kna", inv_chols[idx], pts - means[idx][:, None, :])
-        return -0.5 * np.sum(z * z, axis=2) - log_norm[idx][:, None]
-
-    return tv_distance_stack(
-        log_gauss, lambda idx, pts: log_f(idx, pts) - log_z[idx][:, None],
-        np.stack([g.grid.lo for g in integrals]), np.stack([g.grid.hi for g in integrals]),
-        integrals[0].grid.points_per_dim,
-    )
+    return oracle_integrals(integrate, lo, hi, grid_spec, log_f, modes[:, None])
 
 
 def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
@@ -597,15 +605,19 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     The posterior modes of all draws come from one batched Newton search;
     their Laplace weights come from ModeSet's rule over the batch
     (measure._laplace_log_betas), so a mode whose Hessian is not positive
-    definite fails its draw with DegenerateModeError.  Up to M = 3, log Z is
-    the Simpson oracle, run once over the stacked boxes of all live draws
-    (_draw_integrals); above, log Z is the Laplace value and TV is NaN.  The
-    best Gaussians come from one batched Newton solve whose endpoints are
-    certified in batched evaluations (_newton_singles), all on arrays, and
-    TV is taken for the certified draws on their log Z boxes in one more
-    pass (_draw_tv).  A draw that fails at any stage keeps the type name of
-    its exception as its cause; a draw whose Newton point fails the
-    certificate is not converged.  The others go on.
+    definite fails its draw with DegenerateModeError.  The best Gaussians
+    come next, from one batched Newton solve whose endpoints are certified
+    in batched evaluations (_newton_singles), all on arrays, with the
+    Laplace log Z of each draw: the fit does not depend on log Z, and the
+    certificate only through the scale of its next-order agreement.  Up to
+    M = 3 the Simpson oracle then runs once over the stacked boxes of all
+    these draws (_draw_integrals) and gives log Z, and, for the certified
+    draws, TV from the same grid values; the reported KL takes the Simpson
+    log Z in place of the Laplace one.  Above, log Z is the Laplace value
+    and TV is NaN.  A draw that fails at any stage keeps the type name of
+    its exception as its cause, the oracle's before Newton's; a draw whose
+    Newton point fails the certificate is not converged, and its TV is NaN.
+    The others go on.
     """
     Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
     n = len(etas)
@@ -619,17 +631,7 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     for i, exc in zip(idx, bad):
         errors[i] = exc
     log_zs = np.full(n, math.nan)
-    if p.M > 3:
-        log_zs[idx] = _log_laplace(p.M, np.exp(log_beta)[:, None], eps)
-    integrals = {}
-    idx = live()
-    if p.M <= 3 and idx.size:
-        for i, result in zip(idx, _draw_integrals(
-                p, Y[idx], eps, prior, grid_spec, modes[idx], h_effs[idx])):
-            if isinstance(result, Exception):
-                errors[i] = result
-            else:
-                integrals[i], log_zs[i] = result, result.log_value
+    log_zs[idx] = _log_laplace(p.M, np.exp(log_beta)[:, None], eps)
     kl, tv = np.full(n, math.nan), np.full(n, math.nan)
     certified = np.zeros(n, dtype=bool)
     idx = live()
@@ -639,13 +641,19 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
             lambda j, x, hessian: _misfit_derivatives(p, rows[j], prior, eps, x, hessian),
             eps, log_zs[idx], modes[idx], h_effs[idx], opt_cfg,
         )
+        if p.M <= 3:
+            log_q = _log_gaussian(fits.means, math.sqrt(eps) * fits.chols, fits.certified)
+            for i, result in zip(idx, _draw_integrals(
+                    p, rows, eps, prior, grid_spec, modes[idx], h_effs[idx], log_q)):
+                if isinstance(result, Exception):
+                    errors[i] = result
+                else:
+                    log_zs[i], tv[i] = result.log_value, result.tv
         for i, exc in zip(idx, fits.errors):
-            errors[i] = exc
-        ok, sel = idx[fits.certified], fits.certified
-        kl[ok], certified[ok] = fits.values[sel], True
-        if integrals and ok.size:
-            tv[ok] = _draw_tv(p, Y[ok], eps, prior, [integrals[i] for i in ok],
-                              fits.means[sel], math.sqrt(eps) * fits.chols[sel])
+            if errors[i] is None:
+                errors[i] = exc
+        ok = idx[fits.certified]
+        kl[ok], certified[ok] = fits.values[fits.certified] + log_zs[ok], True
     outcomes = []
     for i in range(n):
         if errors[i] is None:

@@ -572,8 +572,10 @@ class _SingleFits(NamedTuple):
     _newton_singles batch, one entry per target.
 
     Where ``certified``, the point is Newton's endpoint, ``values`` the KL
-    there at the GH order ``orders`` Newton ran at, and ``refine`` the
-    refinement error minimize_single would report (NaN for its None).
+    there less log Z (_single_kl at log Z 0) at the GH order ``orders``
+    Newton ran at, and ``refine`` the refinement error minimize_single would
+    report (NaN for its None).  A caller adds its log Z to ``values``: the
+    sum is the KL _single_kl gives at that log Z, bit for bit.
     ``errors`` holds per target None or the exception that failed it: the
     LinAlgError of building its start, the NodeBudgetError of choosing its
     order, or the ArithmeticError that stopped its Newton search.  A target
@@ -591,9 +593,12 @@ class _SingleFits(NamedTuple):
 
 
 def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
-    """Best single Gaussians for a batch of targets exp(-Phi_i) with log Z
-    log_zs[i], all at one eps, by damped Newton, each endpoint certified as
-    minimize_single certifies a BFGS endpoint, with no per-target objects.
+    """Best single Gaussians for a batch of targets exp(-Phi_i), all at one
+    eps, by damped Newton, each endpoint certified as minimize_single
+    certifies a BFGS endpoint with log Z log_zs[i], with no per-target
+    objects.  The fit does not depend on log Z; the certificate does only
+    through the scale max(1, |KL|) of the next-order agreement (_agree), so
+    any log Z near the target's will do.
 
     ``phi(idx, x, hessian)`` is as in _single_evaluate, for the whole batch.
     Newton starts from modes[i] with the inverse of hessians[i] as rescaled
@@ -622,14 +627,16 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
         return _gh_nodes(order, d)
 
     def kl(order, idx, v):
-        return _single_kl(
-            lambda j, x, hessian: phi(idx[j], x, hessian), eps, nodes(order), log_zs[idx], v
+        # the KL less log Z, so that adding a log Z rounds as _single_kl does
+        free, grad = _single_kl(
+            lambda j, x, hessian: phi(idx[j], x, hessian), eps, nodes(order), 0.0, v
         )
+        return free + log_zs[idx], grad, free
 
     live = np.flatnonzero([e is None for e in errors])
     v0 = _to_v(fits.means[live], fits.chols[live], eps)
     orders, exc = _select_orders(
-        lambda order, j: kl(order, live[j], v0[j]), ladder, len(live), cfg.grad_tol
+        lambda order, j: kl(order, live[j], v0[j])[:2], ladder, len(live), cfg.grad_tol
     )
     fits.orders[live] = orders
     for i in live[orders == 0]:
@@ -649,18 +656,18 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
         idx, m, L = idx[ran], m[ran], L[ran]
         fits.means[idx], fits.chols[idx] = m, L
         v = _to_v(m, L, eps)
-        value, grad = kl(order, idx, v)
+        value, grad, free = kl(order, idx, v)
         ok = np.isfinite(value) & (np.max(np.abs(grad), axis=1) <= cfg.grad_tol)
-        idx, v, value, grad = idx[ok], v[ok], value[ok], grad[ok]
+        idx, v, value, grad, free = idx[ok], v[ok], value[ok], grad[ok], free[ok]
         if order < ladder[-1]:
             fine = kl(ladder[i + 1], idx, v)
-            ok = _agree((value, grad), fine, cfg.grad_tol)
-            idx, value, refine = idx[ok], value[ok], np.abs(value - fine[0])[ok]
+            ok = _agree((value, grad), fine[:2], cfg.grad_tol)
+            idx, free, refine = idx[ok], free[ok], np.abs(value - fine[0])[ok]
         elif len(ladder) > 1:
             refine = np.abs(value - kl(ladder[-2], idx, v)[0])
         else:
             refine = math.nan
-        fits.values[idx], fits.refine[idx], fits.certified[idx] = value, refine, True
+        fits.values[idx], fits.refine[idx], fits.certified[idx] = free, refine, True
     return fits
 
 

@@ -24,7 +24,8 @@ each box keeps its own np.dot per rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -236,13 +237,18 @@ def _grid_resolution(dim: int, points_per_dim: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class GridIntegral:
-    """Integral of exp(log_f) over a box with a refinement error estimate."""
+    """Integral of exp(log_f) over a box with a refinement error estimate.
+
+    ``tv`` is the total-variation distance of the normalized exp(log_f -
+    log_value) to the density exp(log_q) on the same grid, where
+    integrate_exp_stack was given a log_q, else NaN."""
 
     value: float
     log_value: float
     error_estimate: float
     boundary_ratio: float
     grid: Grid
+    tv: float = math.nan
 
     @property
     def rel_error(self) -> float:
@@ -278,7 +284,7 @@ def _evaluate(fn, idx, pts):
     return values
 
 
-def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
+def integrate_exp_stack(log_f, lo, hi, points_per_dim: int, log_q=None) -> list:
     """Integrate exp(log_f) over each box [lo[i], hi[i]] of a stack by
     composite Simpson on points_per_dim points per dimension.
 
@@ -290,6 +296,15 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
     |I_fine - I_coarse| / 15, and the boundary ratio is the largest
     integrand value on the box faces relative to the peak.
 
+    ``log_q(idx, pts)``, called as log_f, gives per box the log of a
+    normalized density q; each box then also gets the TV distance of q to
+    p = exp(log_f - log_value) on its grid (GridIntegral.tv, the arithmetic
+    of tv_distance_stack), from the log_f values of the chunk at hand.  A
+    box whose log_q is NaN gets TV NaN.  Taking TV here, in the pass that
+    finds log_value, costs one log_f evaluation per point; a separate TV
+    pass would evaluate log_f again at the same points, or keep every
+    box's grid values from this one.
+
     Returns per box its GridIntegral, whose Grid is built here, or a
     ValueError where the integrand is finite nowhere on the grid; one box's
     failure leaves the others.
@@ -298,7 +313,9 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
     stride2 = (slice(None),) + (slice(None, None, 2),) * dim
     out = [None] * len(lo)
     for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n ** dim):
-        logv = _evaluate(log_f, idx, _stack_points(box_lo, box_hi, n))
+        pts = _stack_points(box_lo, box_hi, n)
+        logv = _evaluate(log_f, idx, pts)
+        logq = None if log_q is None else _evaluate(log_q, idx, pts)
         grid_shape = (len(idx),) + (n,) * dim
         # one dot product per box on these weights: a stacked product sums
         # in another order and moves the last digits
@@ -316,6 +333,7 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
              for a in range(1, dim + 1)],
             axis=0,
         )
+        log_values = np.full(len(idx), math.nan)
         for j, i in enumerate(idx):
             if not finite[j]:
                 out[i] = ValueError("log integrand is not finite anywhere on the grid")
@@ -332,6 +350,11 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int) -> list:
                 boundary_ratio=float(np.exp(boundary_max[j] - shift[j])),
                 grid=Grid(box_lo[j].copy(), box_hi[j].copy(), n),
             )
+            log_values[j] = out[i].log_value
+        if logq is not None:
+            tv = _tv_rows(fine_w, logv - log_values[:, None], logq)
+            for j in np.flatnonzero(finite):
+                out[idx[j]] = replace(out[idx[j]], tv=tv[j])
     return out
 
 
@@ -359,6 +382,13 @@ def integrate_exp(log_f, grid: Grid) -> GridIntegral:
     return result
 
 
+def _tv_rows(w, log_p, log_q) -> list:
+    """(1/2) int |p - q| on each grid of a chunk: per row, its Simpson
+    weights w, with the cell volume, and the log densities at its points."""
+    diff = np.abs(_exp(log_p) - _exp(log_q))
+    return [float(0.5 * np.dot(w[j], diff[j])) for j in range(len(w))]
+
+
 def tv_distance_stack(log_p, log_q, lo, hi, points_per_dim: int) -> np.ndarray:
     """Total-variation distances (1/2) * int |p - q| on each box of a stack.
 
@@ -371,10 +401,8 @@ def tv_distance_stack(log_p, log_q, lo, hi, points_per_dim: int) -> np.ndarray:
     out = np.empty(len(lo))
     for idx, box_lo, box_hi in _stacked_boxes(lo, hi, n ** lo.shape[1]):
         pts = _stack_points(box_lo, box_hi, n)
-        diff = np.abs(_exp(_evaluate(log_p, idx, pts)) - _exp(_evaluate(log_q, idx, pts)))
-        w = _stack_weights(box_lo, box_hi, n)
-        for j, i in enumerate(idx):
-            out[i] = 0.5 * np.dot(w[j], diff[j])
+        out[idx] = _tv_rows(_stack_weights(box_lo, box_hi, n),
+                            _evaluate(log_p, idx, pts), _evaluate(log_q, idx, pts))
     return out
 
 

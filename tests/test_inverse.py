@@ -10,6 +10,7 @@ from klgauss import inverse as inv
 from klgauss import measure, objective
 from klgauss import optimizer as optim
 from klgauss import quadrature
+from klgauss.gaussian import LOG_2PI
 from klgauss.optimizer import OptimizerConfig
 from klgauss.potentials import check_derivatives, fd_hessian_from_grad, quadratic
 
@@ -631,7 +632,7 @@ def test_bvm_face_check_integrates_each_box_once(
     integrated = []
     stack = inv.integrate_exp_stack
     monkeypatch.setattr(inv, "integrate_exp_stack",
-                        lambda f, lo, hi, n: integrated.append(len(lo)) or stack(f, lo, hi, n))
+                        lambda f, lo, hi, n, *log_q: integrated.append(len(lo)) or stack(f, lo, hi, n, *log_q))
     results = inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)
     assert sum(integrated) == boxes == cfg.draws
     log_f = inv._log_posterior(p, Y, eps, prior)
@@ -655,8 +656,9 @@ def test_bvm_batched_log_z_on_an_explicit_box():
 
 
 def test_bvm_batched_tv_matches_tv_distance_grid():
-    # TV on each draw's log Z grid against the one-box tv_distance_grid with
-    # GaussianParams.log_density, for Gaussians from the Laplace point
+    # TV from the fused log Z pass on each draw's log Z grid against the
+    # one-box tv_distance_grid with GaussianParams.log_density, for Gaussians
+    # from the Laplace point; the pass gives the same log Z as without them
     p, cfg = bvm_m1_config()
     p2 = problem(M=2, f=100.0)
     cfg2 = inv.BvMConfig(truth=np.zeros(2), eps_list=(1e-2,), draws=4, seed=20)
@@ -666,15 +668,21 @@ def test_bvm_batched_tv_matches_tv_distance_grid():
             kg.GaussianParams(ms.modes[0], 1.1 * np.linalg.cholesky(np.linalg.inv(ms.hessians[0]) * eps))
             for _, ms, _, _ in posts
         ]
-        tv = inv._draw_tv(p, Y, eps, prior, [post[3] for post in posts],
-                          np.stack([g.mean for g in gaussians]), np.stack([g.chol for g in gaussians]))
-        for (mu, _, log_z, integral), gauss, batched in zip(posts, gaussians, tv):
+        modes = np.stack([ms.modes[0] for _, ms, _, _ in posts])
+        h_effs = np.stack([ms.hessians[0] for _, ms, _, _ in posts])
+        log_q = inv._log_gaussian(np.stack([g.mean for g in gaussians]),
+                                  np.stack([g.chol for g in gaussians]), np.ones(len(posts), dtype=bool))
+        fused = inv._draw_integrals(p, Y, eps, prior, inv.GridSpec(), modes, h_effs, log_q)
+        for (mu, _, log_z, integral), gauss, batched in zip(posts, gaussians, fused):
+            assert batched.log_value == log_z and math.isnan(integral.tv)
+            assert np.array_equal(batched.grid.lo, integral.grid.lo)
+
             def log_mu(pts):
                 return kg.unnormalized_log_density(mu, pts) - log_z
 
             single = quadrature.tv_distance_grid(gauss.log_density, log_mu, integral.grid)
             assert 0.0 < single < 1.0
-            assert abs(batched - single) <= 1e-12
+            assert abs(batched.tv - single) <= 1e-12
 
 
 def test_bvm_draw_whose_box_stays_too_small_fails_alone():
@@ -750,7 +758,7 @@ def test_bvm_newton_agrees_with_bfgs_and_is_certified():
             v = optim._to_v(means, chols, eps)
             values, grads = optim._single_kl(phi, eps, nodes, np.array(log_zs), v)
             if means is fits.means:
-                assert np.array_equal(values, fits.values)
+                assert np.array_equal(values, fits.values + np.array(log_zs))
             for i, (mu, log_z) in enumerate(zip(mus, log_zs)):
                 obj = optim._at_order(mu, log_z)(opt_cfg.gh_order)
                 value, grad = obj.value_grad(obj.pack(np.ones(1), means[i : i + 1], chols[i : i + 1]))
@@ -885,6 +893,124 @@ def test_bvm_level_uncertified_newton_points_are_not_converged():
     assert all(o["converged"] and math.isfinite(o["tv"]) for o in default)
 
 
+def two_pass_level(p, truth, etas, eps, prior, spec, opt_cfg):
+    """A BvM level by two Simpson passes over each draw's box: log Z first
+    (_draw_integrals without Gaussians), then Newton with the Simpson log Z
+    on the draws it leaves, the KL by _single_kl at that log Z, and TV by
+    tv_distance_stack on the accepted boxes, with the Gaussian's log density
+    written out.  Returns per draw the KL, the TV (NaN where there is none)
+    and the cause (None where there is none)."""
+    j_inv = np.linalg.inv(inv.jacobian(p, truth))
+    Y, modes, h_effs, errors = inv._draw_modes(p, truth, etas, eps, prior, j_inv)
+    assert errors == [None] * len(etas)
+    kl, tv = np.full(len(etas), math.nan), np.full(len(etas), math.nan)
+    integrals = inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)
+    causes = [type(g).__name__ if isinstance(g, Exception) else None for g in integrals]
+    idx = np.array([i for i, cause in enumerate(causes) if cause is None])
+    log_zs = np.array([integrals[i].log_value for i in idx])
+
+    def phi(j, x, hessian):
+        return inv._misfit_derivatives(p, Y[idx[j]], prior, eps, x, hessian)
+
+    fits = optim._newton_singles(phi, eps, log_zs, modes[idx], h_effs[idx], opt_cfg)
+    for i, exc in zip(idx, fits.errors):
+        causes[i] = None if exc is None else type(exc).__name__
+    for order in set(fits.orders[fits.certified]):
+        j = np.flatnonzero(fits.certified & (fits.orders == order))
+        v = optim._to_v(fits.means[j], fits.chols[j], eps)
+        kl[idx[j]] = optim._single_kl(lambda k, x, hessian: phi(j[k], x, hessian), eps,
+                                      objective._gh_nodes(order, p.M), log_zs[j], v)[0]
+    ok = np.flatnonzero(fits.certified)
+    means, chols, log_z = fits.means[ok], math.sqrt(eps) * fits.chols[ok], log_zs[ok]
+    inv_chols = np.linalg.inv(chols)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    log_norm = 0.5 * (p.M * LOG_2PI + log_det)
+
+    def log_gauss(k, pts):
+        z = np.einsum("kab,knb->kna", inv_chols[k], pts - means[k][:, None, :])
+        return -0.5 * np.sum(z * z, axis=2) - log_norm[k][:, None]
+
+    log_f = inv._log_posterior(p, Y[idx[ok]], eps, prior)
+    grids = [integrals[i].grid for i in idx[ok]]
+    tv[idx[ok]] = quadrature.tv_distance_stack(
+        log_gauss, lambda k, pts: log_f(k, pts) - log_z[k][:, None],
+        np.stack([g.lo for g in grids]), np.stack([g.hi for g in grids]), grids[0].points_per_dim)
+    return kl, tv, causes
+
+
+@pytest.mark.parametrize("case, eps, max_expand", [
+    ("bvm-m1", 1e-1, 8), ("bvm-m1", 1e-3, 8), ("M=2", 1e-2, 8), ("bvm-m1", 0.03, 0),
+])
+def test_bvm_level_matches_the_two_pass_route(case, eps, max_expand):
+    # Newton first, with the Laplace log Z, then one Simpson pass per box
+    # that gives log Z and TV: the KL, TV and failure causes of the two-pass
+    # route, bit for bit.  At M <= 2 the GH ladder is one order, so the
+    # certificate does not depend on log Z; without widening (max_expand 0)
+    # 80 draws fail with BoxTooSmallError on both routes
+    if case == "bvm-m1":
+        p, cfg = bvm_m1_config()
+    else:
+        p = problem(M=2, f=100.0)
+        cfg = inv.BvMConfig(truth=np.zeros(2), eps_list=(eps,), draws=30, seed=20)
+    prior, spec = quadratic(dim=p.M), inv.GridSpec(max_expand=max_expand)
+    opt_cfg = OptimizerConfig(grad_tol=1e-7)  # bvm_experiment's
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, p.M))
+    kl, tv, causes = two_pass_level(p, cfg.truth, etas, eps, prior, spec, opt_cfg)
+    j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
+    outcomes = inv._bvm_level(p, cfg.truth, etas, eps, prior, spec, opt_cfg, j_inv)
+    assert [o.get("cause") for o in outcomes] == causes
+    assert [o["converged"] for o in outcomes] == list(np.isfinite(kl))
+    assert np.array_equal([o["kl"] for o in outcomes], kl, equal_nan=True)
+    assert np.array_equal([o["tv"] for o in outcomes], tv, equal_nan=True)
+    assert causes.count("BoxTooSmallError") == (80 if max_expand == 0 else 0)
+
+
+def test_bvm_level_oracle_cause_precedes_newtons(monkeypatch):
+    # bvm-m1 at eps 0.03 without widening: 80 draws fail the tail check.
+    # Newton now runs before the oracle, on every draw.  It is forced to fail
+    # every third draw, leaving a NaN mean and a singular factor (whose
+    # Gaussian would raise in np.linalg.inv if it were evaluated), and to
+    # leave the next draw uncertified.  A draw that fails both keeps the
+    # oracle's cause, as when the oracle ran first; an uncertified draw has
+    # no KL and TV NaN; the other draws keep the default run's KL and TV
+    p, cfg = bvm_m1_config()
+    eps, prior, opt_cfg = 0.03, quadratic(dim=1), OptimizerConfig(grad_tol=1e-7)
+    etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
+    j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
+    newton_singles = optim._newton_singles
+
+    def forcing(*args):
+        fits = newton_singles(*args)
+        assert len(fits.certified) == cfg.draws and fits.certified.all()
+        for i in range(0, cfg.draws, 3):
+            fits.errors[i] = ArithmeticError("forced")
+            fits.means[i], fits.chols[i], fits.values[i] = math.nan, 0.0, math.nan
+        fits.certified[0::3] = fits.certified[1::3] = False
+        return fits
+
+    monkeypatch.setattr(inv, "_newton_singles", forcing)
+    narrow = inv.GridSpec(max_expand=0)
+    level = inv._bvm_level(p, cfg.truth, etas, eps, prior, narrow, opt_cfg, j_inv)
+    monkeypatch.undo()
+    default = inv._bvm_level(p, cfg.truth, etas, eps, prior, inv.GridSpec(), opt_cfg, j_inv)
+    _, _, posts = level_posteriors(p, cfg, eps, narrow)
+    too_small = [isinstance(post[3], quadrature.BoxTooSmallError) for post in posts]
+    assert sum(too_small) == 80
+    for i, (o, d) in enumerate(zip(level, default)):
+        if too_small[i]:
+            assert o["cause"] == "BoxTooSmallError"
+        elif i % 3 == 0:
+            assert o["cause"] == "ArithmeticError"
+        elif i % 3 == 1:
+            assert "cause" not in o and not o["converged"]
+            assert math.isnan(o["kl"]) and math.isnan(o["tv"])
+        else:
+            assert o == d and o["converged"] and math.isfinite(o["tv"])
+    # every pairing of the oracle's outcome with Newton's occurs
+    assert {(too_small[i], i % 3) for i in range(cfg.draws)} == {
+        (s, r) for s in (False, True) for r in range(3)}
+
+
 def test_bvm_level_above_m3_takes_the_laplace_log_z(monkeypatch):
     # above M = 3 the panel has no Simpson oracle: every draw's log Z is the
     # Laplace value of its one-mode set, bit for bit, and TV is NaN
@@ -914,7 +1040,9 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
     # bvm-m1 (d = 1) never reaches: at eps 1e-2 these six draws run at orders
     # 10 and 20.  Newton is forced to fail on draws 0 and 4, which fail with
     # its error; every other draw matches the per-draw path (order
-    # selection, Newton and the certificate on its own _Objective)
+    # selection, Newton and the certificate on its own _Objective) with the
+    # Laplace log Z, which the panel fits with, and its KL with the Simpson
+    # log Z in place of the Laplace one
     p, eps, prior = problem(M=3, f=100.0), 1e-2, quadratic(dim=3)
     truth = np.zeros(3)
     etas = np.random.default_rng(20).standard_normal((6, 3))
@@ -954,8 +1082,9 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
     log_zs = [g.log_value for g in inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)]
     ladder = optim._gh_ladder(opt_cfg, 3)
     for i in sorted(set(range(6)) - set(failing)):
-        mu, _ = draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
-        make = optim._at_order(mu, log_zs[i])
+        mu, ms = draw_target(p, Y[i], eps, prior, modes[i], h_effs[i])
+        log_laplace = measure.log_laplace_normalization(ms, eps)
+        make = optim._at_order(mu, log_laplace)
         chol0 = np.linalg.cholesky(np.linalg.inv(h_effs[i]))[None]
         order = optim._select_order(
             make, ladder, make(ladder[0]).pack(np.ones(1), modes[i : i + 1], chol0), opt_cfg.grad_tol)
@@ -975,7 +1104,7 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
         assert abs(fit.refine[i] - refine) <= 1e-10
         assert np.max(np.abs(fit.means[i] - means[0])) <= 1e-10
         assert np.max(np.abs(fit.chols[i] - chols[0])) <= 1e-10
-        assert abs(outcomes[i]["kl"] - value) <= 1e-10
+        assert abs(outcomes[i]["kl"] - (value - log_laplace + log_zs[i])) <= 1e-10
 
 
 def test_bvm_kl_leading_constant():

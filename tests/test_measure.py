@@ -15,6 +15,7 @@ from klgauss.measure import (
     oracle_integrals,
 )
 from klgauss import measure, quadrature
+from klgauss.gaussian import LOG_2PI
 from klgauss.quadrature import BoxTooSmallError, OracleDimensionError, integrate_exp_stack
 
 
@@ -381,6 +382,46 @@ def test_stacked_oracle_failures_stay_per_box():
     alone = stacked_integrals(gaussian_stack(kept, 1e-2), kept, 1e-2, GridSpec())
     for r, a in zip([results[0], results[3]], alone):
         assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_oracle_tv_is_the_accepted_boxs(d):
+    # integrate_exp_stack given a Gaussian log_q gives each box the TV of
+    # tv_distance_stack on log_f - log_value, bit for bit.  Box 1 starts at 2
+    # standard units and is widened 4 times (no modes: every round is
+    # integrated); its TV is that of the accepted box, not of the first
+    eps, scale = 1e-2, 1.2
+    centers = np.random.default_rng(d).uniform(-1.0, 1.0, (3, d))
+    log_f = gaussian_stack(centers, eps)
+
+    def log_q(idx, pts):
+        # N(c + 0.05, scale^2 eps I), normalized
+        z = (pts - centers[idx][:, None, :] - 0.05) / (scale * math.sqrt(eps))
+        return -0.5 * np.sum(z * z, axis=2) - d * (math.log(scale * math.sqrt(eps)) + 0.5 * LOG_2PI)
+
+    calls = []
+
+    def integrate(idx, lo, hi, n):
+        calls.append(integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n,
+                                         lambda j, pts: log_q(idx[j], pts)))
+        return calls[-1]
+
+    half = math.sqrt(eps) * np.array([9.0, 2.0, 10.0])[:, None]
+    results = oracle_integrals(integrate, centers - half, centers + half, GridSpec())
+    assert [len(c) for c in calls] == [3, 1, 1, 1, 1]
+    for i, r in enumerate(results):
+        box = np.array([i])
+        tv = quadrature.tv_distance_stack(
+            lambda j, pts: log_f(box[j], pts) - r.log_value, lambda j, pts: log_q(box[j], pts),
+            r.grid.lo[None], r.grid.hi[None], r.grid.points_per_dim)
+        assert 0.0 < r.tv < 1.0 and r.tv == tv[0]
+    first = calls[0][1]
+    assert first.grid.hi[0] < results[1].grid.hi[0] and abs(first.tv - results[1].tv) > 1e-3
+    # without log_q the integrals are the same, and carry no TV
+    for r, plain in zip(results, oracle_integrals(counting_integrate(log_f, []),
+                                                  centers - half, centers + half, GridSpec())):
+        assert (r.log_value, r.error_estimate) == (plain.log_value, plain.error_estimate)
+        assert math.isnan(plain.tv)
 
 
 def test_stacked_oracle_invalid_box_fails_alone():

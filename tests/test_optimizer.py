@@ -521,19 +521,19 @@ def test_newton_singles_certified_on_the_ladder(monkeypatch):
     assert fits.certified[0] and fits.errors == [None]
     assert fits.orders[0] == 2
     assert fits.refine[0] <= 1e-10
-    assert abs(fits.values[0]) <= 1e-10
+    assert abs(fits.values[0] + log_z) <= 1e-10
     assert np.allclose(fits.means[0], center, rtol=0, atol=1e-7)
     assert np.allclose(fits.chols[0] @ fits.chols[0].T, cov, rtol=0, atol=1e-7)
-    # the value is the certificate's at the returned point, and minimize_single's
-    # objective agrees with it there
+    # the value plus log Z is the certificate's at the returned point, bit for
+    # bit, and minimize_single's objective agrees with it there
     v = optimizer._to_v(fits.means[:1], fits.chols[:1], mu.epsilon)
     value, grad = optimizer._single_kl(phi, mu.epsilon, _gh_nodes(2, 3), np.array([log_z]), v)
-    assert value[0] == fits.values[0]
+    assert value[0] == fits.values[0] + log_z
     assert np.max(np.abs(grad)) <= cfg.grad_tol
     obj = _Objective(mu, log_z, _gh_nodes(2, 3))
     theta = obj.pack(_ONE_WEIGHT, fits.means[:1], fits.chols[:1])
     obj_value, obj_grad = obj.value_grad(theta)
-    assert abs(obj_value - fits.values[0]) <= 1e-13
+    assert abs(obj_value - (fits.values[0] + log_z)) <= 1e-13
     assert np.max(np.abs(obj_grad)) <= cfg.grad_tol
     # an objective on which the orders agree only at the start: the Newton
     # point fails the certificate, and the target is left to minimize_single

@@ -470,6 +470,11 @@ class BvMLevel:
     # failed draws by cause: the exception type name, "NotConverged" or
     # "NonFiniteKL"
     failure_causes: dict = field(default_factory=dict)
+    # the Simpson oracle's certainty and cost (M <= 3): the largest
+    # Richardson rel_error of the level's Simpson log Z values, NaN where
+    # there are none, and the sum of n**d over their accepted grids
+    logz_rel_error: float = math.nan
+    grid_points: int = 0
 
     def csv_row(self) -> str:
         return (
@@ -567,13 +572,18 @@ def _log_gaussian(means, chols, fitted):
 def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs, log_q=None):
     """Simpson log Z of every draw (rows of Y) with posterior mode modes[i]
     and Hessian h_effs[i] there, by the oracle's box policy
-    (measure.oracle_integrals) on the stacked boxes of all draws; the first
-    box of each is ``grid_spec.box`` or the concentration box of its mode
-    (measure.oracle_box), all built at once.  The oracle is given modes[i]
-    as the mode of draw i: where that mode is the posterior's global
-    maximum, a box whose faces already fail the tail check against the log
-    posterior there is widened without being integrated, and the accepted
-    boxes are those of integrating every box.
+    (measure.oracle_integrals) on the stacked boxes of all draws, all built
+    at once.  The first box of each is ``grid_spec.box``, or else the ball
+    of radius 6 sqrt(eps / lambda_min) about its mode, for the eigenvalues
+    lambda of h_effs[i], with ``grid_spec.radius_floor`` only where
+    lambda_min <= 0: a floor would make the box, at small eps, many
+    posterior widths wide, on a grid coarser than the posterior.  The
+    oracle picks each box's Simpson resolution from the draw's smallest
+    posterior width sqrt(eps / lambda_max).  It is given modes[i] as the
+    mode of draw i: where that mode is the posterior's global maximum, a
+    box whose faces already fail the tail check against the log posterior
+    there is widened without being integrated, and the accepted boxes are
+    those of integrating every box.
 
     With ``log_q`` (as _log_gaussian gives it, over the same draws), each
     integral also carries the TV distance of draw i's Gaussian to its
@@ -584,10 +594,14 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs, log_q=None):
     draw's TV is that of its accepted box.  Returns per draw its
     GridIntegral or the exception that failed it."""
     if grid_spec.box is None:
-        lo, hi = _concentration_boxes(modes[:, None], h_effs[:, None], eps, grid_spec.radius_floor)
+        lo, hi = _concentration_boxes(modes[:, None], h_effs[:, None], eps,
+                                      grid_spec.radius_floor, floored=False)
     else:
         lo, hi = (np.tile(np.ravel(np.asarray(side, dtype=float)), (len(Y), 1))
                   for side in grid_spec.box)
+    lam_max = np.linalg.eigvalsh(0.5 * (h_effs + np.swapaxes(h_effs, -1, -2)))[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # lambda_max <= 0: no width
+        widths = np.sqrt(eps / lam_max)
     log_f = _log_posterior(p, Y, eps, prior)
 
     def integrate(idx, lo, hi, n):
@@ -596,7 +610,7 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs, log_q=None):
             None if log_q is None else lambda j, pts: log_q(idx[j], pts),
         )
 
-    return oracle_integrals(integrate, lo, hi, grid_spec, log_f, modes[:, None])
+    return oracle_integrals(integrate, lo, hi, grid_spec, log_f, modes[:, None], widths)
 
 
 def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
@@ -617,7 +631,9 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     and TV is NaN.  A draw that fails at any stage keeps the type name of
     its exception as its cause, the oracle's before Newton's; a draw whose
     Newton point fails the certificate is not converged, and its TV is NaN.
-    The others go on.
+    The others go on.  Every outcome also carries the Richardson rel_error
+    of its Simpson log Z and the n**d points of its accepted grid (NaN and
+    0 where the oracle gave none).
     """
     Y, modes, h_effs, errors = _draw_modes(p, truth, etas, eps, prior, j_truth_inv)
     n = len(etas)
@@ -633,6 +649,7 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     log_zs = np.full(n, math.nan)
     log_zs[idx] = _log_laplace(p.M, np.exp(log_beta)[:, None], eps)
     kl, tv = np.full(n, math.nan), np.full(n, math.nan)
+    rel_errors, grid_points = np.full(n, math.nan), np.zeros(n, dtype=int)
     certified = np.zeros(n, dtype=bool)
     idx = live()
     if idx.size:
@@ -649,6 +666,8 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
                     errors[i] = result
                 else:
                     log_zs[i], tv[i] = result.log_value, result.tv
+                    rel_errors[i] = result.rel_error
+                    grid_points[i] = result.grid.points_per_dim ** p.M
         for i, exc in zip(idx, fits.errors):
             if errors[i] is None:
                 errors[i] = exc
@@ -657,10 +676,12 @@ def _bvm_level(p, truth, etas, eps, prior, grid_spec, opt_cfg, j_truth_inv):
     outcomes = []
     for i in range(n):
         if errors[i] is None:
-            outcomes.append({"kl": float(kl[i]), "tv": float(tv[i]), "converged": bool(certified[i])})
+            o = {"kl": float(kl[i]), "tv": float(tv[i]), "converged": bool(certified[i])}
         else:
-            outcomes.append({"kl": math.nan, "tv": math.nan, "converged": False,
-                             "cause": type(errors[i]).__name__})
+            o = {"kl": math.nan, "tv": math.nan, "converged": False,
+                 "cause": type(errors[i]).__name__}
+        o.update(logz_rel_error=float(rel_errors[i]), grid_points=int(grid_points[i]))
+        outcomes.append(o)
     return outcomes
 
 
@@ -721,6 +742,7 @@ def bvm_experiment(
             if len(ok)
             else 0
         )
+        rel_errors = [o["logz_rel_error"] for o in outcomes if not math.isnan(o["logz_rel_error"])]
         levels.append(
             BvMLevel(
                 epsilon=eps,
@@ -734,6 +756,8 @@ def bvm_experiment(
                 kl_values=kl,
                 tv_values=tv,
                 failure_causes=dict(sorted(causes.items())),
+                logz_rel_error=max(rel_errors, default=math.nan),
+                grid_points=sum(o["grid_points"] for o in outcomes),
             )
         )
     usable = [lv for lv in levels if not lv.aborted]

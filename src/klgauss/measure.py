@@ -34,6 +34,7 @@ from .quadrature import (
     _evaluate,
     _face_max_stack,
     _grid_resolution,
+    _simpson_rungs,
     _valid_boxes,
     integrate_exp,
 )
@@ -394,6 +395,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# the Simpson resolution of a box sized by its target's width (see
+# oracle_integrals): at least this many grid spacings per smallest standard
+# deviation.  At 8 the bvm-m1 boxes give the same log Z but move a draw's TV,
+# whose integrand |p - q| has kinks, by up to 2.3e-4 at eps 0.1
+SIMPSON_POINTS_PER_WIDTH = 16
+# the Richardson rel_error above which such a box is integrated again one
+# resolution up, to DEFAULT_POINTS
+SIMPSON_REL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Brute-force oracle grid selection.
@@ -401,13 +412,18 @@ class GridSpec:
     With ``box=None`` the box is derived from the modes of the target: the
     union of balls of radius max(6*sqrt(eps/lambda_min), radius_floor)
     around each mode, expanded by x1.5 (up to ``max_expand`` rounds) while
-    the boundary integrand stays above ``tail_tol`` of the peak.  Where the
-    oracle is given the modes (the BvM panel's stacked boxes), a box whose
-    faces alone, against the integrand at the modes, show that it will fail
-    is expanded without being integrated (see oracle_integrals); where the
-    modes hold the maximum of the integrand, the accepted box is the one
-    integrating every box would accept.  Explicit boxes are used verbatim
-    and fail hard if too small.  The BvM panel takes each draw's TV
+    the boundary integrand stays above ``tail_tol`` of the peak.  The BvM
+    panel's stacked boxes (inverse._draw_integrals) differ: their balls
+    have radius 6*sqrt(eps/lambda_min), with ``radius_floor`` only where
+    lambda_min <= 0, and, where ``points_per_dim`` is None, each box takes
+    its own Simpson resolution from its posterior's width, refined to
+    SIMPSON_REL_TOL (see oracle_integrals).  Where the oracle is given the
+    modes (the panel's boxes), a box whose faces alone, against the
+    integrand at the modes, show that it will fail is expanded without
+    being integrated; where the modes hold the maximum of the integrand,
+    the accepted box is the one integrating every box would accept.
+    Explicit boxes are used verbatim, at ``points_per_dim``, and fail hard
+    if too small.  The BvM panel takes each draw's TV
     distance in the pass that integrates its box (see
     quadrature.integrate_exp_stack), from the integrand values that give
     log Z: the integrand is evaluated once per grid point and no grid
@@ -450,19 +466,25 @@ def concentration_box(centers, hessians, epsilon, radius_floor=2.0):
     return lo[0], hi[0]
 
 
-def _concentration_boxes(centers, hessians, epsilon, radius_floor):
+def _concentration_boxes(centers, hessians, epsilon, radius_floor, floored=True):
     """The union-of-balls boxes of k sets of m centers, (k, m, d), with their
     Hessians, (k, m, d, d), as lo and hi of shape (k, d).  The ball around a
     center has radius max(6 sqrt(eps / lambda_min), radius_floor), and
-    radius_floor where lambda_min <= 0."""
+    radius_floor where lambda_min <= 0.  Not ``floored``, the radius is
+    6 sqrt(eps / lambda_min) wherever lambda_min > 0: the BvM panel sizes
+    its boxes, and their Simpson resolution, by the posterior's own width
+    (inverse._draw_integrals)."""
     lam_min = np.min(np.linalg.eigvalsh(0.5 * (hessians + np.swapaxes(hessians, -1, -2))), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # lambda_min <= 0: replaced below
-        radius = np.maximum(6.0 * np.sqrt(epsilon / lam_min), radius_floor)
+        radius = 6.0 * np.sqrt(epsilon / lam_min)
+        if floored:
+            radius = np.maximum(radius, radius_floor)
     radius = np.where(lam_min <= 0, radius_floor, radius)[..., None]
     return np.min(centers - radius, axis=1), np.max(centers + radius, axis=1)
 
 
-def oracle_integrals(integrate, lo, hi, spec: GridSpec, log_f=None, modes=None) -> list:
+def oracle_integrals(integrate, lo, hi, spec: GridSpec, log_f=None, modes=None,
+                     widths=None) -> list:
     """The Simpson oracle's box policy over a stack of boxes [lo[i], hi[i]].
 
     ``integrate(idx, lo, hi, n)`` integrates the boxes ``idx``, given as
@@ -474,22 +496,34 @@ def oracle_integrals(integrate, lo, hi, spec: GridSpec, log_f=None, modes=None) 
     ``spec.max_expand`` times.  The boxes are checked as arrays by
     make_grid's rule (quadrature._valid_boxes).
 
+    Resolution.  Without ``widths``, with ``spec.points_per_dim`` or with
+    ``spec.box``, every box is integrated on spec.points_per_dim points per
+    dimension (DEFAULT_POINTS by default).  Otherwise ``widths[i]`` is the
+    smallest standard deviation of box i's target, and each box takes the
+    coarsest of quadrature._simpson_rungs whose spacing on the box's widest
+    side is at most widths[i] / SIMPSON_POINTS_PER_WIDTH (the finest where
+    none is, or where the width is not finite and positive); boxes on one
+    rung are integrated in one call.  A box that passes the tail check with a
+    Richardson rel_error above SIMPSON_REL_TOL is integrated again one rung
+    up, and stays that many rungs up when widened; at DEFAULT_POINTS it is
+    accepted with the error it reports.
+
     Without ``modes`` every round integrates every box left.  With them,
     ``log_f(idx, pts)`` is the log integrand ``integrate`` integrates, at
     the points (k, N, d) of the boxes ``idx``, and ``modes`` (k, m, d) the
     target's modes of each box; the peak of box i is the largest log_f at
     its modes.  Each round but the last then first evaluates log_f on the
     faces of the grids of the boxes still to do, at the integration's own
-    points, and widens without integrating every box where exp(face max -
-    peak) > tail_tol, both finite; the others are integrated, and widened
-    where the tail check fails on the grid.  The last round integrates
-    every box left, so its error reports the grid's own ratio.  Where the
-    modes hold the maximum of the integrand, no grid value exceeds the
-    peak, so a box widened on its faces would fail the tail check on its
-    grid: the accepted box is the one integrating every box gives, bit for
-    bit.  Where they do not (the minimizers of v1 under a tilting v2, say),
-    a wider box may be accepted.  Every accepted box passes the tail check
-    on its full grid.
+    points and resolution, and widens without integrating every box where
+    exp(face max - peak) > tail_tol, both finite; the others are
+    integrated, and widened where the tail check fails on the grid.  The
+    last round integrates every box left, so its error reports the grid's
+    own ratio.  Where the modes hold the maximum of the integrand, no grid
+    value exceeds the peak, so a box widened on its faces would fail the
+    tail check on its grid: the accepted box is the one integrating every
+    box gives, bit for bit.  Where they do not (the minimizers of v1 under
+    a tilting v2, say), a wider box may be accepted.  Every accepted box
+    passes the tail check on its full grid.
 
     Returns per box its accepted GridIntegral or the exception that failed
     it alone: BoxTooSmallError when the tail check still fails, or the
@@ -498,36 +532,64 @@ def oracle_integrals(integrate, lo, hi, spec: GridSpec, log_f=None, modes=None) 
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    n = _grid_resolution(lo.shape[1], spec.points_per_dim)
+    dim = lo.shape[1]
+    sized = widths is not None and spec.points_per_dim is None and spec.box is None
+    rungs = np.array(_simpson_rungs(dim) if sized else (_grid_resolution(dim, spec.points_per_dim),))
+    up = np.zeros(len(lo), dtype=int)  # rungs a box was refined by
     out = [None] * len(lo)
     todo = np.arange(len(lo))
     expansions = 0 if spec.box is not None else spec.max_expand
     check_faces = modes is not None and expansions > 0
     if check_faces:
         peaks = np.max(_evaluate(log_f, todo, np.asarray(modes, dtype=float)), axis=1)
+
+    def by_rung(rung, j):
+        # the boxes j (indices into todo) on each rung, coarsest first
+        for r in np.unique(rung[j]):
+            yield int(rungs[r]), j[rung[j] == r]
+
     for expansion in range(expansions + 1):
         valid = _valid_boxes(lo[todo], hi[todo])
         for i in todo[~valid]:
             out[i] = ValueError(_BAD_BOX)
         todo = todo[valid]
+        rung = np.zeros(todo.size, dtype=int)
+        if sized:
+            with np.errstate(divide="ignore", invalid="ignore"):  # no width: the finest
+                need = (SIMPSON_POINTS_PER_WIDTH * np.max(hi[todo] - lo[todo], axis=1)
+                        / np.asarray(widths, dtype=float)[todo])
+            rung = np.where(np.isfinite(need) & (need > 0), np.searchsorted(rungs - 1, need), len(rungs))
+            rung = np.minimum(rung + up[todo], len(rungs) - 1)
         widen = np.zeros(todo.size, dtype=bool)
         if check_faces and todo.size and expansion < expansions:
-            face_max = _face_max_stack(lambda j, pts: log_f(todo[j], pts), lo[todo], hi[todo], n)
+            face_max = np.empty(todo.size)
+            for n, j in by_rung(rung, np.arange(todo.size)):
+                face_max[j] = _face_max_stack(lambda k, pts: log_f(todo[j][k], pts),
+                                              lo[todo[j]], hi[todo[j]], n)
             with np.errstate(over="ignore", invalid="ignore"):  # not finite: no skip
                 widen = (np.isfinite(face_max) & np.isfinite(peaks[todo])
                          & (np.exp(face_max - peaks[todo]) > spec.tail_tol))
         run = np.flatnonzero(~widen)
-        if run.size:
-            for j, result in zip(run, integrate(todo[run], lo[todo[run]], hi[todo[run]], n)):
-                i = todo[j]
-                out[i] = result
-                if isinstance(result, GridIntegral) and result.boundary_ratio > spec.tail_tol:
-                    widen[j] = True
-                    out[i] = BoxTooSmallError(
-                        f"boundary integrand at {result.boundary_ratio:.2e} of peak "
-                        f"exceeds tail_tol={spec.tail_tol:.1e} after {expansions} "
-                        "box expansions"
-                    )
+        while run.size:
+            refine = []
+            for n, j in by_rung(rung, run):
+                for k, result in zip(j, integrate(todo[j], lo[todo[j]], hi[todo[j]], n)):
+                    i = todo[k]
+                    out[i] = result
+                    if not isinstance(result, GridIntegral):
+                        continue
+                    if result.boundary_ratio > spec.tail_tol:
+                        widen[k] = True
+                        out[i] = BoxTooSmallError(
+                            f"boundary integrand at {result.boundary_ratio:.2e} of peak "
+                            f"exceeds tail_tol={spec.tail_tol:.1e} after {expansions} "
+                            "box expansions"
+                        )
+                    elif sized and result.rel_error > SIMPSON_REL_TOL and rung[k] < len(rungs) - 1:
+                        refine.append(k)
+            run = np.array(refine, dtype=int)
+            rung[run] += 1
+            up[todo[run]] += 1
         todo = todo[widen]
         center = 0.5 * (lo[todo] + hi[todo])
         lo[todo] = center + 1.5 * (lo[todo] - center)

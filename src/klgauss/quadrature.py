@@ -13,7 +13,11 @@ lo and hi of shape (k, d), that share a resolution: the integrand is a
 callable ``f(idx, pts)`` that maps the points (k, N, d) of the boxes ``idx``
 to values (k, N), and is called on at most SIMPSON_CHUNK_POINTS points at a
 time (one box when a box alone has more).  ``integrate_exp`` and
-``tv_distance_grid`` are the one-box case, on a Grid.
+``tv_distance_grid`` are the one-box case, on a Grid.  The resolution is
+DEFAULT_POINTS unless a caller picks another; the BvM panel's oracle
+(measure.oracle_integrals) sizes each box's resolution by its posterior's
+width, from the rungs of _simpson_rungs, and integrates the boxes of one
+rung as one stack.
 
 Per chunk the kernel works on whole arrays and reproduces the one-box
 arithmetic bit for bit: the points are np.linspace's values broadcast into
@@ -233,6 +237,17 @@ def _grid_resolution(dim: int, points_per_dim: int | None = None) -> int:
         # keep the stride-2 subgrid a valid Simpson grid
         n += 4 - ((n - 1) % 4)
     return n
+
+
+def _simpson_rungs(dim: int) -> tuple:
+    """The Simpson resolutions of a box sized by its target's width, in
+    ascending order: DEFAULT_POINTS[dim], (n + 1) / 2, ... down to 5.  Each
+    is 1 (mod 4), and each one's stride-2 subgrid is the grid of the rung
+    below."""
+    rungs = [_grid_resolution(dim)]
+    while (rungs[-1] + 1) // 2 % 4 == 1:
+        rungs.append((rungs[-1] + 1) // 2)
+    return tuple(rungs[::-1])
 
 
 @dataclass(frozen=True)

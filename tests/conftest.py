@@ -34,30 +34,52 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _integrate_every_box(integrate, lo, hi, spec):
+def _integrate_every_box(integrate, lo, hi, spec, widths=None):
     """The Simpson oracle's box policy without the face check: each round
     integrates every box left and widens x1.5 those that fail the tail
     check, up to spec.max_expand times (no rounds for an explicit box).
     ``integrate`` is as in measure.oracle_integrals; the boxes are taken as
-    valid.  Returns per box its last GridIntegral or exception, and the
-    number of boxes integrated in each round."""
-    from klgauss.quadrature import BoxTooSmallError, GridIntegral, _grid_resolution
+    valid, and integrated one at a time.  Without ``widths`` every box has
+    spec's resolution.  With them, box i takes the first Simpson rung n
+    with SIMPSON_POINTS_PER_WIDTH * (widest side) / widths[i] <= n - 1, the
+    last where none does, and is integrated again one rung up while its
+    rel_error exceeds SIMPSON_REL_TOL short of the last rung; a widened box
+    keeps its refinements.  Returns per box its last GridIntegral or
+    exception, and the number of integrations in each round."""
+    from klgauss.measure import SIMPSON_POINTS_PER_WIDTH, SIMPSON_REL_TOL
+    from klgauss.quadrature import BoxTooSmallError, GridIntegral, _grid_resolution, _simpson_rungs
 
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    n = _grid_resolution(lo.shape[1], spec.points_per_dim)
+    d = lo.shape[1]
+    rungs = [_grid_resolution(d, spec.points_per_dim)] if widths is None else list(_simpson_rungs(d))
+    up = [0] * len(lo)
     out = [None] * len(lo)
     rounds = []
-    todo = np.arange(len(lo))
+    todo = list(range(len(lo)))
     for _ in range(1 if spec.box is not None else spec.max_expand + 1):
-        rounds.append(len(todo))
-        failed = []
-        for i, result in zip(todo, integrate(todo, lo[todo], hi[todo], n)):
-            out[i] = result
-            if isinstance(result, GridIntegral) and result.boundary_ratio > spec.tail_tol:
-                failed.append(i)
-                out[i] = BoxTooSmallError(f"boundary ratio {result.boundary_ratio:.2e}")
-        todo = np.array(failed, dtype=int)
-        if not todo.size:
+        count, failed = 0, []
+        for i in todo:
+            r = 0
+            if widths is not None:
+                need = SIMPSON_POINTS_PER_WIDTH * float(np.max(hi[i] - lo[i])) / widths[i]
+                r = next((k for k, n in enumerate(rungs) if need <= n - 1), len(rungs) - 1)
+            r = min(r + up[i], len(rungs) - 1)
+            while True:
+                count += 1
+                result = integrate(np.array([i]), lo[[i]], hi[[i]], rungs[r])[0]
+                out[i] = result
+                if not isinstance(result, GridIntegral):
+                    break
+                if result.boundary_ratio > spec.tail_tol:
+                    failed.append(i)
+                    out[i] = BoxTooSmallError(f"boundary ratio {result.boundary_ratio:.2e}")
+                    break
+                if widths is None or result.rel_error <= SIMPSON_REL_TOL or r == len(rungs) - 1:
+                    break
+                r, up[i] = r + 1, up[i] + 1
+        rounds.append(count)
+        todo = failed
+        if not todo:
             break
         center = 0.5 * (lo[todo] + hi[todo])
         lo[todo] = center + 1.5 * (lo[todo] - center)

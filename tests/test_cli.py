@@ -353,9 +353,10 @@ def test_sweep_mc_estimator_runs(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_sweep_mc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # each sweep runs in its own process, because OpenBLAS reads its thread
-    # count once, at load time
+def cli_bytes_per_thread_count(tmp_path, argv):
+    """The --out bytes of ``klgauss argv`` run under OPENBLAS_NUM_THREADS 1
+    and 2, each in its own process, because OpenBLAS reads its thread count
+    once, at load time."""
     src = str(Path(klgauss.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -363,13 +364,24 @@ def test_sweep_mc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         subprocess.run(
-            [
-                sys.executable, "-c", "import sys; from klgauss.cli import main; sys.exit(main())",
-                "sweep", "--problem", "double-well", "--eps-list", "0.1,0.01,0.001",
-                "--family", "mixture", "--n", "2", "--logz", "quadrature",
-                "--estimator", "mc", "--out", str(out),
-            ],
+            [sys.executable, "-c", "import sys; from klgauss.cli import main; sys.exit(main())",
+             *argv, "--out", str(out)],
             env=env, check=True, timeout=300,
         )
         outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_sweep_mc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    outputs = cli_bytes_per_thread_count(tmp_path, [
+        "sweep", "--problem", "double-well", "--eps-list", "0.1,0.01,0.001",
+        "--family", "mixture", "--n", "2", "--logz", "quadrature", "--estimator", "mc",
+    ])
+    assert outputs[0] == outputs[1]
+
+
+def test_bvm_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each draw's Simpson resolution is a discrete choice made from its
+    # floating-point posterior width
+    outputs = cli_bytes_per_thread_count(tmp_path, ["bvm", "--config", "bvm-m1.json", "--draws", "30"])
     assert outputs[0] == outputs[1]

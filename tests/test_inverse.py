@@ -588,36 +588,43 @@ def level_posteriors(p, cfg, eps, grid_spec=None):
 
 def test_bvm_batched_log_z_is_quadrature_normalization_per_draw():
     # every draw of bvm-m1 at every eps, and a few M = 2 draws: the batched
-    # Simpson pass gives quadrature_normalization's integral, bit for bit
+    # Simpson pass gives quadrature_normalization's integral on the accepted
+    # box and resolution, bit for bit
     p, cfg = bvm_m1_config()
     cases = [(p, cfg, eps) for eps in cfg.eps_list]
     p2 = problem(M=2, f=100.0)
     cfg2 = inv.BvMConfig(truth=np.zeros(2), eps_list=(1e-1, 1e-2), draws=4, seed=20)
     cases += [(p2, cfg2, eps) for eps in cfg2.eps_list]
-    widened = 0
+    widened, resolutions = 0, set()
     for p, cfg, eps in cases:
         _, _, posts = level_posteriors(p, cfg, eps)
         for mu, ms, _, batched in posts:
-            single = kg.quadrature_normalization(mu, inv.GridSpec(), mode_set=ms)
+            grid = batched.grid
+            spec = inv.GridSpec(box=(grid.lo, grid.hi), points_per_dim=grid.points_per_dim)
+            single = kg.quadrature_normalization(mu, spec, mode_set=ms)
             for name in ("log_value", "value", "error_estimate", "boundary_ratio"):
                 assert getattr(batched, name) == getattr(single, name)
-            assert np.array_equal(batched.grid.lo, single.grid.lo)
-            assert np.array_equal(batched.grid.hi, single.grid.hi)
-            assert batched.grid.points_per_dim == single.grid.points_per_dim
-            box = measure.concentration_box(ms.modes, ms.hessians, eps)
-            widened += not np.array_equal(batched.grid.lo, box[0])
+            assert np.array_equal(grid.lo, single.grid.lo)
+            assert np.array_equal(grid.hi, single.grid.hi)
+            assert grid.points_per_dim == single.grid.points_per_dim
+            box = measure._concentration_boxes(ms.modes[None], ms.hessians[None], eps,
+                                               2.0, floored=False)
+            widened += not np.array_equal(grid.lo, box[0][0])
+            resolutions.add((p.M, grid.points_per_dim))
     assert widened > 0  # the widen-and-redo loop ran inside the batch
+    # bvm-m1 boxes are sized by the posterior's width; M = 2 takes the cap
+    assert {(1, 513), (1, 1025), (2, 257)} <= resolutions
 
 
 @pytest.mark.parametrize("case, eps, boxes, every_box", [
-    ("bvm-m1", 0.1, 100, 442), ("bvm-m1", 0.03, 100, 229), ("M=2", 0.01, 30, 131),
+    ("bvm-m1", 0.1, 100, 497), ("bvm-m1", 0.03, 100, 451), ("M=2", 0.01, 30, 149),
 ])
 def test_bvm_face_check_integrates_each_box_once(
         case, eps, boxes, every_box, integrate_every_box, assert_same_integrals, monkeypatch):
-    # every draw's log Z is the one integrating every box of every round
-    # gives, field for field, but each draw's box is integrated once: the
-    # posterior modes hold the maximum, so a box whose faces fail against it
-    # is widened without being integrated
+    # every draw's log Z is the one integrating every box of every round,
+    # each at its own Simpson rung, gives, field for field, but each draw's
+    # box is integrated once: the posterior modes hold the maximum, so a box
+    # whose faces fail against it is widened without being integrated
     if case == "bvm-m1":
         p, cfg = bvm_m1_config()
     else:
@@ -636,10 +643,12 @@ def test_bvm_face_check_integrates_each_box_once(
     results = inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)
     assert sum(integrated) == boxes == cfg.draws
     log_f = inv._log_posterior(p, Y, eps, prior)
-    lo, hi = measure._concentration_boxes(modes[:, None], h_effs[:, None], eps, spec.radius_floor)
+    lo, hi = measure._concentration_boxes(modes[:, None], h_effs[:, None], eps,
+                                          spec.radius_floor, floored=False)
+    widths = np.sqrt(eps / np.linalg.eigvalsh(h_effs)[:, -1])
     reference, rounds = integrate_every_box(
         lambda idx, lo, hi, n: stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-        lo, hi, spec)
+        lo, hi, spec, widths)
     assert_same_integrals(results, reference)
     assert sum(rounds) == every_box
 
@@ -686,15 +695,17 @@ def test_bvm_batched_tv_matches_tv_distance_grid():
 
 
 def test_bvm_draw_whose_box_stays_too_small_fails_alone():
-    # bvm-m1 at eps 0.03 without widening: 80 first boxes fail the tail
-    # check; the other 20 draws give the KL values of the default run
+    # bvm-m1 at eps 0.04 with 3 widenings: every first box, of 6 posterior
+    # widths, fails the tail check (exp(-18) of the peak at a Gaussian's
+    # faces), and the skewed posteriors of 80 draws still fail it at 20
+    # widths; the other 20 draws give the KL values of the default run
     p, cfg = bvm_m1_config()
-    cfg = inv.BvMConfig(truth=cfg.truth, eps_list=(0.03,), draws=cfg.draws, seed=cfg.seed)
-    narrow = inv.GridSpec(max_expand=0)
+    cfg = inv.BvMConfig(truth=cfg.truth, eps_list=(0.04,), draws=cfg.draws, seed=cfg.seed)
+    narrow = inv.GridSpec(max_expand=3)
     level = inv.bvm_experiment(p, cfg, grid_spec=narrow).levels[0]
     assert level.n_ok == 20
     assert level.failure_causes == {"BoxTooSmallError": 80}
-    _, _, posts = level_posteriors(p, cfg, 0.03, narrow)
+    _, _, posts = level_posteriors(p, cfg, 0.04, narrow)
     ok = [not isinstance(post[3], Exception) for post in posts]
     default = inv.bvm_experiment(p, cfg).levels[0]
     assert default.n_ok == cfg.draws
@@ -897,9 +908,9 @@ def two_pass_level(p, truth, etas, eps, prior, spec, opt_cfg):
     """A BvM level by two Simpson passes over each draw's box: log Z first
     (_draw_integrals without Gaussians), then Newton with the Simpson log Z
     on the draws it leaves, the KL by _single_kl at that log Z, and TV by
-    tv_distance_stack on the accepted boxes, with the Gaussian's log density
-    written out.  Returns per draw the KL, the TV (NaN where there is none)
-    and the cause (None where there is none)."""
+    tv_distance_stack on the accepted boxes and resolutions, with the
+    Gaussian's log density written out.  Returns per draw the KL, the TV
+    (NaN where there is none) and the cause (None where there is none)."""
     j_inv = np.linalg.inv(inv.jacobian(p, truth))
     Y, modes, h_effs, errors = inv._draw_modes(p, truth, etas, eps, prior, j_inv)
     assert errors == [None] * len(etas)
@@ -932,20 +943,23 @@ def two_pass_level(p, truth, etas, eps, prior, spec, opt_cfg):
 
     log_f = inv._log_posterior(p, Y[idx[ok]], eps, prior)
     grids = [integrals[i].grid for i in idx[ok]]
-    tv[idx[ok]] = quadrature.tv_distance_stack(
-        log_gauss, lambda k, pts: log_f(k, pts) - log_z[k][:, None],
-        np.stack([g.lo for g in grids]), np.stack([g.hi for g in grids]), grids[0].points_per_dim)
+    resolution = np.array([g.points_per_dim for g in grids])
+    for n in set(resolution):
+        k = np.flatnonzero(resolution == n)
+        tv[idx[ok[k]]] = quadrature.tv_distance_stack(
+            lambda j, pts: log_gauss(k[j], pts), lambda j, pts: log_f(k[j], pts) - log_z[k[j]][:, None],
+            np.stack([grids[j].lo for j in k]), np.stack([grids[j].hi for j in k]), n)
     return kl, tv, causes
 
 
 @pytest.mark.parametrize("case, eps, max_expand", [
-    ("bvm-m1", 1e-1, 8), ("bvm-m1", 1e-3, 8), ("M=2", 1e-2, 8), ("bvm-m1", 0.03, 0),
+    ("bvm-m1", 1e-1, 8), ("bvm-m1", 1e-3, 8), ("M=2", 1e-2, 8), ("bvm-m1", 0.04, 3),
 ])
 def test_bvm_level_matches_the_two_pass_route(case, eps, max_expand):
     # Newton first, with the Laplace log Z, then one Simpson pass per box
     # that gives log Z and TV: the KL, TV and failure causes of the two-pass
     # route, bit for bit.  At M <= 2 the GH ladder is one order, so the
-    # certificate does not depend on log Z; without widening (max_expand 0)
+    # certificate does not depend on log Z; with 3 widenings at eps 0.04
     # 80 draws fail with BoxTooSmallError on both routes
     if case == "bvm-m1":
         p, cfg = bvm_m1_config()
@@ -962,11 +976,12 @@ def test_bvm_level_matches_the_two_pass_route(case, eps, max_expand):
     assert [o["converged"] for o in outcomes] == list(np.isfinite(kl))
     assert np.array_equal([o["kl"] for o in outcomes], kl, equal_nan=True)
     assert np.array_equal([o["tv"] for o in outcomes], tv, equal_nan=True)
-    assert causes.count("BoxTooSmallError") == (80 if max_expand == 0 else 0)
+    assert causes.count("BoxTooSmallError") == (80 if max_expand == 3 else 0)
 
 
 def test_bvm_level_oracle_cause_precedes_newtons(monkeypatch):
-    # bvm-m1 at eps 0.03 without widening: 80 draws fail the tail check.
+    # bvm-m1 at eps 0.04 with 3 widenings: 80 draws fail the tail check
+    # (see test_bvm_draw_whose_box_stays_too_small_fails_alone).
     # Newton now runs before the oracle, on every draw.  It is forced to fail
     # every third draw, leaving a NaN mean and a singular factor (whose
     # Gaussian would raise in np.linalg.inv if it were evaluated), and to
@@ -974,7 +989,7 @@ def test_bvm_level_oracle_cause_precedes_newtons(monkeypatch):
     # oracle's cause, as when the oracle ran first; an uncertified draw has
     # no KL and TV NaN; the other draws keep the default run's KL and TV
     p, cfg = bvm_m1_config()
-    eps, prior, opt_cfg = 0.03, quadratic(dim=1), OptimizerConfig(grad_tol=1e-7)
+    eps, prior, opt_cfg = 0.04, quadratic(dim=1), OptimizerConfig(grad_tol=1e-7)
     etas = np.random.default_rng(cfg.seed).standard_normal((cfg.draws, 1))
     j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
     newton_singles = optim._newton_singles
@@ -989,7 +1004,7 @@ def test_bvm_level_oracle_cause_precedes_newtons(monkeypatch):
         return fits
 
     monkeypatch.setattr(inv, "_newton_singles", forcing)
-    narrow = inv.GridSpec(max_expand=0)
+    narrow = inv.GridSpec(max_expand=3)
     level = inv._bvm_level(p, cfg.truth, etas, eps, prior, narrow, opt_cfg, j_inv)
     monkeypatch.undo()
     default = inv._bvm_level(p, cfg.truth, etas, eps, prior, inv.GridSpec(), opt_cfg, j_inv)
@@ -1033,6 +1048,7 @@ def test_bvm_level_above_m3_takes_the_laplace_log_z(monkeypatch):
     expected = [measure.log_laplace_normalization(ms, eps) for ms in mode_sets]
     assert np.array_equal(seen[0], expected)
     assert all(o["converged"] and math.isfinite(o["kl"]) and math.isnan(o["tv"]) for o in outcomes)
+    assert all(math.isnan(o["logz_rel_error"]) and o["grid_points"] == 0 for o in outcomes)
 
 
 def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
@@ -1124,6 +1140,46 @@ def test_bvm_kl_leading_constant():
     level = inv.bvm_experiment(p, cfg).levels[0]
     assert level.failures == 0
     assert abs(level.mean_kl / 1e-3 - predicted) <= 0.02 * predicted
+
+
+def test_bvm_sharp_panel_kl_is_positive_and_linear_in_eps():
+    # M = 1, f = 1000, truth -0.5: at eps 1e-5 the posterior is thousands of
+    # times narrower than a box of radius 2, on whose fixed grid the Simpson
+    # log Z is off by 0.25, more than the KL.  Sized by the posterior's own
+    # width, every draw's KL is positive, mean KL / eps agrees within 1 %
+    # across the levels, and the fit has slope 1
+    p = problem(M=1, f=1000.0)
+    cfg = inv.BvMConfig(truth=np.array([-0.5]), eps_list=(1e-3, 1e-4, 1e-5), draws=30, seed=4)
+    res = inv.bvm_experiment(p, cfg)
+    for lv in res.levels:
+        assert lv.failures == 0 and np.all(lv.kl_values > 0.0)
+        assert lv.logz_rel_error <= measure.SIMPSON_REL_TOL
+    ratios = [lv.mean_kl / lv.epsilon for lv in res.levels]
+    assert max(ratios) <= 1.01 * min(ratios)
+    assert res.rate_fit is not None and 0.98 <= res.rate_fit.slope <= 1.02
+
+
+def test_bvm_levels_report_the_oracles_error_and_grid_points():
+    # bvm-m1: every level's Simpson log Z values are within the tolerance,
+    # and grid_points is the n**d of the draws' accepted grids
+    p, cfg = bvm_m1_config()
+    res = inv.bvm_experiment(p, cfg)
+    for eps, lv in zip(cfg.eps_list, res.levels):
+        _, _, posts = level_posteriors(p, cfg, eps)
+        assert lv.logz_rel_error == max(post[3].rel_error for post in posts)
+        assert 0.0 < lv.logz_rel_error <= measure.SIMPSON_REL_TOL
+        assert lv.grid_points == sum(post[3].grid.points_per_dim for post in posts)
+    assert sum(lv.grid_points for lv in res.levels) < 0.2 * 5 * cfg.draws * 4097
+
+
+def test_bvm_m3_level_reports_its_oracle_error():
+    # M = 3, f = 100: the 65-point cap leaves Simpson log Z errors of
+    # several percent, which the level now shows
+    p = problem(M=3, f=100.0)
+    cfg = inv.BvMConfig(truth=np.zeros(3), eps_list=(1e-2,), draws=30, seed=20)
+    (lv,) = inv.bvm_experiment(p, cfg).levels
+    assert lv.logz_rel_error > 1e-3
+    assert lv.grid_points == cfg.draws * 65**3
 
 
 def test_bvm_validation():

@@ -322,12 +322,12 @@ def gaussian_stack(centers, eps):
     return log_f
 
 
-def stack_oracle(log_f, lo, hi, modes, spec):
+def stack_oracle(log_f, lo, hi, modes, spec, widths=None):
     """oracle_integrals over integrate_exp_stack, as inverse._draw_integrals
-    runs it, with the modes (k, m, d) of each box."""
+    runs it, with the modes (k, m, d) and the widths of each box."""
     return oracle_integrals(
         lambda idx, lo, hi, n: integrate_exp_stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
-        lo, hi, spec, log_f, modes,
+        lo, hi, spec, log_f, modes, widths,
     )
 
 
@@ -442,6 +442,52 @@ def test_stacked_oracle_invalid_box_fails_alone():
     assert type(results[1]) is ValueError and str(results[1]) == str(made.value)
     for r, a in zip([results[0], results[2]], integrals([0, 2], lo[[0, 2]], hi[[0, 2]])):
         assert r.log_value == a.log_value and np.array_equal(r.grid.hi, a.grid.hi)
+
+
+# --- the panel oracle: boxes and resolutions sized by the target's width ----------
+
+
+@pytest.mark.parametrize("d, cond", [(1, 1.0), (2, 1.0), (2, 10.0), (3, 1.0), (3, 10.0)])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_sized_oracle_exact_on_gaussians(d, cond, eps):
+    # Gaussian integrands exp(-z^T A z / (2 eps)), A with eigenvalues 1 to
+    # cond in a random basis, each on its first box of radius
+    # 6 sqrt(eps / lambda_min) with its width sqrt(eps / lambda_max), as
+    # inverse._draw_integrals builds them; box 0 is given a width 10 times
+    # too large, so its first rung is too coarse and only refinement makes
+    # it exact.  log Z is exact to 1e-12, with a rel_error under the
+    # tolerance below DEFAULT_POINTS, but at d = 3 and condition 10: there
+    # the resolution reaches DEFAULT_POINTS, and the error is within the
+    # rel_error reported
+    rng = np.random.default_rng(d)
+    k = 4
+    centers = rng.uniform(-1.0, 1.0, (k, d))
+    basis = np.linalg.qr(rng.normal(size=(k, d, d)))[0]
+    lam = np.geomspace(1.0, cond, d)
+    a = basis @ (lam[:, None] * np.swapaxes(basis, 1, 2))
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+
+    def log_f(idx, pts):
+        z = pts - centers[idx][:, None, :]
+        return -0.5 * np.einsum("kni,kij,knj->kn", z, a[idx], z) / eps
+
+    lo, hi = measure._concentration_boxes(centers[:, None], a[:, None], eps, 2.0, floored=False)
+    widths = np.sqrt(eps / np.linalg.eigvalsh(a)[:, -1])
+    widths[0] *= 10.0
+    results = stack_oracle(log_f, lo, hi, centers[:, None], GridSpec(), widths)
+    exact = 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * np.linalg.slogdet(a)[1]
+    cap = quadrature.DEFAULT_POINTS[d]
+    for r, want in zip(results, exact):
+        assert r.boundary_ratio <= GridSpec().tail_tol
+        if d == 3 and cond > 1.0:
+            assert r.grid.points_per_dim == cap
+            assert abs(r.log_value - want) <= r.rel_error
+        else:
+            assert abs(r.log_value - want) <= 1e-12
+            assert r.grid.points_per_dim == cap or r.rel_error <= measure.SIMPSON_REL_TOL
+    # the resolution follows the width: coarser than DEFAULT_POINTS in d = 1
+    if d == 1:
+        assert all(r.grid.points_per_dim < cap for r in results)
 
 
 # --- GridSpec and the face check ----------------------------------------------

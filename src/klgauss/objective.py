@@ -10,14 +10,16 @@ log((2 pi)^d det Sigma) - d/2.  log Z is always supplied by the caller:
 Laplace for speed, the Simpson grid oracle for exactness.
 
 ``_Objective`` evaluates this sum on a node set: standard nodes z that every
-component maps through its own mean and Cholesky factor.  A node set is
-either the tensor Gauss-Hermite rule (deterministic, exact on quadratics) or
-N Monte Carlo draws of weight 1/N, shared by all components (common random
-numbers).  The optimizer minimizes its value and exact gradient on
-Gauss-Hermite nodes.  ``kl_single``, ``f_eps``, ``g_eps``,
+component maps through its own mean and Cholesky factor.  The n components'
+points form one (n, K, d) stack, which V1 and V2 take in one call each.  A
+node set is either the tensor Gauss-Hermite rule (deterministic, exact on
+quadratics) or N Monte Carlo draws of weight 1/N, shared by all components
+(common random numbers).  The optimizer minimizes its value and exact
+gradient on Gauss-Hermite nodes.  ``kl_single``, ``f_eps``, ``g_eps``,
 ``mixture_entropy`` and ``expectation_under_gaussian`` are each one
-value-only evaluation at given parameters; on Monte Carlo nodes they report
-the standard error of the pointwise-combined integrand.
+value-only evaluation at given parameters, made without BLAS in cache-sized
+blocks of nodes; on Monte Carlo nodes they report the standard error of the
+pointwise-combined integrand.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import LOG_2PI, GaussianParams, MixtureParams, _logsumexp
+from .gaussian import LOG_2PI, GaussianParams, MixtureParams
 from .measure import MeasureFamily, TargetMeasure
 from .potentials import EvaluationError, Potential, zero
 from .quadrature import gauss_hermite
@@ -41,6 +43,8 @@ MONTE_CARLO = "monte-carlo"
 _LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
 _SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
 _ONE = np.ones(1)  # the weights of a single Gaussian
+_BLOCK_ROWS = 8192  # nodes per block of terms(): each block's temporaries stay in cache
+_EXP_FLOOR = -700.0  # exp(-700) ~ 1e-304, inside np.exp's fast range
 
 
 @dataclass(frozen=True)
@@ -142,25 +146,23 @@ def _mc_nodes(samples, seed, d):
     return _Nodes(z, w, None)
 
 
-def _n_chol_params(d):
-    return d * (d + 1) // 2
+@cache
+def _chol_index(d):
+    """Flat (d, d) indices of a packed factor's entries: the diagonal, then
+    the strictly lower entries in np.tril_indices(d, -1) order; read-only."""
+    rows, cols = np.tril_indices(d, k=-1)
+    idx = np.concatenate([np.arange(d) * (d + 1), rows * d + cols])
+    idx.flags.writeable = False
+    return idx
 
 
-def _pack_chol(L):
-    d = L.shape[0]
-    parts = [np.log(np.diag(L))]
-    if d > 1:
-        parts.append(L[np.tril_indices(d, k=-1)])
-    return np.concatenate(parts)
-
-
-def _unpack_chol(theta, d):
-    logdiag = np.clip(theta[:d], -_LOGDIAG_CAP, _LOGDIAG_CAP)
-    L = np.zeros((d, d))
-    L[np.diag_indices(d)] = np.exp(logdiag)
-    if d > 1:
-        L[np.tril_indices(d, k=-1)] = theta[d:]
-    return L
+def _shifted_exp(comp_log):
+    """max_j of the component logs (i, j, K) and exp(comp_log - max), for a
+    max-shifted log-sum-exp over j.  The shifted logs are floored at
+    _EXP_FLOOR, far below the term exp(0) = 1 of every sum: np.exp runs 10 to
+    100 times slower where its result is near or below underflow."""
+    top = comp_log.max(axis=1, keepdims=True)
+    return top, np.exp(np.maximum(comp_log - top, _EXP_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -202,72 +204,68 @@ class _Objective:
         self.z, self.w, self.order = nodes
         self.sqrt_eps = math.sqrt(mu.epsilon)
         self.scale = math.sqrt(2.0 * mu.epsilon)
+        i, j = np.triu_indices(n, 1)
+        self.pair_diff = np.eye(n)[i] - np.eye(n)[j]  # pair_diff @ means: m_i - m_j, i < j
 
     def split(self, theta):
         n, d = self.n, self.d
-        means = self.sqrt_eps * theta[n - 1 : n - 1 + n * d].reshape(n, d)
-        off, k = n - 1 + n * d, _n_chol_params(d)
-        chols = [_unpack_chol(theta[off + i * k : off + (i + 1) * k], d) for i in range(n)]
+        off = n - 1 + n * d
+        means = self.sqrt_eps * theta[n - 1 : off].reshape(n, d)
+        entries = theta[off:].reshape(n, -1).copy()
+        entries[:, :d] = np.exp(np.clip(entries[:, :d], -_LOGDIAG_CAP, _LOGDIAG_CAP))
+        chols = np.zeros((n, d * d))
+        chols[:, _chol_index(d)] = entries
+        chols = chols.reshape(n, d, d)
         if n == 1:
             return _ONE, means, chols
         logits = np.concatenate([[0.0], theta[: n - 1]])
-        return np.exp(logits - _logsumexp(logits)), means, chols
+        e = np.exp(logits - logits.max())
+        return e / e.sum(), means, chols
 
     def pack(self, alpha, means, chols):
         logits = np.log(np.asarray(alpha, dtype=float))
-        parts = [
-            logits[1:] - logits[0],
-            np.asarray(means, dtype=float).ravel() / self.sqrt_eps,
-        ]
-        parts += [_pack_chol(L) for L in chols]
-        return np.concatenate(parts)
-
-    def _points(self, m, L):
-        return m + self.scale * (self.z @ L.T)
+        means = np.asarray(means, dtype=float).ravel() / self.sqrt_eps
+        entries = np.asarray(chols, dtype=float).reshape(len(chols), -1)[:, _chol_index(self.d)]
+        entries[:, : self.d] = np.log(entries[:, : self.d])
+        return np.concatenate([logits[1:] - logits[0], means, entries.ravel()])
 
     def _log_consts(self, alpha, chols):
         """log alpha_j - (d/2) log(2 pi eps) - log det L_j for every component j."""
-        log_det = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+        log_det = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         return np.log(alpha) - 0.5 * self.d * math.log(2.0 * math.pi * self.mu.epsilon) - log_det
 
     def value_grad(self, theta):
-        d, eps, w = self.d, self.mu.epsilon, self.w
+        n, d, eps, w = self.n, self.d, self.mu.epsilon, self.w
         alpha, means, chols = self.split(theta)
         if self.xi is not None:
             penalty, pen_alpha, pen_means = self._penalty(alpha, means)
             if not np.isfinite(penalty):
                 return math.inf, np.zeros_like(theta)
-        nodes, pot, gx = [], [], []
         try:
-            for m, L in zip(means, chols):
-                x = self._points(m, L)
-                v1 = self.mu.v1.value(x)
-                v2 = self.mu.v2.value(x)
-                g1 = self.mu.v1.gradient(x)
-                g2 = self.mu.v2.gradient(x)
-                nodes.append(x)
-                pot.append(float(np.dot(w, v1)) / eps + float(np.dot(w, v2)))
-                gx.append(g1 / eps + g2)  # (K, d) gradient of the potential part
+            # every component's points at once, (n, K, d)
+            x = means[:, None, :] + self.scale * (self.z @ chols.transpose(0, 2, 1))
+            pts = x.reshape(-1, d)
+            v1 = self.mu.v1.value(pts).reshape(n, -1)
+            v2 = self.mu.v2.value(pts).reshape(n, -1)
+            g1 = self.mu.v1.gradient(pts)
+            g2 = self.mu.v2.gradient(pts)
         except (EvaluationError, FloatingPointError):
             return math.inf, np.zeros_like(theta)
-        if self.n == 1:
-            L = chols[0]
-            value = (
-                pot[0]
-                - 0.5 * d * math.log(2.0 * math.pi * eps)
-                - float(np.sum(np.log(np.diag(L))))
-                - 0.5 * d
-                + self.log_z
-            )
+        pot = (v1 @ w) / eps + v2 @ w
+        gx = (g1 / eps + g2).reshape(n, -1, d)  # gradient of the potential part
+        if n == 1:
+            log_det = float(np.sum(np.log(np.diag(chols[0]))))
+            value = float(pot[0]) - 0.5 * d * math.log(2 * math.pi * eps) - log_det - 0.5 * d
+            value += self.log_z
             if not np.isfinite(value):
                 return math.inf, np.zeros_like(theta)
             g_logits = theta[:0]
             g_means = (w @ gx[0])[None]
-            g_chols = [self.scale * np.einsum("k,ka,kb->ab", w, gx[0], self.z)]
-            g_logdiag = [-1.0]  # d(entropy)/d(log L_aa)
+            g_chols = self.scale * np.einsum("k,ka,kb->ab", w, gx[0], self.z)[None]
+            g_logdiag = -1.0  # d(entropy)/d(log L_aa)
         else:
             value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
-                alpha, means, chols, nodes, np.array(pot), np.stack(gx)
+                alpha, means, chols, x, pot, gx
             )
             if self.xi is not None:
                 value += penalty
@@ -276,14 +274,11 @@ class _Objective:
             if not np.isfinite(value):
                 return math.inf, np.zeros_like(theta)
             g_logits = (alpha * (g_alpha - alpha @ g_alpha))[1:]
-        parts = [g_logits, self.sqrt_eps * g_means.ravel()]
-        for L, dL, dlogdiag in zip(chols, g_chols, g_logdiag):
-            parts.append(np.diag(dL) * np.diag(L) + dlogdiag)
-            if d > 1:
-                parts.append(dL[np.tril_indices(d, k=-1)])
-        return value, np.concatenate(parts)
+        g_packed = g_chols.reshape(n, d * d)[:, _chol_index(d)]
+        g_packed[:, :d] = g_packed[:, :d] * np.diagonal(chols, axis1=1, axis2=2) + g_logdiag
+        return value, np.concatenate([g_logits, self.sqrt_eps * g_means.ravel(), g_packed.ravel()])
 
-    def _mixture_terms(self, alpha, means, chols, nodes, pot, gx):
+    def _mixture_terms(self, alpha, means, chols, x, pot, gx):
         """KL value and its gradient in alpha, the means and the factors.
 
         Index i runs over the component whose nodes are used, j over the
@@ -292,15 +287,16 @@ class _Objective:
         comes from log det Sigma_j is returned apart, as -sum of r_j.
         """
         w, sqrt_eps = self.w, self.sqrt_eps
-        chols = np.stack(chols)
         inv = np.linalg.inv(chols)
-        diff = np.stack(nodes)[:, None] - means[None, :, None]  # (i, j, K, d)
+        diff = x[:, None] - means[None, :, None]  # (i, j, K, d)
         u = np.einsum("jab,ijkb->ijka", inv, diff) / sqrt_eps  # L_j^-1 (x - m_j) / sqrt(eps)
         score = np.einsum("jba,ijkb->ijka", inv, u) / sqrt_eps  # Sigma_j^-1 (x - m_j)
         const = self._log_consts(alpha, chols)
-        comp_log = const[None, :, None] - 0.5 * np.sum(u * u, axis=-1)  # (i, j, K)
-        log_rho = _logsumexp(comp_log, axis=1)
-        r = np.exp(comp_log - log_rho[:, None])
+        comp_log = const[None, :, None] - 0.5 * (u * u).sum(axis=-1)  # (i, j, K)
+        top, dens = _shifted_exp(comp_log)
+        total = dens.sum(axis=1, keepdims=True)
+        log_rho = (top + np.log(total))[:, 0]
+        r = dens / total
         entropy = log_rho @ w
         value = float(alpha @ (pot + entropy)) + self.log_z
 
@@ -313,35 +309,26 @@ class _Objective:
         g_chols = self.scale * np.einsum("ik,ika,kb->iab", aw, g_path, self.z) + sqrt_eps * (
             np.einsum("ijk,ijka,ijkb->jab", ar, score, u)
         )
-        mass = np.sum(ar, axis=(0, 2))  # sum_i alpha_i E_i[r_j]
+        mass = ar.sum(axis=(0, 2))  # sum_i alpha_i E_i[r_j]
         g_alpha = pot + entropy + mass / alpha
-        return value, g_alpha, g_means, g_chols, -mass
+        return value, g_alpha, g_means, g_chols, -mass[:, None]
 
     def _penalty(self, alpha, means):
         """Weight barrier and separation hinge, with gradients in alpha and the means."""
         xi1, xi2 = self.xi
-        n = self.n
         slack = alpha - xi1
-        if np.any(slack <= 0):
+        if (slack <= 0).any():
             return math.inf, None, None
-        ref = 1.0 / n - xi1
-        value = -self.barrier * float(np.sum(np.log(slack / ref)))
+        value = -self.barrier * float(np.log(slack / (1.0 / self.n - xi1)).sum())
         g_alpha = -self.barrier / slack
-        g_means = np.zeros_like(means)
         # aimed just past xi2, so the hinge's equilibrium lands inside the family
-        target = xi2 * (1.0 + _SEPARATION_MARGIN)
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = means[i] - means[j]
-                dist = float(np.linalg.norm(diff))
-                gap = target - dist
-                if gap > 0:
-                    value += self.sep_weight * gap * gap
-                    if dist > 0:
-                        push = (2.0 * self.sep_weight * gap / dist) * diff
-                        g_means[i] -= push
-                        g_means[j] += push
-        return value, g_alpha, g_means
+        diff = self.pair_diff @ means
+        dist = np.sqrt(np.einsum("pa,pa->p", diff, diff))
+        gap = np.maximum(xi2 * (1.0 + _SEPARATION_MARGIN) - dist, 0.0)
+        value += float((self.sep_weight * gap * gap).sum())
+        # a pair at distance 0 has diff 0, so it pushes nothing
+        push = (2.0 * self.sep_weight * gap / np.where(dist > 0, dist, 1.0))[:, None] * diff
+        return value, g_alpha, -self.pair_diff.T @ push
 
     def terms(self, alpha, means, chols, kl=True):
         """The value's terms and the standard error of their sum, without gradients.
@@ -354,46 +341,55 @@ class _Objective:
         for the KL (``kl``) on Monte Carlo nodes log rho is integrated at the
         nodes for a single Gaussian too.  Elsewhere a single Gaussian takes
         the closed-form entropy, and the stderr is that of V1/eps + V2
-        alone.  log rho is accumulated one component density at a time.
+        alone.
 
-        No step calls BLAS: the node sums and the maps of the nodes are
-        numpy's own einsum loops, whose arithmetic does not depend on the
-        thread count, so a Monte Carlo estimate has the same bytes on any
-        number of cores.
+        The nodes are walked in blocks of _BLOCK_ROWS, whose temporaries stay
+        in cache; each block maps every component's points at once and takes
+        log rho as one log-sum-exp.  A component's own log density needs no
+        solve: at its points, L_i^-1 (x - m_i) / sqrt(eps) = sqrt(2) z.  No
+        step calls BLAS: the node sums and maps are numpy's einsum loops,
+        whose arithmetic does not depend on the thread count, so a Monte
+        Carlo estimate has the same bytes on any number of cores.
         """
-        eps, w = self.mu.epsilon, self.w
-        chols = np.stack(chols)
-        inv = np.linalg.inv(chols)
+        n, d, eps, w = self.n, self.d, self.mu.epsilon, self.w
+        chols = np.asarray(chols, dtype=float)
         const = self._log_consts(alpha, chols)
-        closed_form = self.n == 1 and (self.order is not None or not kl)
-        combined = np.zeros(w.size)
-        v1_term = v2_term = entropy = 0.0
-        for a, m, L in zip(alpha, means, chols):
-            x = m + self.scale * np.einsum("kb,ab->ka", self.z, L)
-            v1 = self.mu.v1.value(x)
-            v2 = self.mu.v2.value(x)
+        closed_form = n == 1 and (self.order is not None or not kl)
+        own = np.arange(n)
+        i, j = np.nonzero(own[:, None] != own)  # component j's density at i's points
+        inv = np.linalg.inv(chols)[j]
+        sums = np.zeros((3, n))  # node sums of V1, V2 and log rho at each component's points
+        combined = np.empty(w.size)
+        for lo in range(0, w.size, _BLOCK_ROWS):
+            z, wb = self.z[lo : lo + _BLOCK_ROWS], w[lo : lo + _BLOCK_ROWS]
+            x = means[:, None] + self.scale * np.einsum("kb,iab->ika", z, chols)
+            pts = x.reshape(-1, d)
+            v1 = self.mu.v1.value(pts).reshape(n, -1)
+            v2 = self.mu.v2.value(pts).reshape(n, -1)
+            sums[0] += np.einsum("ik,k->i", v1, wb)
+            sums[1] += np.einsum("ik,k->i", v2, wb)
             point = v1 / eps + v2
-            v1_term += a * float(np.einsum("k,k->", w, v1)) / eps
-            v2_term += a * float(np.einsum("k,k->", w, v2))
             if not closed_form:
-                log_rho = None
-                for m_j, inv_j, c_j in zip(means, inv, const):
-                    u = np.einsum("kb,ab->ka", x - m_j, inv_j) / self.sqrt_eps
-                    comp = c_j - 0.5 * np.einsum("ka,ka->k", u, u)
-                    log_rho = comp if log_rho is None else np.logaddexp(log_rho, comp)
-                entropy += a * float(np.einsum("k,k->", w, log_rho))
+                comp_log = np.empty((n, n, len(z)))
+                comp_log[own, own] = const[:, None] - np.einsum("ka,ka->k", z, z)
+                u = np.einsum("pab,pkb->pka", inv, x[i] - means[j, None]) / self.sqrt_eps
+                comp_log[i, j] = const[j, None] - 0.5 * np.einsum("pka,pka->pk", u, u)
+                top, dens = _shifted_exp(comp_log)
+                log_rho = top[:, 0] + np.log(dens.sum(axis=1))
+                sums[2] += np.einsum("ik,k->i", log_rho, wb)
                 point += log_rho
-            combined += a * point
+            combined[lo : lo + len(z)] = np.einsum("i,ik->k", alpha, point)
+        v1_term, v2_term, entropy = np.einsum("i,ti->t", alpha, sums)
         if closed_form:
             log_det = float(np.sum(np.log(np.diag(chols[0]))))
-            entropy = -0.5 * self.d * math.log(2.0 * math.pi * eps) - log_det - 0.5 * self.d
+            entropy = -0.5 * d * math.log(2.0 * math.pi * eps) - log_det - 0.5 * d
         stderr = 0.0
         if self.order is None:
             stderr = float(np.std(combined, ddof=1) / math.sqrt(w.size))
         detail = {
-            "v1_term": v1_term,
-            "v2_term": v2_term,
-            "entropy_term": entropy,
+            "v1_term": float(v1_term) / eps,
+            "v2_term": float(v2_term),
+            "entropy_term": float(entropy),
             "log_z": float(self.log_z),
         }
         return detail, stderr

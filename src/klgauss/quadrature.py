@@ -254,6 +254,14 @@ def _simpson_rungs(dim: int) -> tuple:
 class GridIntegral:
     """Integral of exp(log_f) over a box with a refinement error estimate.
 
+    ``error_estimate`` is the Richardson difference |I_fine - I_coarse| / 15
+    with the stride-2 grid, and ``rel_error`` that relative to |value|.  It
+    measures the stride-2 grid's error.  It estimates the fine grid's error
+    only while both grids are in Simpson's h^4 regime, and overstates it once
+    the fine grid resolves the integrand: for a d = 3 Gaussian at eps 1e-1
+    on 65 points over +-9 widths, rel_error reads 2.2e-8 where log Z is off
+    by 3.7e-15.
+
     ``tv`` is the total-variation distance of the normalized exp(log_f -
     log_value) to the density exp(log_q) on the same grid, where
     integrate_exp_stack was given a log_q, else NaN."""
@@ -308,8 +316,10 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int, log_q=None) -> list:
     concentrated integrands (the 1/eps regime) numerically sane.  The boxes
     are taken as valid (see make_grid).  Per box the error estimate is the
     Richardson comparison with the stride-2 coarse grid,
-    |I_fine - I_coarse| / 15, and the boundary ratio is the largest
-    integrand value on the box faces relative to the peak.
+    |I_fine - I_coarse| / 15: a measure of the stride-2 grid's error, which
+    overstates the fine grid's once that resolves the integrand (see
+    GridIntegral).  The boundary ratio is the largest integrand value on
+    the box faces relative to the peak.
 
     ``log_q(idx, pts)``, called as log_f, gives per box the log of a
     normalized density q; each box then also gets the TV distance of q to

@@ -9,7 +9,6 @@ from klgauss import (
     MixtureParams,
     kl_categorical,
     kl_gaussian_gaussian,
-    objective,
     sample,
 )
 from klgauss.gaussian import _logsumexp
@@ -326,28 +325,3 @@ def test_mixture_log_density_is_the_scipy_logsumexp_one(weights, rng):
     )
     assert _same_bits(mix.log_density(x), ref)
     assert _same_bits(mix.log_density(x[7]), ref[7])
-
-
-@scipy_separates_max
-def test_mixture_objective_is_the_scipy_logsumexp_one(double_well_family, monkeypatch):
-    # split's weights and value_grad, the two places the objective takes a
-    # log-sum-exp, give the bits they gave with scipy.special.logsumexp
-    obj = objective._Objective(
-        double_well_family.at(0.05), 0.4, objective._gh_nodes(20, 1), n=3,
-        xi=(0.05, 0.5), barrier=0.1, separation_weight=10.0,
-    )
-    theta = np.array([0.3, -0.2, -4.1, 0.2, 4.5, 0.1, -0.3, 0.05])
-
-    def evaluate():
-        alpha = obj.split(theta)[0]
-        value, grad = obj.value_grad(theta)
-        return alpha, value, grad
-
-    ours = evaluate()
-    monkeypatch.setattr(
-        objective, "_logsumexp", lambda a, axis=None: scipy.special.logsumexp(a, axis=axis)
-    )
-    ref = evaluate()
-    assert np.isfinite(ours[1])
-    for x, y in zip(ours, ref):
-        assert _same_bits(x, y)

@@ -411,20 +411,93 @@ def test_g_eps_mc_stderr_calibrated(double_well_family, eps):
     assert 0.3 <= np.mean(ratios) <= 3.0
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_value_only_path_matches_value_grad(double_well_family, n):
+def mixture_2d(eps, n):
+    """n of three fixed components of a 2-D mixture, with correlated factors."""
+    means = np.array([[-0.6, 0.2], [0.5, -0.3], [0.1, 0.7]])[:n]
+    chols = np.array([
+        [[0.5, 0.0], [0.2, 0.4]],
+        [[0.3, 0.0], [-0.1, 0.6]],
+        [[0.45, 0.0], [0.05, 0.35]],
+    ])[:n]
+    weights = np.array([0.3, 0.45, 0.25])[:n]
+    comps = tuple(GaussianParams(m, math.sqrt(eps) * L) for m, L in zip(means, chols))
+    return MixtureParams(comps, weights / weights.sum(), xi=(0.05, 0.2))
+
+
+def mixture_case(d, n, eps):
+    """The target family and an n-component mixture in dimension d."""
+    if d == 2:
+        return kg.builtin_problem("quadratic", dim=2), mixture_2d(eps, n)
+    if n == 3:
+        mix = mixture_at(eps, means=(-1.0, 0.2, 1.0), sigma_resc=0.3,
+                         weights=(0.3, 0.25, 0.45), xi=(0.05, 0.5))
+    else:
+        mix = mixture_at(eps, sigma_resc=0.3, weights=(0.45, 0.55))
+    if n == 1:
+        mix = MixtureParams(mix.components[1:], np.ones(1), xi=(0.5, 1.0))
+    return kg.builtin_problem("double-well"), mix
+
+
+DIM_AND_N = [
+    pytest.param(1, 1, id="1"),
+    pytest.param(1, 2, id="2"),
+    pytest.param(1, 3, id="3"),
+    pytest.param(2, 1, id="d2-1"),
+    pytest.param(2, 2, id="d2-2"),
+    pytest.param(2, 3, id="d2-3"),
+]
+
+
+@pytest.mark.parametrize("d, n", DIM_AND_N)
+def test_value_only_path_matches_value_grad(d, n):
     # the public estimators are one evaluation of the optimizer's objective
     from klgauss.objective import _gh_nodes, _Objective
 
     eps = 0.05
-    mix = mixture_at(eps, sigma_resc=0.3, weights=(0.45, 0.55))
-    if n == 1:
-        mix = MixtureParams(mix.components[1:], np.ones(1), xi=(0.5, 1.0))
-    obj = _Objective(double_well_family.at(eps), 0.4, _gh_nodes(20, 1), n)
+    family, mix = mixture_case(d, n, eps)
+    obj = _Objective(family.at(eps), 0.4, _gh_nodes(20, d), n)
     root = math.sqrt(eps)
     theta = obj.pack(mix.weights, mix.means, [c.chol / root for c in mix.components])
-    est = g_eps(double_well_family, eps, mix, 0.4)
+    est = g_eps(family, eps, mix, 0.4)
+    assert math.isfinite(est.value)
     assert est.value == pytest.approx(obj.value_grad(theta)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("kl", [True, False], ids=["kl", "no-kl"])
+@pytest.mark.parametrize("d, n", DIM_AND_N)
+def test_terms_do_not_depend_on_the_block_size(monkeypatch, d, n, kl):
+    # 20,001 Monte Carlo nodes: two full blocks and a ragged third one
+    from klgauss import objective
+
+    eps = 0.05
+    family, mix = mixture_case(d, n, eps)
+    nodes = objective._mc_nodes(20_001, 4, d)
+    assert nodes.w.size % objective._BLOCK_ROWS != 0 and nodes.w.size > objective._BLOCK_ROWS
+    obj = objective._Objective(family.at(eps), 0.4, nodes, n)
+    root = math.sqrt(eps)
+    args = (mix.weights, mix.means, [c.chol / root for c in mix.components], kl)
+    blocked, blocked_err = obj.terms(*args)
+    monkeypatch.setattr(objective, "_BLOCK_ROWS", nodes.w.size)
+    whole, whole_err = obj.terms(*args)
+    assert sum(blocked.values()) == pytest.approx(sum(whole.values()), rel=1e-13)
+    assert blocked_err == pytest.approx(whole_err, rel=1e-9)
+    assert whole_err > 0
+
+
+def test_floored_log_sum_exp_is_scipys():
+    # component logs up to 2000 below their maximum: flooring the shifted
+    # logs at _EXP_FLOOR changes no log-sum-exp beyond rounding
+    import scipy.special
+
+    from klgauss.objective import _shifted_exp
+
+    rng = np.random.default_rng(8)
+    gaps = [np.zeros((3, 1, 400)), rng.uniform(0, 60, (3, 2, 400)), rng.uniform(600, 2000, (3, 2, 400))]
+    comp_log = rng.uniform(-1, 1, (3, 1, 400)) - np.concatenate(gaps, axis=1)
+    top, dens = _shifted_exp(comp_log)
+    ours = top[:, 0] + np.log(dens.sum(axis=1))
+    ref = scipy.special.logsumexp(comp_log, axis=1)
+    assert np.allclose(ours, ref, rtol=0, atol=1e-15)
 
 
 def test_g_eps_constraint_gate_returns_inf(double_well_family):

@@ -94,6 +94,34 @@ def test_analytic_gradient_matches_fd_2d(rng, n, xi):
     assert np.allclose(g, _fd_gradient(obj, theta), rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("far", [[2.0, 0.0], [0.0, 0.0]], ids=["apart", "coincident"])
+def test_penalty_matches_the_pairwise_loop(far):
+    # the barrier and hinge against a loop over the mean pairs: the pair
+    # (0, 1) is inside the hinge, and "coincident" puts mean 2 on mean 0
+    fam = kg.builtin_problem("quadratic", dim=2)
+    obj = _Objective(fam.at(0.1), 0.0, _gh_nodes(5, 2), 3, (0.1, 0.8), barrier=0.3,
+                     separation_weight=7.0)
+    alpha = np.array([0.2, 0.5, 0.3])
+    means = np.array([[0.0, 0.0], [0.3, 0.4], far])
+    value, g_alpha, g_means = obj._penalty(alpha, means)
+    slack = alpha - 0.1
+    ref = -0.3 * np.sum(np.log(slack / (1 / 3 - 0.1)))
+    ref_means = np.zeros_like(means)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            diff = means[i] - means[j]
+            dist = np.linalg.norm(diff)
+            gap = 0.8 * (1 + 1e-6) - dist
+            if gap > 0:
+                ref += 7.0 * gap * gap
+                if dist > 0:
+                    ref_means[i] -= 14.0 * gap / dist * diff
+                    ref_means[j] += 14.0 * gap / dist * diff
+    assert value == pytest.approx(ref, rel=1e-14)
+    assert np.allclose(g_alpha, -0.3 / slack, rtol=1e-15, atol=0)
+    assert np.allclose(g_means, ref_means, rtol=1e-14, atol=1e-15)
+
+
 def test_monotone_improvement_over_starts(double_well_family):
     res = minimize_single(double_well_family.at(0.01))
     for trace in res.traces:

@@ -24,7 +24,7 @@ import numpy as np
 # perfbench/tracer.py patches this name in every BFGS-calling module
 from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
-from .gamma import RateFit, fit_rate
+from .gamma import RateFit, fit_rate, sweep
 from .gaussian import LOG_2PI
 from .measure import (
     GridSpec,
@@ -36,13 +36,8 @@ from .measure import (
     _log_laplace,
     oracle_integrals,
 )
-from .optimizer import (
-    OptimizerConfig,
-    _newton_singles,
-    minimize_mixture,
-    minimize_single,
-)
-from .potentials import Potential, potential_from_spec, quadratic
+from .optimizer import OptimizerConfig, _newton_singles
+from .potentials import Potential, as_points, potential_from_spec, quadratic
 from .quadrature import integrate_exp_stack
 
 VARIANTS = ("exp", "square")
@@ -117,12 +112,6 @@ def _solve(p: EllipticProblem, qs, rhs) -> np.ndarray:
     return x.swapaxes(0, 1)
 
 
-def _jacobian_at(p: EllipticProblem, qs, u) -> np.ndarray:
-    """-(A+Q)^(-1) diag(u c'(q)), batched, given u = forward(p, qs)."""
-    du = u * p.coefficient_derivative(qs)
-    return -_solve(p, qs, np.eye(p.M)[None]) * du[:, None, :]
-
-
 def forward(p: EllipticProblem, q) -> np.ndarray:
     """u = (A + diag(c(q)))^(-1) f; batched over a leading axis of q."""
     q = np.asarray(q, dtype=float)
@@ -144,55 +133,71 @@ def jacobian(p: EllipticProblem, q) -> np.ndarray:
     single = q.ndim == 1
     qs = q[None, :] if single else q
     # not via _forward_and_jacobian: perfbench/tracer.py counts the points of each
-    J = _jacobian_at(p, qs, _solve(p, qs, p.f[None, :]))
+    du = _solve(p, qs, p.f[None, :]) * p.coefficient_derivative(qs)
+    J = -_solve(p, qs, np.eye(p.M)[None]) * du[:, None, :]
     return J[0] if single else J
 
 
 def _forward_and_jacobian(p, qs):
-    u = _solve(p, qs, p.f[None, :])
-    return u, _jacobian_at(p, qs, u)
+    """u = G(q), J = DG(q) and S = (A+Q)^(-1) at each row q of ``qs``, from
+    one Thomas pass on [f | I]."""
+    sol = _solve(p, qs, np.hstack([p.f[:, None], np.eye(p.M)])[None])
+    u, S = sol[:, :, 0], sol[:, :, 1:]
+    return u, -S * (u * p.coefficient_derivative(qs))[:, None, :], S
 
 
-def misfit_potential(
-    p: EllipticProblem, y, gauss_newton: bool = False, name: str = ""
-) -> Potential:
-    """V1(q) = |y - G(q)|^2 / 2 with exact gradient and Hessian.
+def _misfit(p: EllipticProblem, Y, X, order: int):
+    """V1 = |y - G(x)|^2 / 2 and its exact derivatives up to ``order`` (0, 1 or 2).
 
-    With w = (A+Q)^(-1) (y - G(q)) from one adjoint solve, the gradient is
-    u c'(q) w (J = -(A+Q)^(-1) diag(u c') and A+Q is symmetric), and with
-    b = w c'(q) the Hessian is
+    Y has shape (n, M), one data vector y per row, and X shape (n, K, M), K
+    points per row; at order 0, X may also have shape (1, K, M), the same
+    points for every row.  Returns the values (n, K), the gradients
+    (n, K, M) and the Hessians (n, K, M, M), None above ``order``.  With
+    r = y - u and the adjoint w = (A+Q)^(-1) r, the gradient is u c'(x) w
+    (J = -(A+Q)^(-1) diag(u c') and A+Q is symmetric), and with b = w c'(x)
+    the Hessian is
 
-        J^T J + diag(b) J + J^T diag(b) + diag(u w c''(q)).
+        J^T J + diag(b) J + J^T diag(b) + diag(u w c''(x)).
 
-    ``gauss_newton`` keeps J^T J only, which is exact in the zero-residual
-    limit the theorems use.
+    Below order 2, u comes from ``forward`` and w from one adjoint solve; at
+    order 2, u, J and S = (A+Q)^(-1) come from one pass
+    (_forward_and_jacobian), and w = S r.
     """
-    y = np.asarray(y, dtype=float)
+    n, K, M = X.shape
+    q = X.reshape(n * K, M)
+    if order < 2:
+        u = forward(p, q)
+    else:
+        u, J, S = _forward_and_jacobian(p, q)
+    r = Y[:, None, :] - u.reshape(n, K, M)
+    value = 0.5 * np.sum(r * r, axis=2)
+    if order == 0:
+        return value, None, None
+    r = r.reshape(n * K, M)
+    w = _solve(p, q, r) if order == 1 else np.einsum("nij,nj->ni", S, r)
+    c1 = p.coefficient_derivative(q)
+    grad = (u * c1 * w).reshape(n, K, M)
+    if order == 1:
+        return value, grad, None
+    bJ = (w * c1)[:, :, None] * J
+    H = np.einsum("nki,nkj->nij", J, J) + bJ + bJ.transpose(0, 2, 1)
+    idx = np.arange(M)
+    H[:, idx, idx] += u * w * p.coefficient_second_derivative(q)
+    return value, grad, (0.5 * (H + H.transpose(0, 2, 1))).reshape(n, K, M, M)
 
-    def value(x):
-        r = y - forward(p, x)
-        return 0.5 * np.sum(r * r, axis=1)
 
-    def grad(x):
-        u = forward(p, x)
-        return u * p.coefficient_derivative(x) * _solve(p, x, y - u)
+def misfit_potential(p: EllipticProblem, y, name: str = "") -> Potential:
+    """V1(q) = |y - G(q)|^2 / 2 with exact gradient and Hessian (_misfit)."""
+    Y = np.asarray(y, dtype=float)[None]
 
-    def hess(x):
-        u, J = _forward_and_jacobian(p, x)
-        H = np.einsum("nki,nkj->nij", J, J)
-        if not gauss_newton:
-            w = _solve(p, x, y - u)
-            bJ = (w * p.coefficient_derivative(x))[:, :, None] * J
-            H += bJ + bJ.transpose(0, 2, 1)
-            idx = np.arange(p.M)
-            H[:, idx, idx] += u * w * p.coefficient_second_derivative(x)
-        return 0.5 * (H + H.transpose(0, 2, 1))
+    def derivative(order):
+        return lambda x: _misfit(p, Y, x[None], order)[order][0]
 
     return Potential(
         dim=p.M,
-        value_fn=value,
-        grad_fn=grad,
-        hess_fn=hess,
+        value_fn=derivative(0),
+        grad_fn=derivative(1),
+        hess_fn=derivative(2),
         name=name or f"elliptic-{p.variant}-misfit",
         growth_bound=float(np.sum(p.f**2)),
         v1_family=True,
@@ -204,29 +209,17 @@ def _misfit_derivatives(p: EllipticProblem, Y, prior: Potential, eps: float, X, 
 
     Y has shape (n, M), one data vector y per draw, and X shape (n, K, M),
     K points per draw.  Returns the values (n, K), gradients (n, K, M) and,
-    where ``hessian``, exact Hessians (n, K, M, M) of Phi, else None.  One
-    Thomas pass solves (A+Q) [u | S] = [f | I] at every point; S =
-    (A+Q)^(-1) is symmetric, so the adjoint w = S (y - u) and J = -S diag(u
-    c'(x)) give the formulas of misfit_potential without further solves.
+    where ``hessian``, exact Hessians (n, K, M, M) of Phi, else None: the
+    misfit's from _misfit at order 2, or 1, plus the prior's.
     """
     n, K, M = X.shape
     q = X.reshape(n * K, M)
-    sol = _solve(p, q, np.hstack([p.f[:, None], np.eye(M)])[None])
-    u, S = sol[:, :, 0], sol[:, :, 1:]
-    r = np.repeat(Y, K, axis=0) - u
-    w = np.einsum("nij,nj->ni", S, r)
-    c1 = p.coefficient_derivative(q)
-    value = 0.5 * np.sum(r * r, axis=1) / eps + np.reshape(prior.value_fn(q), n * K)
-    grad = u * c1 * w / eps + np.reshape(prior.grad_fn(q), (n * K, M))
-    if not hessian:
-        return value.reshape(n, K), grad.reshape(n, K, M), None
-    J = -S * (u * c1)[:, None, :]
-    bJ = (w * c1)[:, :, None] * J
-    H = np.einsum("nki,nkj->nij", J, J) + bJ + bJ.transpose(0, 2, 1)
-    idx = np.arange(M)
-    H[:, idx, idx] += u * w * p.coefficient_second_derivative(q)
-    hess = 0.5 * (H + H.transpose(0, 2, 1)) / eps + np.reshape(prior.hess_fn(q), (n * K, M, M))
-    return value.reshape(n, K), grad.reshape(n, K, M), hess.reshape(n, K, M, M)
+    value, grad, hess = _misfit(p, Y, X, 2 if hessian else 1)
+    value = value / eps + np.reshape(prior.value_fn(q), (n, K))
+    grad = grad / eps + np.reshape(prior.grad_fn(q), (n, K, M))
+    if hessian:
+        hess = hess / eps + np.reshape(prior.hess_fn(q), (n, K, M, M))
+    return value, grad, hess
 
 
 def _posterior_box(p: EllipticProblem, truth):
@@ -238,11 +231,7 @@ def _posterior_box(p: EllipticProblem, truth):
 
 
 def posterior_family(
-    p: EllipticProblem,
-    truth,
-    eta,
-    prior: Potential | None = None,
-    gauss_newton: bool = False,
+    p: EllipticProblem, truth, eta, prior: Potential | None = None
 ) -> MeasureFamily:
     """The eps-indexed posterior family for data y_eps = G(truth) + sqrt(eps) eta."""
     truth = np.asarray(truth, dtype=float)
@@ -257,13 +246,12 @@ def posterior_family(
     g_truth = forward(p, truth)
 
     def v1_at(epsilon: float) -> Potential:
-        y = g_truth + math.sqrt(epsilon) * eta
-        return misfit_potential(p, y, gauss_newton=gauss_newton)
+        return misfit_potential(p, g_truth + math.sqrt(epsilon) * eta)
 
     return MeasureFamily(
         name=f"elliptic-{p.variant}",
         dim=p.M,
-        v1_limit=misfit_potential(p, g_truth, gauss_newton=gauss_newton),
+        v1_limit=misfit_potential(p, g_truth),
         v2=prior,
         v1_at=v1_at,
         default_box=_posterior_box(p, truth),
@@ -277,19 +265,13 @@ def posterior(p: EllipticProblem, truth, eta, epsilon: float, prior: Potential |
 
 
 def large_data_log_density(p: EllipticProblem, truth, etas, prior, x):
-    """Unnormalized log posterior for N repeated observations (raw sum form)."""
+    """Unnormalized log posterior for N repeated observations
+    y_i = G(truth) + eta_i (raw sum form)."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     prior = prior if prior is not None else quadratic(dim=p.M)
-    from .potentials import as_points
-
     pts, single = as_points(x, p.M)
-    g_truth = forward(p, truth)
-    u = forward(p, pts)
-    r = g_truth - u  # (n_pts, M)
-    total = np.zeros(pts.shape[0])
-    for eta_i in etas:
-        total += 0.5 * np.sum((r + eta_i) ** 2, axis=1)
-    out = -total - prior.value(pts)
+    misfits, _, _ = _misfit(p, forward(p, truth) + etas, pts[None], 0)
+    out = -np.sum(misfits, axis=0) - prior.value(pts)
     return float(out[0]) if single else out
 
 
@@ -362,70 +344,44 @@ def asymptotic_normality_check(
 ) -> list:
     """Optimize the posterior along eps and compare against the limit laws.
 
-    exp variant: single Gaussian against (truth, (DG^T DG)^{-1}); square
-    variant: 2^M-component mixture against the sign-flip modes and the
-    prior-weighted limit weights.
+    A gamma.sweep of the posterior family in decreasing eps from the limit
+    mode set, warm-started level to level.  exp variant: single Gaussian
+    against (truth, (DG^T DG)^{-1}); square variant: 2^M-component mixture
+    against the sign-flip modes and the prior-weighted limit weights.  Each
+    record's mean error is the sweep's mode distance, and its covariance
+    error the largest relative Frobenius distance of a component's rescaled
+    covariance to the limit covariance of its nearest mode.
     """
-    cfg = cfg or OptimizerConfig()
     prior = prior if prior is not None else quadratic(dim=p.M)
-    family = posterior_family(p, truth, eta, prior)
     ms = limit_mode_set(p, truth, prior)
-    limit_covs = np.stack([np.linalg.inv(H) for H in ms.hessians])
+    limit_covs = np.linalg.inv(ms.hessians)
+    result = sweep(
+        posterior_family(p, truth, eta, prior),
+        sorted(set(float(e) for e in eps_list), reverse=True),
+        kind="single" if p.variant == "exp" else "mixture",
+        cfg=cfg,
+        xi=xi,
+        mode_set=ms,
+    )
     records = []
-    warm = None
-    for eps in sorted(set(float(e) for e in eps_list), reverse=True):
-        mu = family.at(eps)
-        if p.variant == "exp":
-            extra = [(warm.params.mean, warm.rescaled_covariances)] if warm else None
-            res = minimize_single(mu, cfg, mode_set=ms, extra_starts=extra)
-            mean_err = float(np.linalg.norm(res.params.mean - ms.modes[0]))
-            cov = res.rescaled_covariances
-            cov_rel = float(
-                np.linalg.norm(cov - limit_covs[0]) / np.linalg.norm(limit_covs[0])
-            )
-            weight_dist = None
-        else:
-            n = ms.n
-            extra = None
-            if warm is not None:
-                mix = warm.params
-                extra = [
-                    (
-                        mix.weights,
-                        mix.means,
-                        [np.linalg.cholesky(c) for c in warm.rescaled_covariances],
-                    )
-                ]
-            res = minimize_mixture(mu, n, xi, cfg, mode_set=ms, extra_starts=extra)
-            mix = res.params
-            errs, covs_err, matched = [], [], []
-            for i, comp in enumerate(mix.components):
-                j, dist = ms.nearest(comp.mean)
-                matched.append(j)
-                errs.append(dist)
-                covs_err.append(
-                    np.linalg.norm(res.rescaled_covariances[i] - limit_covs[j])
-                    / np.linalg.norm(limit_covs[j])
-                )
-            mean_err = float(np.max(errs))
-            cov_rel = float(np.max(covs_err))
-            if len(set(matched)) == n:
-                weight_dist = float(
-                    np.sum(np.abs(mix.weights - ms.weights[np.asarray(matched)]))
-                )
-            else:
-                weight_dist = math.nan
+    for rec in result.records:
+        params = rec.result.params
+        means = params.mean[None] if rec.kind == "single" else params.means
+        covs = np.reshape(rec.result.rescaled_covariances, (len(means), p.M, p.M))
+        cov_rel = max(
+            np.linalg.norm(cov - limit_covs[j]) / np.linalg.norm(limit_covs[j])
+            for cov, (j, _) in zip(covs, map(ms.nearest, means))
+        )
         records.append(
             NormalityRecord(
-                epsilon=eps,
-                mean_err=mean_err,
-                cov_rel_err=cov_rel,
-                weight_dist=weight_dist,
-                value=res.value,
-                converged=res.converged,
+                epsilon=rec.epsilon,
+                mean_err=rec.mode_dist,
+                cov_rel_err=float(cov_rel),
+                weight_dist=rec.weight_dist,
+                value=rec.value,
+                converged=rec.converged,
             )
         )
-        warm = res
     return records
 
 
@@ -543,9 +499,8 @@ def _log_posterior(p, Y, eps, prior):
 
     def log_f(idx, pts):
         k, n, m = pts.shape
-        q = pts.reshape(k * n, m)
-        r = Y[idx][:, None, :] - forward(p, q).reshape(k, n, m)
-        return -(0.5 * np.sum(r * r, axis=2)) / eps - prior.value_fn(q).reshape(k, n)
+        misfits, _, _ = _misfit(p, Y[idx], pts, 0)
+        return -misfits / eps - np.reshape(prior.value_fn(pts.reshape(k * n, m)), (k, n))
 
     return log_f
 
@@ -855,13 +810,7 @@ def log_z_expectation_check(
 
 
 def builtin_posterior_family(
-    name: str,
-    M: int = 1,
-    f=None,
-    truth=None,
-    eta=None,
-    prior: dict | None = None,
-    gauss_newton: bool = False,
+    name: str, M: int = 1, f=None, truth=None, eta=None, prior: dict | None = None
 ) -> MeasureFamily:
     variant = "exp" if name == "elliptic-exp" else "square"
     f = np.ones(M) if f is None else np.asarray(f, dtype=float)
@@ -869,16 +818,17 @@ def builtin_posterior_family(
         truth = np.zeros(M) if variant == "exp" else np.ones(M)
     eta = np.zeros(M) if eta is None else np.asarray(eta, dtype=float)
     p = EllipticProblem(M=M, f=f, variant=variant)
-    prior_pot = (
-        quadratic(dim=M) if prior is None else potential_from_spec(prior, M)
-    )
-    return posterior_family(p, truth, eta, prior_pot, gauss_newton=gauss_newton)
+    prior_pot = quadratic(dim=M) if prior is None else potential_from_spec(prior, M)
+    return posterior_family(p, truth, eta, prior_pot)
 
 
 def posterior_family_from_spec(doc: dict) -> MeasureFamily:
     """Problem-catalog document with an elliptic v1: {name, dim, v1, v2}."""
     v1 = doc["v1"]
     params = dict(v1.get("params", {}))
+    unknown = sorted(set(params) - {"M", "f", "truth", "eta"})
+    if unknown:
+        raise ValueError(f"unknown elliptic parameter(s) {', '.join(map(repr, unknown))}")
     params.setdefault("M", int(doc["dim"]))
     if int(doc["dim"]) != int(params["M"]):
         raise ValueError("problem dim and elliptic M disagree")

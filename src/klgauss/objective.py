@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import LOG_2PI, GaussianParams, MixtureParams
+from .gaussian import LOG_2PI, GaussianParams, MixtureParams, _shifted_exp
 from .measure import MeasureFamily, TargetMeasure
 from .potentials import EvaluationError, Potential, zero
 from .quadrature import gauss_hermite
@@ -44,7 +44,6 @@ _LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
 _SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
 _ONE = np.ones(1)  # the weights of a single Gaussian
 _BLOCK_ROWS = 8192  # nodes per block of terms(): each block's temporaries stay in cache
-_EXP_FLOOR = -700.0  # exp(-700) ~ 1e-304, inside np.exp's fast range
 
 
 @dataclass(frozen=True)
@@ -154,15 +153,6 @@ def _chol_index(d):
     idx = np.concatenate([np.arange(d) * (d + 1), rows * d + cols])
     idx.flags.writeable = False
     return idx
-
-
-def _shifted_exp(comp_log):
-    """max_j of the component logs (i, j, K) and exp(comp_log - max), for a
-    max-shifted log-sum-exp over j.  The shifted logs are floored at
-    _EXP_FLOOR, far below the term exp(0) = 1 of every sum: np.exp runs 10 to
-    100 times slower where its result is near or below underflow."""
-    top = comp_log.max(axis=1, keepdims=True)
-    return top, np.exp(np.maximum(comp_log - top, _EXP_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +280,13 @@ class _Objective:
         inv = np.linalg.inv(chols)
         diff = x[:, None] - means[None, :, None]  # (i, j, K, d)
         u = np.einsum("jab,ijkb->ijka", inv, diff) / sqrt_eps  # L_j^-1 (x - m_j) / sqrt(eps)
+        own = np.arange(self.n)
+        # the own component's, exactly as in terms(): x - m_i loses digits at small eps
+        u[own, own] = math.sqrt(2.0) * self.z
         score = np.einsum("jba,ijkb->ijka", inv, u) / sqrt_eps  # Sigma_j^-1 (x - m_j)
         const = self._log_consts(alpha, chols)
         comp_log = const[None, :, None] - 0.5 * (u * u).sum(axis=-1)  # (i, j, K)
-        top, dens = _shifted_exp(comp_log)
+        top, dens = _shifted_exp(comp_log, axis=1)
         total = dens.sum(axis=1, keepdims=True)
         log_rho = (top + np.log(total))[:, 0]
         r = dens / total
@@ -374,7 +367,7 @@ class _Objective:
                 comp_log[own, own] = const[:, None] - np.einsum("ka,ka->k", z, z)
                 u = np.einsum("pab,pkb->pka", inv, x[i] - means[j, None]) / self.sqrt_eps
                 comp_log[i, j] = const[j, None] - 0.5 * np.einsum("pka,pka->pk", u, u)
-                top, dens = _shifted_exp(comp_log)
+                top, dens = _shifted_exp(comp_log, axis=1)
                 log_rho = top[:, 0] + np.log(dens.sum(axis=1))
                 sums[2] += np.einsum("ik,k->i", log_rho, wb)
                 point += log_rho

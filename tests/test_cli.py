@@ -99,6 +99,24 @@ def test_approx_infeasible_xi(capsys):
     assert "xi1" in err
 
 
+@pytest.mark.parametrize("key", ["bogus", "gauss_newton"])
+def test_approx_rejects_unknown_elliptic_params(key, tmp_path, capsys):
+    # an elliptic spec takes M, f, truth and eta; any other key is a
+    # validation error naming it, not a traceback
+    doc = {
+        "name": "ell",
+        "dim": 1,
+        "v1": {"id": "elliptic-exp", "params": {"M": 1, key: 1}},
+        "v2": {"id": "quadratic", "params": {}},
+    }
+    spec = tmp_path / "ell.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "approx", "--problem", str(spec), "--eps", "0.01")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and repr(key) in err
+
+
 def test_approx_bad_eps(capsys):
     code, _, _ = run_cli(
         capsys, "approx", "--problem", "quadratic", "--eps", "-1.0",

@@ -489,12 +489,12 @@ def test_floored_log_sum_exp_is_scipys():
     # logs at _EXP_FLOOR changes no log-sum-exp beyond rounding
     import scipy.special
 
-    from klgauss.objective import _shifted_exp
+    from klgauss.gaussian import _shifted_exp
 
     rng = np.random.default_rng(8)
     gaps = [np.zeros((3, 1, 400)), rng.uniform(0, 60, (3, 2, 400)), rng.uniform(600, 2000, (3, 2, 400))]
     comp_log = rng.uniform(-1, 1, (3, 1, 400)) - np.concatenate(gaps, axis=1)
-    top, dens = _shifted_exp(comp_log)
+    top, dens = _shifted_exp(comp_log, axis=1)
     ours = top[:, 0] + np.log(dens.sum(axis=1))
     ref = scipy.special.logsumexp(comp_log, axis=1)
     assert np.allclose(ours, ref, rtol=0, atol=1e-15)

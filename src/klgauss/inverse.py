@@ -41,6 +41,7 @@ from .potentials import Potential, as_points, potential_from_spec, quadratic
 from .quadrature import integrate_exp_stack
 
 VARIANTS = ("exp", "square")
+_PINSKER_SLACK = 1e-3  # a draw violates Pinsker where TV > sqrt(KL / 2) + this
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,7 @@ def limit_mode_set(p: EllipticProblem, truth, prior: Potential | None = None) ->
         modes = signs * np.abs(truth)[None, :]
         order = np.lexsort(modes.T[::-1])
         modes = modes[order]
-    hessians = np.stack([jacobian(p, m).T @ jacobian(p, m) for m in modes])
+    hessians = np.stack([J.T @ J for J in (jacobian(p, m) for m in modes)])
     v2_values = np.array([prior.value(m) for m in modes])
     return ModeSet(modes=modes, hessians=hessians, v2_values=v2_values)
 
@@ -645,7 +646,6 @@ def bvm_experiment(
     cfg: BvMConfig,
     jobs: int = 1,
     grid_spec: GridSpec | None = None,
-    pinsker_slack: float = 1e-3,
 ) -> BvMResult:
     """Noise-averaged KL rate: mean_eta KL(best Gaussian || posterior) vs eps.
 
@@ -689,9 +689,7 @@ def bvm_experiment(
         tv = np.array([o["tv"] for o in ok])
         mean_kl = float(np.mean(kl)) if len(ok) else math.nan
         stderr = float(np.std(kl, ddof=1) / math.sqrt(len(kl))) if len(ok) > 1 else math.nan
-        pinsker_viol = int(
-            np.sum(tv > np.sqrt(np.maximum(kl, 0.0) / 2.0) + pinsker_slack)
-        )
+        pinsker_viol = int(np.sum(tv > np.sqrt(np.maximum(kl, 0.0) / 2.0) + _PINSKER_SLACK))
         tv_viol = (
             int(np.sum(tv > 10.0 * math.sqrt(max(mean_kl, 0.0) / 2.0)))
             if len(ok)

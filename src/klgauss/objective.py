@@ -15,11 +15,12 @@ points form one (n, K, d) stack, which V1 and V2 take in one call each.  A
 node set is either the tensor Gauss-Hermite rule (deterministic, exact on
 quadratics) or N Monte Carlo draws of weight 1/N, shared by all components
 (common random numbers).  The optimizer minimizes its value and exact
-gradient on Gauss-Hermite nodes.  ``kl_single``, ``f_eps``, ``g_eps``,
-``mixture_entropy`` and ``expectation_under_gaussian`` are each one
-value-only evaluation at given parameters, made without BLAS in cache-sized
-blocks of nodes; on Monte Carlo nodes they report the standard error of the
-pointwise-combined integrand.
+gradient on Gauss-Hermite nodes, which for a single Gaussian come from
+``_single_evaluate``, the batched kernel whose Hessians Newton also uses.
+``kl_single``, ``f_eps``, ``g_eps``, ``mixture_entropy`` and
+``expectation_under_gaussian`` are each one value-only evaluation at given
+parameters, made without BLAS in cache-sized blocks of nodes; on Monte Carlo
+nodes they report the standard error of the pointwise-combined integrand.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _LOGDIAG_CAP = 46.0  # exp(+-46) ~ 1e+-20; keeps line-search trials finite
 _SEPARATION_MARGIN = 1e-6  # relative overshoot the separation hinge aims at
 _ONE = np.ones(1)  # the weights of a single Gaussian
 _BLOCK_ROWS = 8192  # nodes per block of terms(): each block's temporaries stay in cache
+_SINGLE_CHUNK_POINTS = 1 << 16  # points per call of phi in _single_evaluate
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class KLEstimate:
 
 
 # ---------------------------------------------------------------------------
-# node sets and Cholesky packing
+# node sets, Cholesky packing and the single-Gaussian kernel
 # ---------------------------------------------------------------------------
 
 
@@ -155,6 +157,132 @@ def _chol_index(d):
     return idx
 
 
+class _Layout(NamedTuple):
+    """Where the coordinates of a single Gaussian sit, in dimension d.
+
+    Newton works in v = (m / sqrt(eps), the entries of L on and below the
+    diagonal row by row): the entries ``keep`` of the flattened (d, d + 1)
+    matrix P = [m / sqrt(eps) | L].  ``diag`` indexes the L_aa in flattened
+    P; ``v_diag`` and ``v_lower`` index in v the L_aa and the strictly lower
+    entries in np.tril_indices(d, -1) order, the order _Objective packs.
+    """
+
+    keep: np.ndarray
+    diag: np.ndarray
+    v_diag: np.ndarray
+    v_lower: np.ndarray
+
+
+@cache
+def _layout(d):
+    """The _Layout of dimension d; cached, its arrays read-only."""
+    rows, cols = np.tril_indices(d)
+    lay = _Layout(
+        keep=np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1]),
+        diag=np.arange(d) * (d + 2) + 1,
+        v_diag=d + np.flatnonzero(rows == cols),
+        v_lower=d + np.flatnonzero(rows > cols),
+    )
+    for a in lay:
+        a.flags.writeable = False
+    return lay
+
+
+def _to_v(means, chols, eps):
+    """v of the Gaussians N(means[i], eps chols[i] chols[i]^T), shape (n, p)."""
+    n, d = means.shape
+    P = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
+    return P.reshape(n, d * (d + 1))[:, _layout(d).keep]
+
+
+@lru_cache(maxsize=4)
+def _zeta(order, d, eps):
+    """zeta (K, d + 1) with x_k = [m / sqrt(eps) | L] zeta_k on a GH rule, and
+    w * zeta; read-only.  Four entries hold the ladder of one fit."""
+    z, w, _ = _gh_nodes(order, d)
+    zeta = np.hstack([np.full((len(w), 1), math.sqrt(eps)), math.sqrt(2.0 * eps) * z])
+    w_zeta = w[:, None] * zeta
+    zeta.flags.writeable = w_zeta.flags.writeable = False
+    return zeta, w_zeta
+
+
+def _single_evaluate(phi, eps, nodes, idx, v, hessian=True):
+    """The node-set objective of single Gaussians N(m_i, eps L_i L_i^T) for
+    targets exp(-Phi_i), at the points v (k, p) of the targets ``idx``.
+
+    ``phi(idx, x, hessian)`` returns Phi, its gradient and, where
+    ``hessian``, its Hessian (else None) for the targets ``idx`` at the
+    points x of shape (k, K, d), as arrays of shapes (k, K), (k, K, d) and
+    (k, K, d, d).  The objective is, up to constants,
+
+        F(m, L) = sum_k w_k Phi(m + sqrt(2 eps) L z_k) - log det L
+
+    on the Gauss-Hermite nodes (z, w); for convex Phi it is convex in (m, L)
+    (Challis & Barber 2013).  x is linear in (m, L), so the gradient is
+    E[grad Phi] and sqrt(2 eps) E[grad Phi z^T] - L^-T, and the Hessian is
+    E[J^T hess Phi J] for the Jacobian J of x, plus 1/L_aa^2 on the diagonal
+    entries of L; no third derivatives enter.  All are taken in v (see _Layout), in which
+    every Hessian block stays O(1) as eps shrinks.  One call of phi sees at
+    most _SINGLE_CHUNK_POINTS points: whole targets while their rule fits,
+    else one target and a slice of the nodes, whose sums add up.
+
+    Returns the values (k,), gradients (k, p) and Hessians (k, p, p) or
+    None; the value is +inf where some L_aa <= 0.
+    """
+    z, w, order = nodes
+    k, d = len(v), z.shape[1]
+    lay = _layout(d)
+    p_full = d * (d + 1)
+    zeta, w_zeta = _zeta(order, d, eps)
+    span = min(len(w), _SINGLE_CHUNK_POINTS)  # nodes per evaluation
+    chunk = _SINGLE_CHUNK_POINTS // span  # targets per evaluation
+    P = np.zeros((k, p_full))
+    P[:, lay.keep] = v
+    f = np.zeros(k)
+    G = np.zeros((k, d, d + 1))
+    H = np.zeros((k, d, d, d + 1, d + 1)) if hessian else None
+    for t in range(0, len(w), span):
+        nodes_t = slice(t, t + span)
+        w_t, zeta_t, wz = w[nodes_t], zeta[nodes_t], w_zeta[nodes_t]
+        wzz = (wz[:, :, None] * zeta_t[:, None, :]).reshape(len(w_t), -1) if hessian else None
+        for s in range(0, k, chunk):
+            sl = slice(s, s + chunk)
+            x = np.einsum("nai,ki->nka", P[sl].reshape(-1, d, d + 1), zeta_t)
+            val, grad, hess = phi(idx[sl], x, hessian)
+            f[sl] += val @ w_t
+            G[sl] += grad.transpose(0, 2, 1) @ wz
+            if hessian:
+                m = hess.reshape(len(val), len(w_t), d * d).transpose(0, 2, 1) @ wzz
+                H[sl] += m.reshape(-1, d, d, d + 1, d + 1)
+    G = G.reshape(k, p_full)
+    l_diag = P[:, lay.diag]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f -= np.sum(np.log(l_diag), axis=1)
+        G[:, lay.diag] -= 1.0 / l_diag
+        if hessian:
+            H = H.transpose(0, 1, 3, 2, 4).reshape(k, p_full, p_full)
+            H[:, lay.diag, lay.diag] += 1.0 / l_diag**2
+            H = H[:, lay.keep][:, :, lay.keep]
+    f[~np.all(l_diag > 0.0, axis=1)] = math.inf
+    return f, G[:, lay.keep], H
+
+
+def _single_kl(phi, eps, nodes, log_zs, v):
+    """minimize_single's objective at the single Gaussians v (k, p) of the
+    targets 0..k-1 of ``phi`` (as in _single_evaluate), with log Z log_zs.
+
+    One _single_evaluate without Hessians gives every value, E[Phi] - log
+    det L + log Z - (d/2) log(2 pi eps) - d/2, and every gradient, mapped
+    into _Objective's coordinates (m / sqrt(eps), log L_aa, the strictly
+    lower entries of L).  Returns the values (k,) and gradients (k, p).
+    """
+    d = nodes.z.shape[1]
+    f, G, _ = _single_evaluate(phi, eps, nodes, np.arange(len(v)), v, hessian=False)
+    lay = _layout(d)
+    grad = np.concatenate([G[:, :d], v[:, lay.v_diag] * G[:, lay.v_diag], G[:, lay.v_lower]], axis=1)
+    return f - 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * d + log_zs, grad
+
+
 # ---------------------------------------------------------------------------
 # the KL objective
 # ---------------------------------------------------------------------------
@@ -171,10 +299,10 @@ class _Objective:
 
     Component i is integrated at the points m_i + sqrt(2 eps) L_i z_k of the
     node set (see _Nodes), so on fixed nodes the objective is smooth and
-    deterministic.  In value_grad a single Gaussian (n = 1) has its entropy
-    in closed form.  For n > 1, log rho is integrated at every component's
-    nodes; given ``xi``, the logarithmic barrier keeps the weights above xi1
-    and the quadratic hinge pushes the means apart.
+    deterministic.  In value_grad a single Gaussian (n = 1) is one
+    _single_kl of Phi = V1/eps + V2.  For n > 1, log rho is integrated at
+    every component's nodes; given ``xi``, the logarithmic barrier keeps the
+    weights above xi1 and the quadratic hinge pushes the means apart.
 
     The gradient is exact for the node-set value.  Besides the path term
     through the nodes, with grad log rho = -sum_j r_j Sigma_j^-1 (x - m_j),
@@ -191,6 +319,7 @@ class _Objective:
         self.xi = xi if n > 1 else None  # a single Gaussian meets any constraint
         self.barrier = barrier
         self.sep_weight = separation_weight
+        self.nodes = nodes
         self.z, self.w, self.order = nodes
         self.sqrt_eps = math.sqrt(mu.epsilon)
         self.scale = math.sqrt(2.0 * mu.epsilon)
@@ -206,8 +335,6 @@ class _Objective:
         chols = np.zeros((n, d * d))
         chols[:, _chol_index(d)] = entries
         chols = chols.reshape(n, d, d)
-        if n == 1:
-            return _ONE, means, chols
         logits = np.concatenate([[0.0], theta[: n - 1]])
         e = np.exp(logits - logits.max())
         return e / e.sum(), means, chols
@@ -232,6 +359,9 @@ class _Objective:
             if not np.isfinite(penalty):
                 return math.inf, np.zeros_like(theta)
         try:
+            if n == 1:
+                value, grad = _single_kl(self._phi, eps, self.nodes, self.log_z, _to_v(means, chols, eps))
+                return (float(value[0]), grad[0]) if np.isfinite(value[0]) else (math.inf, np.zeros_like(theta))
             # every component's points at once, (n, K, d)
             x = means[:, None, :] + self.scale * (self.z @ chols.transpose(0, 2, 1))
             pts = x.reshape(-1, d)
@@ -243,30 +373,27 @@ class _Objective:
             return math.inf, np.zeros_like(theta)
         pot = (v1 @ w) / eps + v2 @ w
         gx = (g1 / eps + g2).reshape(n, -1, d)  # gradient of the potential part
-        if n == 1:
-            log_det = float(np.sum(np.log(np.diag(chols[0]))))
-            value = float(pot[0]) - 0.5 * d * math.log(2 * math.pi * eps) - log_det - 0.5 * d
-            value += self.log_z
-            if not np.isfinite(value):
-                return math.inf, np.zeros_like(theta)
-            g_logits = theta[:0]
-            g_means = (w @ gx[0])[None]
-            g_chols = self.scale * np.einsum("k,ka,kb->ab", w, gx[0], self.z)[None]
-            g_logdiag = -1.0  # d(entropy)/d(log L_aa)
-        else:
-            value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
-                alpha, means, chols, x, pot, gx
-            )
-            if self.xi is not None:
-                value += penalty
-                g_alpha += pen_alpha
-                g_means += pen_means
-            if not np.isfinite(value):
-                return math.inf, np.zeros_like(theta)
-            g_logits = (alpha * (g_alpha - alpha @ g_alpha))[1:]
+        value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
+            alpha, means, chols, x, pot, gx
+        )
+        if self.xi is not None:
+            value += penalty
+            g_alpha += pen_alpha
+            g_means += pen_means
+        if not np.isfinite(value):
+            return math.inf, np.zeros_like(theta)
+        g_logits = (alpha * (g_alpha - alpha @ g_alpha))[1:]
         g_packed = g_chols.reshape(n, d * d)[:, _chol_index(d)]
         g_packed[:, :d] = g_packed[:, :d] * np.diagonal(chols, axis1=1, axis2=2) + g_logdiag
         return value, np.concatenate([g_logits, self.sqrt_eps * g_means.ravel(), g_packed.ravel()])
+
+    def _phi(self, idx, x, hessian):
+        """Phi = V1/eps + V2 and its gradient at the points x (1, K, d), for
+        _single_kl: one value and one gradient call of V1 and of V2."""
+        pts, eps = x.reshape(-1, self.d), self.mu.epsilon
+        value = self.mu.v1.value(pts) / eps + self.mu.v2.value(pts)
+        grad = self.mu.v1.gradient(pts) / eps + self.mu.v2.gradient(pts)
+        return value.reshape(x.shape[:2]), grad.reshape(x.shape), None
 
     def _mixture_terms(self, alpha, means, chols, x, pot, gx):
         """KL value and its gradient in alpha, the means and the factors.

@@ -1,6 +1,7 @@
 """Minimization of the KL objective over Gaussians and constrained mixtures.
 
-The objective itself, with its parameterization, lives in ``objective.py``:
+This module holds the solvers only.  The objective itself, with its
+parameterization, lives in ``objective.py``:
 
 * covariances through lower-triangular Cholesky factors with log diagonal
   (always SPD, log det linear in the parameters);
@@ -10,16 +11,15 @@ The objective itself, with its parameterization, lives in ``objective.py``:
   above the floor xi1 by a logarithmic barrier, with mean separation
   enforced by an escalating quadratic hinge penalty.
 
-This module minimizes it with BFGS on fixed Gauss-Hermite nodes, where it is
-smooth and deterministic and its gradient exact.  Multistart globalization
-seeds means at the located modes with covariances from the inverse mode
-Hessians.  Where the ``gh_order`` rule is large, BFGS runs at the lowest of
+BFGS minimizes it on fixed Gauss-Hermite nodes, where it is smooth and
+deterministic and its gradient exact.  Multistart globalization seeds means
+at the located modes with covariances from the inverse mode Hessians.  Where the ``gh_order`` rule is large, BFGS runs at the lowest of
 its halved orders that is certified against the next finer one (see
 OptimizerConfig).
 
 For a batch of single-Gaussian targets given by the derivatives of their
 potentials (the BvM noise panel), ``_newton_singles`` runs damped Newton on
-the same objective instead of BFGS, and certifies every endpoint as a BFGS
+``_single_evaluate`` instead of BFGS, and certifies every endpoint as a BFGS
 endpoint is certified, in batched evaluations; a target whose Newton search
 fails or whose endpoint fails the certificate has no fit.
 """
@@ -47,7 +47,7 @@ from .measure import (
     find_modes,
     log_laplace_normalization,
 )
-from .objective import _ONE, _gh_nodes, _Objective
+from .objective import _ONE, _gh_nodes, _layout, _Objective, _single_evaluate, _single_kl, _to_v
 from .quadrature import NodeBudgetError
 
 # GH order selection: it runs only where the gh_order rule has more nodes
@@ -430,125 +430,6 @@ def minimize_single(
 # ---------------------------------------------------------------------------
 # batched damped Newton
 # ---------------------------------------------------------------------------
-
-_NEWTON_CHUNK_POINTS = 1 << 16  # points per evaluation in a Newton batch
-
-
-class _Layout(NamedTuple):
-    """Where the coordinates of a single Gaussian sit, in dimension d.
-
-    Newton works in v = (m / sqrt(eps), the entries of L on and below the
-    diagonal row by row): the entries ``keep`` of the flattened (d, d + 1)
-    matrix P = [m / sqrt(eps) | L].  ``diag`` indexes the L_aa in flattened
-    P; ``v_diag`` and ``v_lower`` index in v the L_aa and the strictly lower
-    entries in np.tril_indices(d, -1) order, the order _Objective packs.
-    """
-
-    keep: np.ndarray
-    diag: np.ndarray
-    v_diag: np.ndarray
-    v_lower: np.ndarray
-
-
-@functools.cache
-def _layout(d):
-    """The _Layout of dimension d; cached, its arrays read-only."""
-    rows, cols = np.tril_indices(d)
-    lay = _Layout(
-        keep=np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1]),
-        diag=np.arange(d) * (d + 2) + 1,
-        v_diag=d + np.flatnonzero(rows == cols),
-        v_lower=d + np.flatnonzero(rows > cols),
-    )
-    for a in lay:
-        a.flags.writeable = False
-    return lay
-
-
-def _to_v(means, chols, eps):
-    """v of the Gaussians N(means[i], eps chols[i] chols[i]^T), shape (n, p)."""
-    n, d = means.shape
-    P = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
-    return P.reshape(n, d * (d + 1))[:, _layout(d).keep]
-
-
-def _single_evaluate(phi, eps, nodes, idx, v, hessian=True):
-    """The node-set objective of single Gaussians N(m_i, eps L_i L_i^T) for
-    targets exp(-Phi_i), at the points v (k, p) of the targets ``idx``.
-
-    ``phi(idx, x, hessian)`` returns Phi, its gradient and, where
-    ``hessian``, its Hessian (else None) for the targets ``idx`` at the
-    points x of shape (k, K, d), as arrays of shapes (k, K), (k, K, d) and
-    (k, K, d, d).  The objective is, up to constants,
-
-        F(m, L) = sum_k w_k Phi(m + sqrt(2 eps) L z_k) - log det L
-
-    on the nodes (z, w); for convex Phi it is convex in (m, L) (Challis &
-    Barber 2013).  x is linear in (m, L), so the gradient is E[grad Phi] and
-    sqrt(2 eps) E[grad Phi z^T] - L^-T, and the Hessian is E[J^T hess Phi J]
-    for the Jacobian J of x, plus 1/L_aa^2 on the diagonal entries of L; no
-    third derivatives enter.  All are taken in v (see _Layout), in which
-    every Hessian block stays O(1) as eps shrinks.  One call of phi sees at
-    most _NEWTON_CHUNK_POINTS points: whole targets while their rule fits,
-    else one target and a slice of the nodes, whose sums add up.
-
-    Returns the values (k,), gradients (k, p) and Hessians (k, p, p) or
-    None; the value is +inf where some L_aa <= 0.
-    """
-    z, w, _ = nodes
-    k, d = len(v), z.shape[1]
-    lay = _layout(d)
-    p_full = d * (d + 1)
-    # x_k = P zeta_k with P = [m / sqrt(eps) | L], a (d, d + 1) matrix
-    zeta = np.hstack([np.full((len(w), 1), math.sqrt(eps)), math.sqrt(2.0 * eps) * z])
-    span = min(len(w), _NEWTON_CHUNK_POINTS)  # nodes per evaluation
-    chunk = _NEWTON_CHUNK_POINTS // span  # targets per evaluation
-    P = np.zeros((k, p_full))
-    P[:, lay.keep] = v
-    f = np.zeros(k)
-    G = np.zeros((k, d, d + 1))
-    H = np.zeros((k, d, d, d + 1, d + 1)) if hessian else None
-    for t in range(0, len(w), span):
-        nodes_t = slice(t, t + span)
-        w_t, zeta_t = w[nodes_t], zeta[nodes_t]
-        wz = w_t[:, None] * zeta_t
-        wzz = (wz[:, :, None] * zeta_t[:, None, :]).reshape(len(w_t), -1) if hessian else None
-        for s in range(0, k, chunk):
-            sl = slice(s, s + chunk)
-            x = np.einsum("nai,ki->nka", P[sl].reshape(-1, d, d + 1), zeta_t)
-            val, grad, hess = phi(idx[sl], x, hessian)
-            f[sl] += val @ w_t
-            G[sl] += grad.transpose(0, 2, 1) @ wz
-            if hessian:
-                m = hess.reshape(len(val), len(w_t), d * d).transpose(0, 2, 1) @ wzz
-                H[sl] += m.reshape(-1, d, d, d + 1, d + 1)
-    G = G.reshape(k, p_full)
-    l_diag = P[:, lay.diag]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f -= np.sum(np.log(l_diag), axis=1)
-        G[:, lay.diag] -= 1.0 / l_diag
-        if hessian:
-            H = H.transpose(0, 1, 3, 2, 4).reshape(k, p_full, p_full)
-            H[:, lay.diag, lay.diag] += 1.0 / l_diag**2
-            H = H[:, lay.keep][:, :, lay.keep]
-    f[~np.all(l_diag > 0.0, axis=1)] = math.inf
-    return f, G[:, lay.keep], H
-
-
-def _single_kl(phi, eps, nodes, log_zs, v):
-    """minimize_single's objective at the single Gaussians v (k, p) of the
-    targets 0..k-1 of ``phi`` (as in _single_evaluate), with log Z log_zs.
-
-    One _single_evaluate without Hessians gives every value, E[Phi] - log
-    det L + log Z - (d/2) log(2 pi eps) - d/2, and every gradient, mapped
-    into _Objective's coordinates (m / sqrt(eps), log L_aa, the strictly
-    lower entries of L).  Returns the values (k,) and gradients (k, p).
-    """
-    d = nodes.z.shape[1]
-    f, G, _ = _single_evaluate(phi, eps, nodes, np.arange(len(v)), v, hessian=False)
-    lay = _layout(d)
-    grad = np.concatenate([G[:, :d], v[:, lay.v_diag] * G[:, lay.v_diag], G[:, lay.v_lower]], axis=1)
-    return f - 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * d + log_zs, grad
 
 
 def _newton_single(phi, eps, means, chols, nodes):

@@ -9,6 +9,7 @@ callables are vectorized over a leading batch axis: value maps (N, d) ->
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -264,6 +265,9 @@ def potential_from_spec(spec: dict, dim: int | None = None) -> Potential:
     if pid not in BUILTIN_POTENTIALS:
         raise ValueError(f"unknown potential id {pid!r}")
     builder = BUILTIN_POTENTIALS[pid]
+    unknown = sorted(set(params) - set(inspect.signature(builder).parameters))
+    if unknown:
+        raise ValueError(f"unknown {pid!r} parameter(s) {', '.join(map(repr, unknown))}")
     if pid in ("quadratic", "linear", "zero") and dim is not None:
         params.setdefault("dim", dim)
     pot = builder(**params)

@@ -117,6 +117,25 @@ def test_approx_rejects_unknown_elliptic_params(key, tmp_path, capsys):
     assert err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "v1, v2",
+    [
+        ({"id": "double-well", "params": {"bogus": 1}}, {"id": "zero"}),
+        ({"id": "double-well"}, {"id": "quadratic", "params": {"bogus": 1}}),
+    ],
+    ids=["v1", "v2"],
+)
+def test_approx_rejects_unknown_analytic_params(v1, v2, tmp_path, capsys):
+    # an analytic spec takes its builder's arguments; any other key is a
+    # validation error naming it, not a TypeError traceback
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"name": "bad", "dim": 1, "v1": v1, "v2": v2}))
+    code, out, err = run_cli(capsys, "approx", "--problem", str(spec), "--eps", "0.01")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "'bogus'" in err
+
+
 def test_approx_bad_eps(capsys):
     code, _, _ = run_cli(
         capsys, "approx", "--problem", "quadratic", "--eps", "-1.0",

@@ -250,6 +250,25 @@ def test_limit_mode_set_square_sign_flips():
     assert {tuple(m) for m in ms.modes} == expect
 
 
+def test_limit_mode_set_solves_one_jacobian_per_mode(monkeypatch):
+    # 2^M = 8 sign flips: one forward-map Jacobian each, and every Hessian is
+    # J^T J of that Jacobian, bit for bit
+    p = problem(M=3, f=10.0, variant="square")
+    calls, jacobian = [], inv.jacobian
+
+    def counting(p, q):
+        calls.append(np.array(q))
+        return jacobian(p, q)
+
+    monkeypatch.setattr(inv, "jacobian", counting)
+    ms = inv.limit_mode_set(p, np.array([1.0, 0.5, -0.8]))
+    assert ms.n == 8 and len(calls) == 8
+    assert np.array_equal(np.stack(calls), ms.modes)
+    for m, H in zip(ms.modes, ms.hessians):
+        J = jacobian(p, m)
+        assert np.array_equal(H, J.T @ J)
+
+
 def test_limit_mode_set_square_rejects_zero_truth():
     p = problem(M=1, variant="square")
     with pytest.raises(ValueError):
@@ -830,7 +849,7 @@ def test_newton_single_chunks_are_bit_identical(monkeypatch):
         return misfit(p, Y, prior, eps, X, hessian)
 
     monkeypatch.setattr(inv, "_misfit_derivatives", counting)
-    monkeypatch.setattr(optim, "_NEWTON_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(objective, "_SINGLE_CHUNK_POINTS", 1000)
     chunked = run()
     assert calls[:3] == [2, 2, 1]
     assert chunked[3] == whole[3] == [None] * cfg.draws
@@ -854,12 +873,12 @@ def test_single_evaluate_splits_a_rule_above_the_chunk(monkeypatch):
         return inv._misfit_derivatives(p, Y[idx], prior, eps, x, hessian)
 
     def run():
-        return optim._single_evaluate(phi, eps, objective._gh_nodes(20, 2), np.arange(3), v)
+        return objective._single_evaluate(phi, eps, objective._gh_nodes(20, 2), np.arange(3), v)
 
     whole = run()
     assert calls == [(3, 400)]
     calls.clear()
-    monkeypatch.setattr(optim, "_NEWTON_CHUNK_POINTS", 150)
+    monkeypatch.setattr(objective, "_SINGLE_CHUNK_POINTS", 150)
     split = run()
     assert sorted(set(calls)) == [(1, 100), (1, 150)] and len(calls) == 9
     for a, b in zip(split, whole):

@@ -5,8 +5,7 @@ import pytest
 
 import klgauss as kg
 from klgauss import optimizer
-from klgauss.objective import _gh_nodes
-from klgauss.potentials import zero
+from klgauss.objective import _gh_nodes, _single_kl, _to_v
 from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
@@ -584,26 +583,14 @@ def test_newton_singles_certified_on_the_ladder(monkeypatch):
     assert not fits.certified[0] and fits.errors == [None]
 
 
-def _quadratic_target(center, precision, eps):
-    """exp(-(x - c)^T A (x - c) / (2 eps)) as a TargetMeasure."""
-    d = len(center)
-
-    def value(x):
-        diff = x - center
-        return 0.5 * np.sum(diff * (diff @ precision), axis=1)
-
-    v1 = kg.Potential(dim=d, value_fn=value, grad_fn=lambda x: (x - center) @ precision,
-                      hess_fn=lambda x: np.broadcast_to(precision, (len(x), d, d)))
-    return kg.TargetMeasure(v1, zero(d), eps)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
 def test_single_kl_matches_objective_on_quadratics(d, eps):
-    # the batched certificate against _Objective.value_grad at the same
-    # points: values to 1e-13 absolute, gradients to 1e-2 * grad_tol, the
-    # bound _agree uses; at the exact optimum N(c, eps A^-1) the KL with the
-    # exact log Z is 0 and the gradient vanishes
+    # the kernel's values against the closed form KL(N(m, eps L L^T) ||
+    # N(c, eps A^-1)) to 1e-12 absolute, at the optimum and near it: Gauss-
+    # Hermite from order 2 is exact on quadratics, and the exact log Z makes
+    # the node-set KL the true one; at the exact optimum the KL is 0 and the
+    # gradient vanishes
     centers, precisions, _, _ = _quadratic_batch(d)
     phi = _quadratic_phi(centers, precisions, eps)
     log_zs = 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * np.linalg.slogdet(precisions)[1]
@@ -612,16 +599,15 @@ def test_single_kl_matches_objective_on_quadratics(d, eps):
     near = (centers + 0.3 * math.sqrt(eps) * rng.standard_normal(centers.shape),
             optimum * rng.uniform(0.8, 1.2, (len(centers), 1, 1)))
     grad_tol = OptimizerConfig().grad_tol
+    root = math.sqrt(eps)
     for order in (3, 20):
         nodes = _gh_nodes(order, d)
         for means, chols in ((centers, optimum), near):
-            values, grads = optimizer._single_kl(
-                phi, eps, nodes, log_zs, optimizer._to_v(means, chols, eps))
-            for i, (c, A) in enumerate(zip(centers, precisions)):
-                obj = _Objective(_quadratic_target(c, A, eps), log_zs[i], nodes)
-                value, grad = obj.value_grad(obj.pack(_ONE_WEIGHT, means[i : i + 1], chols[i : i + 1]))
-                assert abs(values[i] - value) <= 1e-13
-                assert np.max(np.abs(grads[i] - grad)) <= 1e-2 * grad_tol
+            values, grads = _single_kl(phi, eps, nodes, log_zs, _to_v(means, chols, eps))
+            for i, (c, L) in enumerate(zip(centers, optimum)):
+                exact = kg.kl_gaussian_gaussian(
+                    kg.GaussianParams(means[i], root * chols[i]), kg.GaussianParams(c, root * L))
+                assert abs(values[i] - exact) <= 1e-12
             if means is centers:
                 assert np.max(np.abs(values)) <= 1e-13
                 assert np.max(np.abs(grads)) <= 1e-2 * grad_tol

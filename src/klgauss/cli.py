@@ -22,12 +22,14 @@ from .measure import (
     ModeSearchError,
     MultistartConfig,
     find_modes,
+    quadrature_normalization,
     resolve_problem,
 )
-from .objective import GAUSS_HERMITE, MONTE_CARLO, EstimatorConfig
+from .objective import GAUSS_HERMITE, MONTE_CARLO, EstimatorConfig, g_eps, kl_single
 from .optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
+    _locate_modes,
     minimize_mixture,
     minimize_single,
 )
@@ -90,21 +92,20 @@ def cmd_approx(args) -> int:
         raise ValidationError("--eps must be a positive number")
     mu = family.at(args.eps)
     cfg = OptimizerConfig(seed=args.seed, box=family.default_box)
-    log_z = None
+    mode_set = log_z = None
     if args.logz == "quadrature":
-        from .measure import quadrature_normalization
-
-        log_z = quadrature_normalization(mu).log_value
+        # one mode search, the optimizer's own, for the oracle box and the fit
+        mode_set = _locate_modes(mu, cfg)
+        log_z = quadrature_normalization(mu, mode_set=mode_set).log_value
     if args.family == "single":
-        result = minimize_single(mu, cfg, log_z=log_z)
+        result = minimize_single(mu, cfg, mode_set=mode_set, log_z=log_z)
     else:
         n = args.n if args.n is not None else 2
-        result = minimize_mixture(mu, n, (args.xi1, args.xi2), cfg, log_z=log_z)
+        result = minimize_mixture(mu, n, (args.xi1, args.xi2), cfg, mode_set=mode_set,
+                                  log_z=log_z)
     doc = result.to_json(verbose=args.verbose)
     if args.estimator == "mc":
         # independent Monte-Carlo check of the optimizer's deterministic value
-        from .objective import g_eps, kl_single
-
         est_cfg = _estimator(args)
         if args.family == "single":
             est = kl_single(mu, result.params, result.log_z, est_cfg)

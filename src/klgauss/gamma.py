@@ -26,7 +26,9 @@ from .measure import (
     MultistartConfig,
     find_modes,
     log_laplace_normalization,
+    quadrature_normalization,
 )
+from .objective import g_eps, kl_single
 from .optimizer import OptimizerConfig, OptimResult, minimize_mixture, minimize_single
 
 MODE_MATCH_TOL = 1e-6
@@ -256,8 +258,6 @@ class SweepResult:
 
 def _reestimate_record(record, family, eps, result, log_z, estimator):
     """Replace a record's value/stderr with an independent estimate at the argmin."""
-    from .objective import g_eps, kl_single
-
     if result.kind == "single":
         est = kl_single(family.at(eps), result.params, log_z, estimator)
     else:
@@ -268,7 +268,7 @@ def _reestimate_record(record, family, eps, result, log_z, estimator):
     record.gap = est.value - limit_min
 
 
-def _single_record(family, ms, eps, result, limit_min):
+def _single_record(ms, eps, result, limit_min):
     m = result.params.mean
     sigma_resc = result.rescaled_covariances
     i0, dist = ms.nearest(m)
@@ -287,7 +287,7 @@ def _single_record(family, ms, eps, result, limit_min):
     )
 
 
-def _mixture_record(family, ms, eps, result, limit_min, xi):
+def _mixture_record(ms, eps, result, limit_min):
     mix = result.params
     sig_resc = result.rescaled_covariances
     dists = []
@@ -376,8 +376,6 @@ def sweep(
     for eps in eps_list:
         mu = family.at(eps)
         if logz == "quadrature":
-            from .measure import quadrature_normalization
-
             log_z = quadrature_normalization(mu, mode_set=mode_set).log_value
         else:
             log_z = log_laplace_normalization(mode_set, eps)
@@ -390,7 +388,7 @@ def sweep(
                 result = minimize_single(
                     mu, warm_cfg, mode_set=None, log_z=log_z, extra_starts=extra
                 )
-            records.append(_single_record(family, mode_set, eps, result, limit_min))
+            records.append(_single_record(mode_set, eps, result, limit_min))
         else:
             if warm is None:
                 result = minimize_mixture(
@@ -408,9 +406,7 @@ def sweep(
                 result = minimize_mixture(
                     mu, n, xi, warm_cfg, mode_set=None, log_z=log_z, extra_starts=extra
                 )
-            records.append(
-                _mixture_record(family, mode_set, eps, result, limit_min, xi)
-            )
+            records.append(_mixture_record(mode_set, eps, result, limit_min))
         warm = result
         if estimator is not None and estimator.method == "monte-carlo":
             _reestimate_record(records[-1], family, eps, result, log_z, estimator)

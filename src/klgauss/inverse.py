@@ -30,8 +30,8 @@ from .measure import (
     GridSpec,
     MeasureFamily,
     ModeSet,
-    _concentration_boxes,
     _damped_newton,
+    _first_boxes,
     _laplace_log_betas,
     _log_laplace,
     oracle_integrals,
@@ -531,15 +531,13 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs, log_q=None):
     (measure.oracle_integrals) on the stacked boxes of all draws, all built
     at once.  The first box of each is ``grid_spec.box``, or else the ball
     of radius 6 sqrt(eps / lambda_min) about its mode, for the eigenvalues
-    lambda of h_effs[i], with ``grid_spec.radius_floor`` only where
-    lambda_min <= 0: a floor would make the box, at small eps, many
-    posterior widths wide, on a grid coarser than the posterior.  The
-    oracle picks each box's Simpson resolution from the draw's smallest
-    posterior width sqrt(eps / lambda_max).  It is given modes[i] as the
-    mode of draw i: where that mode is the posterior's global maximum, a
-    box whose faces already fail the tail check against the log posterior
-    there is widened without being integrated, and the accepted boxes are
-    those of integrating every box.
+    lambda of h_effs[i] (measure._first_boxes).  The oracle picks each
+    box's Simpson resolution from the draw's smallest posterior width
+    sqrt(eps / lambda_max).  It is given modes[i] as the mode of draw i:
+    where that mode is the posterior's global maximum, a box whose faces
+    already fail the tail check against the log posterior there is widened
+    without being integrated, and the accepted boxes are those of
+    integrating every box.
 
     With ``log_q`` (as _log_gaussian gives it, over the same draws), each
     integral also carries the TV distance of draw i's Gaussian to its
@@ -549,12 +547,7 @@ def _draw_integrals(p, Y, eps, prior, grid_spec, modes, h_effs, log_q=None):
     The TV of a box the oracle widens is dropped with its integral: each
     draw's TV is that of its accepted box.  Returns per draw its
     GridIntegral or the exception that failed it."""
-    if grid_spec.box is None:
-        lo, hi = _concentration_boxes(modes[:, None], h_effs[:, None], eps,
-                                      grid_spec.radius_floor, floored=False)
-    else:
-        lo, hi = (np.tile(np.ravel(np.asarray(side, dtype=float)), (len(Y), 1))
-                  for side in grid_spec.box)
+    lo, hi = _first_boxes(grid_spec, eps, len(Y), modes[:, None], h_effs[:, None])
     lam_max = np.linalg.eigvalsh(0.5 * (h_effs + np.swapaxes(h_effs, -1, -2)))[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):  # lambda_max <= 0: no width
         widths = np.sqrt(eps / lam_max)

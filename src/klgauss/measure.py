@@ -409,15 +409,16 @@ SIMPSON_REL_TOL = 1e-12
 class GridSpec:
     """Brute-force oracle grid selection.
 
-    With ``box=None`` the box is derived from the modes of the target: the
-    union of balls of radius max(6*sqrt(eps/lambda_min), radius_floor)
-    around each mode, expanded by x1.5 (up to ``max_expand`` rounds) while
-    the boundary integrand stays above ``tail_tol`` of the peak.  The BvM
-    panel's stacked boxes (inverse._draw_integrals) differ: their balls
-    have radius 6*sqrt(eps/lambda_min), with ``radius_floor`` only where
-    lambda_min <= 0, and, where ``points_per_dim`` is None, each box takes
+    With ``box=None`` the first box of a target is derived from its modes
+    (_first_boxes): the union of the balls of radius 6*sqrt(eps/lambda_min)
+    about them, for the smallest eigenvalue lambda_min of each mode's
+    Hessian, with no floor.  It is expanded by x1.5 (up to ``max_expand``
+    rounds) while the boundary integrand stays above ``tail_tol`` of the
+    peak.  Where ``points_per_dim`` is None and the oracle is given the
+    target's widths (the BvM panel, inverse._draw_integrals), each box takes
     its own Simpson resolution from its posterior's width, refined to
-    SIMPSON_REL_TOL (see oracle_integrals).  Where the oracle is given the
+    SIMPSON_REL_TOL (see oracle_integrals); quadrature_normalization
+    integrates every box at DEFAULT_POINTS.  Where the oracle is given the
     modes (the panel's boxes), a box whose faces alone, against the
     integrand at the modes, show that it will fail is expanded without
     being integrated; where the modes hold the maximum of the integrand,
@@ -433,14 +434,12 @@ class GridSpec:
 
     ``points_per_dim`` is None (DEFAULT_POINTS) or an int >= 3, raised to
     1 (mod 4); 0 < tail_tol <= 1, where 1 accepts every box; ``max_expand``
-    is an int >= 0; ``radius_floor`` is finite and >= 0.  Other values raise
-    ValueError.
+    is an int >= 0.  Other values raise ValueError.
     """
 
     points_per_dim: int | None = None
     box: tuple | None = None
     tail_tol: float = 1e-14
-    radius_floor: float = 2.0
     max_expand: int = 8
 
     def __post_init__(self):
@@ -451,35 +450,23 @@ class GridSpec:
             raise ValueError(f"tail_tol must be in (0, 1], got {self.tail_tol!r}")
         if not (_is_int(self.max_expand) and self.max_expand >= 0):
             raise ValueError(f"max_expand must be an int >= 0, got {self.max_expand!r}")
-        if not (math.isfinite(self.radius_floor) and self.radius_floor >= 0.0):
-            raise ValueError(f"radius_floor must be finite and >= 0, got {self.radius_floor!r}")
 
 
-def concentration_box(centers, hessians, epsilon, radius_floor=2.0):
-    """Union-of-balls bounding box around concentration points; the one-set
-    case of _concentration_boxes."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    hessians = np.asarray(hessians, dtype=float).reshape(
-        centers.shape[0], centers.shape[1], centers.shape[1]
-    )
-    lo, hi = _concentration_boxes(centers[None], hessians[None], epsilon, radius_floor)
-    return lo[0], hi[0]
-
-
-def _concentration_boxes(centers, hessians, epsilon, radius_floor, floored=True):
-    """The union-of-balls boxes of k sets of m centers, (k, m, d), with their
-    Hessians, (k, m, d, d), as lo and hi of shape (k, d).  The ball around a
-    center has radius max(6 sqrt(eps / lambda_min), radius_floor), and
-    radius_floor where lambda_min <= 0.  Not ``floored``, the radius is
-    6 sqrt(eps / lambda_min) wherever lambda_min > 0: the BvM panel sizes
-    its boxes, and their Simpson resolution, by the posterior's own width
-    (inverse._draw_integrals)."""
+def _first_boxes(spec: GridSpec, epsilon, k, centers=None, hessians=None):
+    """The Simpson oracle's first boxes of k sets, as lo and hi (k, d):
+    ``spec.box`` for every set where given, else the union of the balls of
+    radius 6 sqrt(eps / lambda_min) about each set's centers (k, m, d), for
+    the smallest eigenvalue lambda_min of each center's Hessian (k, m, d, d).
+    The radius scales with the target's width, so at every eps the box and
+    its grid follow the target; the oracle widens a box whose tail check
+    fails.  Where lambda_min <= 0 the radius is not finite, and the box
+    fails make_grid's check (quadrature._valid_boxes)."""
+    if spec.box is not None:
+        lo, hi = (np.tile(np.ravel(np.asarray(side, dtype=float)), (k, 1)) for side in spec.box)
+        return lo, hi
     lam_min = np.min(np.linalg.eigvalsh(0.5 * (hessians + np.swapaxes(hessians, -1, -2))), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # lambda_min <= 0: replaced below
-        radius = 6.0 * np.sqrt(epsilon / lam_min)
-        if floored:
-            radius = np.maximum(radius, radius_floor)
-    radius = np.where(lam_min <= 0, radius_floor, radius)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # lambda_min <= 0: inf or nan
+        radius = 6.0 * np.sqrt(epsilon / lam_min)[..., None]
     return np.min(centers - radius, axis=1), np.max(centers + radius, axis=1)
 
 
@@ -597,16 +584,6 @@ def oracle_integrals(integrate, lo, hi, spec: GridSpec, log_f=None, modes=None,
     return out
 
 
-def oracle_box(spec: GridSpec, mode_set: ModeSet, epsilon: float):
-    """The first Simpson box of the oracle: ``spec.box`` if given, else the
-    concentration box of the modes."""
-    if spec.box is not None:
-        return spec.box
-    return concentration_box(
-        mode_set.modes, mode_set.hessians, epsilon, spec.radius_floor
-    )
-
-
 def quadrature_normalization(
     mu: TargetMeasure,
     grid: GridSpec | None = None,
@@ -615,10 +592,14 @@ def quadrature_normalization(
 ) -> GridIntegral:
     """Brute-force Z = int exp(-v1/eps - v2) dx by tensor Simpson (dim <= 3).
 
-    The one-box case of oracle_integrals, whose exception it raises.  It
-    passes no modes, so every box of every round is integrated: the modes
-    of ``mode_set`` are the minimizers of the limit potential v1, which a
-    tilting v2 leaves below the integrand's maximum.
+    The one-box case of oracle_integrals, whose exception it raises.  The
+    first box is ``grid.box`` or else, by _first_boxes' rule, the union of
+    the 6-sigma balls about the modes of ``mode_set`` (found with
+    ``search`` where not given); every grid has ``grid.points_per_dim``
+    (DEFAULT_POINTS) points per dimension.  It
+    passes no modes to the oracle, so every box of every round is
+    integrated: the modes of ``mode_set`` are the minimizers of the limit
+    potential v1, which a tilting v2 leaves below the integrand's maximum.
     """
     spec = grid or GridSpec()
     if mu.dim > 3:
@@ -634,8 +615,9 @@ def quadrature_normalization(
 
     if spec.box is None and mode_set is None:
         mode_set = find_modes(mu.v1, mu.v2, search)
-    lo, hi = oracle_box(spec, mode_set, mu.epsilon)
-    result = oracle_integrals(integrate, [lo], [hi], spec)[0]
+    sets = () if spec.box is not None else (mode_set.modes[None], mode_set.hessians[None])
+    lo, hi = _first_boxes(spec, mu.epsilon, 1, *sets)
+    result = oracle_integrals(integrate, lo, hi, spec)[0]
     if isinstance(result, Exception):
         raise result
     return result

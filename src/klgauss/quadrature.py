@@ -207,13 +207,13 @@ class Grid:
         return _stack_weights(self.lo[None], self.hi[None], self.points_per_dim)[0]
 
 
-_BAD_BOX = "grid box must satisfy lo < hi componentwise"
+_BAD_BOX = "grid box must be finite with lo < hi componentwise"
 
 
 def _valid_boxes(lo, hi) -> np.ndarray:
-    """Per box [lo[i], hi[i]] of a stack (..., d), whether no hi <= lo; the
-    others fail with ValueError(_BAD_BOX)."""
-    return ~np.any(hi <= lo, axis=-1)
+    """Per box [lo[i], hi[i]] of a stack (..., d), whether it is finite with
+    lo < hi; the others fail with ValueError(_BAD_BOX)."""
+    return np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi), axis=-1)
 
 
 def make_grid(lo, hi, points_per_dim: int | None = None) -> Grid:

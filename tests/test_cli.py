@@ -136,6 +136,46 @@ def test_approx_rejects_unknown_analytic_params(v1, v2, tmp_path, capsys):
     assert err.startswith("error: ") and "'bogus'" in err
 
 
+@pytest.mark.parametrize("eps", ["1e-3", "1e-4"])
+def test_approx_quadrature_log_z_exact_on_a_3d_gaussian(eps, tmp_path, capsys):
+    # the target is exactly Gaussian, so the best single Gaussian is the
+    # target and its KL is 0; the oracle's box, sized by the posterior's
+    # width, makes its log Z exact (a floor of radius 2 gave -0.580 and
+    # +1.525)
+    spec = tmp_path / "quadratic-3d.json"
+    spec.write_text(json.dumps({"name": "quadratic-3d", "dim": 3,
+                                "v1": {"id": "quadratic"}, "v2": {"id": "zero"}}))
+    code, out, _ = run_cli(capsys, "approx", "--problem", str(spec), "--eps", eps,
+                           "--logz", "quadrature")
+    assert code == 0
+    assert abs(json.loads(out)["value"]) <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ("--problem", "double-well"),
+    ("--problem", "double-well", "--family", "mixture", "--n", "2"),
+    ("--problem", "elliptic-exp"),
+], ids=["double-well-single", "double-well-mixture", "elliptic-exp"])
+def test_approx_quadrature_finds_the_modes_once(argv, capsys, monkeypatch):
+    # the oracle box and the optimizer share the one mode search, run with
+    # the family's box and --seed
+    from klgauss import measure, optimizer
+
+    calls = []
+    find_modes = measure.find_modes
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].seed)
+        return find_modes(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "find_modes", counted)
+    monkeypatch.setattr(optimizer, "find_modes", counted)
+    code, _, _ = run_cli(capsys, "approx", *argv, "--eps", "0.01", "--logz", "quadrature",
+                         "--seed", "5")
+    assert code == 0
+    assert calls == [5]
+
+
 def test_approx_bad_eps(capsys):
     code, _, _ = run_cli(
         capsys, "approx", "--problem", "quadratic", "--eps", "-1.0",

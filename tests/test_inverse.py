@@ -644,8 +644,7 @@ def test_bvm_batched_log_z_is_quadrature_normalization_per_draw():
             assert np.array_equal(grid.lo, single.grid.lo)
             assert np.array_equal(grid.hi, single.grid.hi)
             assert grid.points_per_dim == single.grid.points_per_dim
-            box = measure._concentration_boxes(ms.modes[None], ms.hessians[None], eps,
-                                               2.0, floored=False)
+            box = measure._first_boxes(inv.GridSpec(), eps, 1, ms.modes[None], ms.hessians[None])
             widened += not np.array_equal(grid.lo, box[0][0])
             resolutions.add((p.M, grid.points_per_dim))
     assert widened > 0  # the widen-and-redo loop ran inside the batch
@@ -680,14 +679,37 @@ def test_bvm_face_check_integrates_each_box_once(
     results = inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)
     assert sum(integrated) == boxes == cfg.draws
     log_f = inv._log_posterior(p, Y, eps, prior)
-    lo, hi = measure._concentration_boxes(modes[:, None], h_effs[:, None], eps,
-                                          spec.radius_floor, floored=False)
+    lo, hi = measure._first_boxes(spec, eps, cfg.draws, modes[:, None], h_effs[:, None])
     widths = np.sqrt(eps / np.linalg.eigvalsh(h_effs)[:, -1])
     reference, rounds = integrate_every_box(
         lambda idx, lo, hi, n: stack(lambda j, pts: log_f(idx[j], pts), lo, hi, n),
         lo, hi, spec, widths)
     assert_same_integrals(results, reference)
     assert sum(rounds) == every_box
+
+
+def test_bvm_draw_without_positive_curvature_fails_the_box_check(assert_same_integrals):
+    # a draw whose Hessian at the mode has lambda_min <= 0 has no finite
+    # 6-sigma ball (radius inf at 0, nan below): its box fails make_grid's
+    # check with ValueError, where a floor once gave it a radius-2 box, and
+    # the other draws keep the integrals they have without it
+    p, cfg = bvm_m1_config()
+    eps = 1e-2
+    prior = quadratic(dim=p.M)
+    etas = np.random.default_rng(cfg.seed).standard_normal((6, p.M))
+    Y, modes, h_effs, errors = inv._draw_modes(p, cfg.truth, etas, eps, prior,
+                                               np.linalg.inv(inv.jacobian(p, cfg.truth)))
+    assert errors == [None] * len(etas)
+    spec = inv.GridSpec()
+    want = inv._draw_integrals(p, Y, eps, prior, spec, modes, h_effs)
+    bad = h_effs.copy()
+    bad[1] = 0.0
+    bad[3] = -bad[3]
+    got = inv._draw_integrals(p, Y, eps, prior, spec, modes, bad)
+    for i in (1, 3):
+        assert type(got[i]) is ValueError and str(got[i]) == measure._BAD_BOX
+    keep = [0, 2, 4, 5]
+    assert_same_integrals([got[i] for i in keep], [want[i] for i in keep])
 
 
 def test_bvm_batched_log_z_on_an_explicit_box():

@@ -10,7 +10,6 @@ from klgauss.measure import (
     GridSpec,
     ModeSet,
     MultistartConfig,
-    concentration_box,
     load_problem,
     oracle_integrals,
 )
@@ -252,6 +251,28 @@ def test_quadrature_constant_integrand_box_volume():
     assert res.value == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadrature_log_z_is_exact_on_quadratics(d):
+    # the first box is the 6-sigma ball about the mode at every eps, so the
+    # fixed DEFAULT_POINTS grid resolves the Gaussian; a radius floor of 2
+    # left it many widths wide and off by up to 10 in d = 3
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for scale in (1.0, 3.7):
+            for c in (0.0, 0.3):
+                mu = kg.TargetMeasure(v1=P.quadratic(dim=d, scale=scale, center=[c] * d),
+                                      v2=P.zero(d), epsilon=eps)
+                exact = 0.5 * d * math.log(2.0 * math.pi * eps / scale)
+                assert abs(kg.quadrature_normalization(mu).log_value - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("box", [([-math.inf], [1.0]), ([math.nan], [1.0]), ([0.0], [math.inf])])
+def test_quadrature_rejects_a_box_that_is_not_finite(box):
+    mu = kg.TargetMeasure(v1=P.quadratic(dim=1), v2=P.zero(1), epsilon=0.1)
+    with pytest.raises(ValueError, match=quadrature._BAD_BOX) as exc:
+        kg.quadrature_normalization(mu, GridSpec(box=box))
+    assert type(exc.value) is ValueError
+
+
 def test_quadrature_rejects_high_dimension():
     mu = kg.TargetMeasure(v1=P.quadratic(dim=4), v2=P.zero(4), epsilon=1.0)
     with pytest.raises(OracleDimensionError):
@@ -277,36 +298,32 @@ def test_laplace_vs_oracle_monotone(double_well_family, double_well_modes):
     assert rel_gaps[-1] <= 0.05
 
 
-def test_concentration_box_radius_floor():
-    lo, hi = concentration_box(
-        np.array([[0.0]]), np.array([[[8.0]]]), epsilon=0.001
-    )
-    # 6 sqrt(eps / lambda) = 0.067 << floor 2
-    assert lo[0] == pytest.approx(-2.0)
-    assert hi[0] == pytest.approx(2.0)
-
-
 def test_concentration_boxes_match_per_set_loop():
-    # the stacked boxes against the loop over sets and centers they replace:
-    # one eigvalsh and math.sqrt per center, bit for bit; set 1 has a
-    # centre whose smallest eigenvalue is 0 and set 2 one where it is < 0
+    # the stacked boxes against the loop over sets and centers: one eigvalsh
+    # and math.sqrt per center, bit for bit, with no floor; set 1 has a
+    # centre whose smallest eigenvalue is 0 (radius inf) and set 2 one where
+    # it is < 0 (radius nan), so their boxes fail make_grid's check
     rng = np.random.default_rng(5)
-    k, m, d, eps, floor = 6, 3, 2, 1e-3, 0.05
+    k, m, d, eps = 6, 3, 2, 1e-3
     centers = rng.normal(size=(k, m, d))
     a = rng.normal(size=(k, m, d, d))
     hessians = a @ np.swapaxes(a, -1, -2) + 1e-3 * rng.random((k, m, d, d))
     hessians[1, 0] = [[1.0, 0.0], [0.0, 0.0]]
     hessians[2, 2] = [[1.0, 0.0], [0.0, -2.0]]
-    lo, hi = measure._concentration_boxes(centers, hessians, eps, floor)
+    lo, hi = measure._first_boxes(GridSpec(), eps, k, centers, hessians)
     for j in range(k):
+        if j in (1, 2):
+            continue
         ref_lo, ref_hi = np.full(d, np.inf), np.full(d, -np.inf)
         for c, H in zip(centers[j], hessians[j]):
-            lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (H + H.T))))
-            radius = floor if lam_min <= 0 else max(6.0 * math.sqrt(eps / lam_min), floor)
+            radius = 6.0 * math.sqrt(eps / float(np.min(np.linalg.eigvalsh(0.5 * (H + H.T)))))
             ref_lo, ref_hi = np.minimum(ref_lo, c - radius), np.maximum(ref_hi, c + radius)
         assert np.array_equal(lo[j], ref_lo) and np.array_equal(hi[j], ref_hi)
-        one = concentration_box(centers[j], hessians[j], eps, floor)
-        assert np.array_equal(one[0], ref_lo) and np.array_equal(one[1], ref_hi)
+    assert np.array_equal(quadrature._valid_boxes(lo, hi), [j not in (1, 2) for j in range(k)])
+    # an explicit box is every set's box
+    lo, hi = measure._first_boxes(GridSpec(box=([-1.0, 0.0], [2.0, 3.0])), eps, k, centers, hessians)
+    assert np.array_equal(lo, np.tile([-1.0, 0.0], (k, 1)))
+    assert np.array_equal(hi, np.tile([2.0, 3.0], (k, 1)))
 
 
 # --- stacked Simpson boxes --------------------------------------------------------
@@ -332,9 +349,8 @@ def stack_oracle(log_f, lo, hi, modes, spec, widths=None):
 
 
 def stacked_integrals(log_f, centers, eps, spec):
-    d = centers.shape[1]
-    boxes = [concentration_box(c[None], np.eye(d)[None], eps, spec.radius_floor) for c in centers]
-    lo, hi = (np.array(side) for side in zip(*boxes))
+    k, d = centers.shape
+    lo, hi = measure._first_boxes(spec, eps, k, centers[:, None], np.tile(np.eye(d), (k, 1, 1, 1)))
     return stack_oracle(log_f, lo, hi, centers[:, None], spec)
 
 
@@ -471,7 +487,7 @@ def test_sized_oracle_exact_on_gaussians(d, cond, eps):
         z = pts - centers[idx][:, None, :]
         return -0.5 * np.einsum("kni,kij,knj->kn", z, a[idx], z) / eps
 
-    lo, hi = measure._concentration_boxes(centers[:, None], a[:, None], eps, 2.0, floored=False)
+    lo, hi = measure._first_boxes(GridSpec(), eps, k, centers[:, None], a[:, None])
     widths = np.sqrt(eps / np.linalg.eigvalsh(a)[:, -1])
     widths[0] *= 10.0
     results = stack_oracle(log_f, lo, hi, centers[:, None], GridSpec(), widths)
@@ -498,7 +514,6 @@ def test_sized_oracle_exact_on_gaussians(d, cond, eps):
     ("points_per_dim", 5.0), ("points_per_dim", True),
     ("tail_tol", 0.0), ("tail_tol", -1e-14), ("tail_tol", 1.5), ("tail_tol", math.nan),
     ("max_expand", -1), ("max_expand", 2.0), ("max_expand", False),
-    ("radius_floor", -1.0), ("radius_floor", math.inf), ("radius_floor", math.nan),
 ])
 def test_grid_spec_rejects_invalid_fields(field, value):
     with pytest.raises(ValueError, match=field):
@@ -507,7 +522,7 @@ def test_grid_spec_rejects_invalid_fields(field, value):
 
 @pytest.mark.parametrize("kwargs", [
     {"points_per_dim": 3}, {"points_per_dim": np.int64(17)}, {"tail_tol": 1.0},
-    {"max_expand": 0}, {"radius_floor": 0.0},
+    {"max_expand": 0}, {"max_expand": np.int64(8)},
 ])
 def test_grid_spec_accepts_edge_values(kwargs):
     assert getattr(GridSpec(**kwargs), next(iter(kwargs))) == next(iter(kwargs.values()))
@@ -556,18 +571,18 @@ def test_face_check_keeps_the_boxes_on_a_correlated_gaussian(
 def test_face_check_on_the_double_well_union_box(
         eps, tilted, double_well_family, double_well_modes, shifted_family, shifted_modes,
         integrate_every_box, assert_same_integrals, monkeypatch):
-    # the union box of the two wells, from balls without the radius floor,
-    # fails the tail check at first.  Given the modes of v1, the face check
-    # integrates it once; on the double well they hold the maximum and the
-    # box is the one integrating every box accepts, while under the tilt of
-    # the shifted double well's v2 they may lie below it and a box as wide
-    # or wider is accepted.  quadrature_normalization passes no modes and
-    # integrates every box of every round
+    # the union box of the two wells fails the tail check at first.  Given
+    # the modes of v1, the face check integrates it once; on the double
+    # well they hold the maximum and the box is the one integrating every
+    # box accepts, while under the tilt of the shifted double well's v2
+    # they may lie below it and a box as wide or wider is accepted.
+    # quadrature_normalization passes no modes and integrates every box of
+    # every round
     family, modes = (shifted_family, shifted_modes) if tilted else (
         double_well_family, double_well_modes)
     mu = family.at(eps)
-    spec = GridSpec(radius_floor=0.0)
-    lo, hi = measure.oracle_box(spec, modes, eps)
+    spec = GridSpec()
+    lo, hi = measure._first_boxes(spec, eps, 1, modes.modes[None], modes.hessians[None])
 
     def log_f(pts):
         return kg.unnormalized_log_density(mu, pts)
@@ -575,7 +590,7 @@ def test_face_check_on_the_double_well_union_box(
     def integrate(idx, lo, hi, n):
         return [quadrature.integrate_exp(log_f, quadrature.Grid(lo[0], hi[0], n))]
 
-    (want,), ref_rounds = integrate_every_box(integrate, [lo], [hi], spec)
+    (want,), ref_rounds = integrate_every_box(integrate, lo, hi, spec)
     assert len(ref_rounds) > 1
     grids = []
     integrate_exp = measure.integrate_exp
@@ -585,7 +600,7 @@ def test_face_check_on_the_double_well_union_box(
     assert len(grids) == len(ref_rounds)
 
     rounds = []
-    (got,) = oracle_integrals(lambda *a: rounds.append(1) or integrate(*a), [lo], [hi], spec,
+    (got,) = oracle_integrals(lambda *a: rounds.append(1) or integrate(*a), lo, hi, spec,
                               quadrature._one_box(log_f), np.asarray(modes.modes)[None])
     assert rounds == [1]
     if not tilted:

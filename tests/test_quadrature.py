@@ -178,3 +178,12 @@ def test_stacked_kernel_matches_reference(d, n):
         diff = np.abs(np.exp(log_p(pts, i)) - np.exp(log_q(pts, i)))
         ref_tv = 0.5 * np.dot(reference_weights(grid.lo, grid.hi, grid.points_per_dim), diff)
         assert same_bits(tv[i], ref_tv)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]), ([0.0, 0.0], [1.0, np.nan]),
+])
+def test_make_grid_rejects_a_box_that_is_not_finite(lo, hi):
+    with pytest.raises(ValueError, match=quadrature._BAD_BOX):
+        make_grid(lo, hi)
+    assert not quadrature._valid_boxes(np.array([lo]), np.array([hi]))[0]

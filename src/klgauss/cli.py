@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -88,8 +89,8 @@ def cmd_modes(args) -> int:
 
 def cmd_approx(args) -> int:
     family = resolve_problem(args.problem)
-    if args.eps is None or args.eps <= 0:
-        raise ValidationError("--eps must be a positive number")
+    if args.eps is None or not (math.isfinite(args.eps) and args.eps > 0):
+        raise ValidationError("--eps must be a positive finite number")
     mu = family.at(args.eps)
     cfg = OptimizerConfig(seed=args.seed, box=family.default_box)
     mode_set = log_z = None

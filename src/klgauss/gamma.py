@@ -348,10 +348,10 @@ def sweep(
     a noise floor.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list) or any(
+    if not all(math.isfinite(e) and e > 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
     ):
-        raise ValueError("eps_list must be strictly decreasing and positive")
+        raise ValueError("eps_list must be strictly decreasing, positive and finite")
     if kind not in ("single", "mixture"):
         raise ValueError("kind must be 'single' or 'mixture'")
     if logz not in ("laplace", "quadrature"):

@@ -171,8 +171,8 @@ class MixtureParams:
         if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
         xi1, xi2 = float(self.xi[0]), float(self.xi[1])
-        if not (0.0 < xi1 < 1.0) or xi2 <= 0.0:
-            raise ValueError("constraints must satisfy xi1 in (0,1), xi2 > 0")
+        if not (0.0 < xi1 < 1.0 and math.isfinite(xi2) and xi2 > 0.0):
+            raise ValueError("constraints must satisfy xi1 in (0,1), xi2 > 0 finite")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "xi", (xi1, xi2))

@@ -405,8 +405,10 @@ class BvMConfig:
         truth = np.atleast_1d(np.asarray(self.truth, dtype=float))
         object.__setattr__(self, "truth", truth)
         eps = tuple(float(e) for e in self.eps_list)
-        if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps_list must be strictly decreasing and positive")
+        if not all(math.isfinite(e) and e > 0 for e in eps) or any(
+            b >= a for a, b in zip(eps, eps[1:])
+        ):
+            raise ValueError("eps_list must be strictly decreasing, positive and finite")
         object.__setattr__(self, "eps_list", eps)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -57,8 +57,8 @@ class TargetMeasure:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if self.v1.dim != self.v2.dim:
             raise ValueError("v1 and v2 must share one dimension")
 
@@ -588,15 +588,14 @@ def quadrature_normalization(
     mu: TargetMeasure,
     grid: GridSpec | None = None,
     mode_set: ModeSet | None = None,
-    search: MultistartConfig | None = None,
 ) -> GridIntegral:
     """Brute-force Z = int exp(-v1/eps - v2) dx by tensor Simpson (dim <= 3).
 
     The one-box case of oracle_integrals, whose exception it raises.  The
     first box is ``grid.box`` or else, by _first_boxes' rule, the union of
-    the 6-sigma balls about the modes of ``mode_set`` (found with
-    ``search`` where not given); every grid has ``grid.points_per_dim``
-    (DEFAULT_POINTS) points per dimension.  It
+    the 6-sigma balls about the modes of ``mode_set`` (found by find_modes
+    with its default search where not given); every grid has
+    ``grid.points_per_dim`` (DEFAULT_POINTS) points per dimension.  It
     passes no modes to the oracle, so every box of every round is
     integrated: the modes of ``mode_set`` are the minimizers of the limit
     potential v1, which a tilting v2 leaves below the integrand's maximum.
@@ -614,7 +613,7 @@ def quadrature_normalization(
         return [integrate_exp(log_f, Grid(lo[0], hi[0], n))]
 
     if spec.box is None and mode_set is None:
-        mode_set = find_modes(mu.v1, mu.v2, search)
+        mode_set = find_modes(mu.v1, mu.v2)
     sets = () if spec.box is not None else (mode_set.modes[None], mode_set.hessians[None])
     lo, hi = _first_boxes(spec, mu.epsilon, 1, *sets)
     result = oracle_integrals(integrate, lo, hi, spec)[0]
@@ -684,17 +683,7 @@ def load_problem(source) -> MeasureFamily:
     v1 = potential_from_spec(v1_spec, dim)
     v2 = potential_from_spec(doc["v2"], dim)
     if not v1.v1_family:
-        v1 = Potential(
-            dim=v1.dim,
-            value_fn=v1.value_fn,
-            grad_fn=v1.grad_fn,
-            hess_fn=v1.hess_fn,
-            name=v1.name,
-            growth_bound=v1.growth_bound,
-            coercivity=v1.coercivity,
-            v1_family=True,
-            spec=v1.spec,
-        )
+        v1 = replace(v1, v1_family=True)
     return _analytic_family(doc["name"], dim, v1, v2)
 
 

@@ -157,42 +157,33 @@ def _chol_index(d):
     return idx
 
 
-class _Layout(NamedTuple):
-    """Where the coordinates of a single Gaussian sit, in dimension d.
-
-    Newton works in v = (m / sqrt(eps), the entries of L on and below the
-    diagonal row by row): the entries ``keep`` of the flattened (d, d + 1)
-    matrix P = [m / sqrt(eps) | L].  ``diag`` indexes the L_aa in flattened
-    P; ``v_diag`` and ``v_lower`` index in v the L_aa and the strictly lower
-    entries in np.tril_indices(d, -1) order, the order _Objective packs.
-    """
-
-    keep: np.ndarray
-    diag: np.ndarray
-    v_diag: np.ndarray
-    v_lower: np.ndarray
-
-
 @cache
-def _layout(d):
-    """The _Layout of dimension d; cached, its arrays read-only."""
-    rows, cols = np.tril_indices(d)
-    lay = _Layout(
-        keep=np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1]),
-        diag=np.arange(d) * (d + 2) + 1,
-        v_diag=d + np.flatnonzero(rows == cols),
-        v_lower=d + np.flatnonzero(rows > cols),
-    )
-    for a in lay:
-        a.flags.writeable = False
-    return lay
+def _p_index(d):
+    """Where the entries of v sit in the flattened (d, d + 1) matrix
+    P = [m / sqrt(eps) | L]; read-only.
+
+    v = (m / sqrt(eps), the entries of L in _chol_index order) are the
+    coordinates of a single Gaussian that Newton works in, so v[:, d:2d] are
+    the L_aa; _Objective's theta at n = 1 is v with log L_aa there.
+    """
+    rows, cols = np.divmod(_chol_index(d), d)
+    idx = np.concatenate([np.arange(d) * (d + 1), rows * (d + 1) + cols + 1])
+    idx.flags.writeable = False
+    return idx
 
 
 def _to_v(means, chols, eps):
     """v of the Gaussians N(means[i], eps chols[i] chols[i]^T), shape (n, p)."""
     n, d = means.shape
-    P = np.concatenate([means[:, :, None] / math.sqrt(eps), chols], axis=2)
-    return P.reshape(n, d * (d + 1))[:, _layout(d).keep]
+    entries = chols.reshape(n, d * d)[:, _chol_index(d)]
+    return np.concatenate([means / math.sqrt(eps), entries], axis=1)
+
+
+def _from_v(v, d, eps):
+    """The means (n, d) and factors (n, d, d) of the points v (n, p); _to_v's inverse."""
+    chols = np.zeros((len(v), d * d))
+    chols[:, _chol_index(d)] = v[:, d:]
+    return math.sqrt(eps) * v[:, :d], chols.reshape(-1, d, d)
 
 
 @lru_cache(maxsize=4)
@@ -221,23 +212,24 @@ def _single_evaluate(phi, eps, nodes, idx, v, hessian=True):
     (Challis & Barber 2013).  x is linear in (m, L), so the gradient is
     E[grad Phi] and sqrt(2 eps) E[grad Phi z^T] - L^-T, and the Hessian is
     E[J^T hess Phi J] for the Jacobian J of x, plus 1/L_aa^2 on the diagonal
-    entries of L; no third derivatives enter.  All are taken in v (see _Layout), in which
-    every Hessian block stays O(1) as eps shrinks.  One call of phi sees at
-    most _SINGLE_CHUNK_POINTS points: whole targets while their rule fits,
-    else one target and a slice of the nodes, whose sums add up.
+    entries of L; no third derivatives enter.  All are taken in v (see
+    _p_index), in which every Hessian block stays O(1) as eps shrinks; v is
+    _Objective's theta with the L_aa in place of their logs.  One call of
+    phi sees at most _SINGLE_CHUNK_POINTS points: whole targets while their
+    rule fits, else one target and a slice of the nodes, whose sums add up.
 
     Returns the values (k,), gradients (k, p) and Hessians (k, p, p) or
     None; the value is +inf where some L_aa <= 0.
     """
     z, w, order = nodes
     k, d = len(v), z.shape[1]
-    lay = _layout(d)
+    p_index = _p_index(d)
     p_full = d * (d + 1)
     zeta, w_zeta = _zeta(order, d, eps)
     span = min(len(w), _SINGLE_CHUNK_POINTS)  # nodes per evaluation
     chunk = _SINGLE_CHUNK_POINTS // span  # targets per evaluation
     P = np.zeros((k, p_full))
-    P[:, lay.keep] = v
+    P[:, p_index] = v
     f = np.zeros(k)
     G = np.zeros((k, d, d + 1))
     H = np.zeros((k, d, d, d + 1, d + 1)) if hessian else None
@@ -254,17 +246,18 @@ def _single_evaluate(phi, eps, nodes, idx, v, hessian=True):
             if hessian:
                 m = hess.reshape(len(val), len(w_t), d * d).transpose(0, 2, 1) @ wzz
                 H[sl] += m.reshape(-1, d, d, d + 1, d + 1)
+    diag = p_index[d : 2 * d]
     G = G.reshape(k, p_full)
-    l_diag = P[:, lay.diag]
+    l_diag = P[:, diag]
     with np.errstate(divide="ignore", invalid="ignore"):
         f -= np.sum(np.log(l_diag), axis=1)
-        G[:, lay.diag] -= 1.0 / l_diag
+        G[:, diag] -= 1.0 / l_diag
         if hessian:
             H = H.transpose(0, 1, 3, 2, 4).reshape(k, p_full, p_full)
-            H[:, lay.diag, lay.diag] += 1.0 / l_diag**2
-            H = H[:, lay.keep][:, :, lay.keep]
+            H[:, diag, diag] += 1.0 / l_diag**2
+            H = H[:, p_index][:, :, p_index]
     f[~np.all(l_diag > 0.0, axis=1)] = math.inf
-    return f, G[:, lay.keep], H
+    return f, G[:, p_index], H
 
 
 def _single_kl(phi, eps, nodes, log_zs, v):
@@ -272,15 +265,14 @@ def _single_kl(phi, eps, nodes, log_zs, v):
     targets 0..k-1 of ``phi`` (as in _single_evaluate), with log Z log_zs.
 
     One _single_evaluate without Hessians gives every value, E[Phi] - log
-    det L + log Z - (d/2) log(2 pi eps) - d/2, and every gradient, mapped
-    into _Objective's coordinates (m / sqrt(eps), log L_aa, the strictly
-    lower entries of L).  Returns the values (k,) and gradients (k, p).
+    det L + log Z - (d/2) log(2 pi eps) - d/2, and every gradient, taken in
+    _Objective's theta by scaling the L_aa entries by L_aa (the chain rule
+    of log L_aa).  Returns the values (k,) and gradients (k, p).
     """
     d = nodes.z.shape[1]
     f, G, _ = _single_evaluate(phi, eps, nodes, np.arange(len(v)), v, hessian=False)
-    lay = _layout(d)
-    grad = np.concatenate([G[:, :d], v[:, lay.v_diag] * G[:, lay.v_diag], G[:, lay.v_lower]], axis=1)
-    return f - 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * d + log_zs, grad
+    G[:, d : 2 * d] *= v[:, d : 2 * d]
+    return f - 0.5 * d * math.log(2.0 * math.pi * eps) - 0.5 * d + log_zs, G
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +287,18 @@ class _Objective:
     weights softmax([0, logits]) and components N(m_i, eps L_i L_i^T).  The
     means are optimized in concentration units, m = sqrt(eps) * theta_m,
     which keeps every Hessian block of the objective O(1) as eps shrinks (the
-    raw mean curvature grows like 1/eps and ruins BFGS conditioning).
+    raw mean curvature grows like 1/eps and ruins BFGS conditioning).  A
+    factor is packed as its log L_aa, then its strictly lower entries, in
+    _chol_index order; so for n = 1, theta is Newton's v (see _p_index) with
+    log L_aa in place of L_aa.
 
     Component i is integrated at the points m_i + sqrt(2 eps) L_i z_k of the
     node set (see _Nodes), so on fixed nodes the objective is smooth and
     deterministic.  In value_grad a single Gaussian (n = 1) is one
-    _single_kl of Phi = V1/eps + V2.  For n > 1, log rho is integrated at
-    every component's nodes; given ``xi``, the logarithmic barrier keeps the
-    weights above xi1 and the quadratic hinge pushes the means apart.
+    _single_kl of Phi = V1/eps + V2, at theta with its L_aa exponentiated.
+    For n > 1, log rho is integrated at every component's nodes; given
+    ``xi``, the logarithmic barrier keeps the weights above xi1 and the
+    quadratic hinge pushes the means apart.
 
     The gradient is exact for the node-set value.  Besides the path term
     through the nodes, with grad log rho = -sum_j r_j Sigma_j^-1 (x - m_j),
@@ -353,15 +349,20 @@ class _Objective:
 
     def value_grad(self, theta):
         n, d, eps, w = self.n, self.d, self.mu.epsilon, self.w
+        if n == 1:
+            v = np.array(theta, dtype=float, ndmin=2)
+            v[:, d : 2 * d] = np.exp(np.clip(v[:, d : 2 * d], -_LOGDIAG_CAP, _LOGDIAG_CAP))
+            try:
+                value, grad = _single_kl(self._phi, eps, self.nodes, self.log_z, v)
+            except (EvaluationError, FloatingPointError):
+                return math.inf, np.zeros_like(theta)
+            return (float(value[0]), grad[0]) if np.isfinite(value[0]) else (math.inf, np.zeros_like(theta))
         alpha, means, chols = self.split(theta)
         if self.xi is not None:
             penalty, pen_alpha, pen_means = self._penalty(alpha, means)
             if not np.isfinite(penalty):
                 return math.inf, np.zeros_like(theta)
         try:
-            if n == 1:
-                value, grad = _single_kl(self._phi, eps, self.nodes, self.log_z, _to_v(means, chols, eps))
-                return (float(value[0]), grad[0]) if np.isfinite(value[0]) else (math.inf, np.zeros_like(theta))
             # every component's points at once, (n, K, d)
             x = means[:, None, :] + self.scale * (self.z @ chols.transpose(0, 2, 1))
             pts = x.reshape(-1, d)

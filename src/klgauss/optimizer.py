@@ -47,7 +47,7 @@ from .measure import (
     find_modes,
     log_laplace_normalization,
 )
-from .objective import _ONE, _gh_nodes, _layout, _Objective, _single_evaluate, _single_kl, _to_v
+from .objective import _ONE, _from_v, _gh_nodes, _Objective, _single_evaluate, _single_kl, _to_v
 from .quadrature import NodeBudgetError
 
 # GH order selection: it runs only where the gh_order rule has more nodes
@@ -432,20 +432,15 @@ def minimize_single(
 # ---------------------------------------------------------------------------
 
 
-def _newton_single(phi, eps, means, chols, nodes):
-    """Best single Gaussians N(m_i, eps L_i L_i^T) for a batch of targets
-    exp(-Phi_i), by damped Newton on _single_evaluate from the given means
-    and factors; ``phi`` is as there.
+def _newton_single(phi, eps, v, nodes):
+    """Best single Gaussians for a batch of targets exp(-Phi_i), by damped
+    Newton on _single_evaluate from the points v (see _to_v); ``phi`` is as
+    there.
 
-    Returns (means, chols, steps, errors) as in _damped_newton.
+    Returns (v, steps, errors) as in _damped_newton.
     """
-    d = means.shape[1]
-    evaluate = functools.partial(_single_evaluate, phi, eps, nodes)
-    v, _, steps, errors = _damped_newton(evaluate, _to_v(means, chols, eps))
-    P = np.zeros((len(v), d * (d + 1)))
-    P[:, _layout(d).keep] = v
-    P = P.reshape(-1, d, d + 1)
-    return math.sqrt(eps) * P[:, :, 0], P[:, :, 1:], steps, errors
+    v, _, steps, errors = _damped_newton(functools.partial(_single_evaluate, phi, eps, nodes), v)
+    return v, steps, errors
 
 
 class _SingleFits(NamedTuple):
@@ -456,7 +451,7 @@ class _SingleFits(NamedTuple):
     there less log Z (_single_kl at log Z 0) at the GH order ``orders``
     Newton ran at, and ``refine`` the refinement error minimize_single would
     report (NaN for its None).  A caller adds its log Z to ``values``: the
-    sum is the KL _single_kl gives at that log Z, bit for bit.
+    sum is the KL _single_kl gives at that log Z at Newton's v, bit for bit.
     ``errors`` holds per target None or the exception that failed it: the
     LinAlgError of building its start, the NodeBudgetError of choosing its
     order, or the ArithmeticError that stopped its Newton search.  A target
@@ -484,7 +479,9 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
     ``phi(idx, x, hessian)`` is as in _single_evaluate, for the whole batch.
     Newton starts from modes[i] with the inverse of hessians[i] as rescaled
     covariance, the start minimize_single tries first with that one mode;
-    one batched inv and cholesky builds every start.  It runs at the GH
+    one batched inv and cholesky builds every start, and one _to_v packs
+    them.  Newton and the certificate both run on Newton's v, which is
+    unpacked once, into the returned means and factors.  It runs at the GH
     order minimize_single would select there (_select_orders over the
     batch), one batch per order.  The certificate is minimize_single's
     objective at that order, one _single_kl call for all targets of the
@@ -499,44 +496,36 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
     ladder = _gh_ladder(cfg, d)
     log_zs = np.asarray(log_zs, dtype=float)
     chols, errors = _batched_linalg(lambda H: np.linalg.cholesky(np.linalg.inv(H)), hessians)
-    fits = _SingleFits(np.array(modes, dtype=float), chols, np.full(n, math.nan),
-                       np.zeros(n, dtype=int), np.full(n, math.nan), np.zeros(n, dtype=bool),
-                       errors)
-
-    @functools.cache
-    def nodes(order):
-        return _gh_nodes(order, d)
+    v_all = _to_v(np.asarray(modes, dtype=float), chols, eps)
+    values, orders, refines = np.full(n, math.nan), np.zeros(n, dtype=int), np.full(n, math.nan)
+    certified = np.zeros(n, dtype=bool)
 
     def kl(order, idx, v):
         # the KL less log Z, so that adding a log Z rounds as _single_kl does
         free, grad = _single_kl(
-            lambda j, x, hessian: phi(idx[j], x, hessian), eps, nodes(order), 0.0, v
+            lambda j, x, hessian: phi(idx[j], x, hessian), eps, _gh_nodes(order, d), 0.0, v
         )
         return free + log_zs[idx], grad, free
 
     live = np.flatnonzero([e is None for e in errors])
-    v0 = _to_v(fits.means[live], fits.chols[live], eps)
-    orders, exc = _select_orders(
-        lambda order, j: kl(order, live[j], v0[j])[:2], ladder, len(live), cfg.grad_tol
+    orders[live], exc = _select_orders(
+        lambda order, j: kl(order, live[j], v_all[live[j]])[:2], ladder, len(live), cfg.grad_tol
     )
-    fits.orders[live] = orders
-    for i in live[orders == 0]:
+    for i in live[orders[live] == 0]:
         errors[i] = exc
 
     for i, order in enumerate(ladder):
-        idx = np.flatnonzero(fits.orders == order)
+        idx = np.flatnonzero(orders == order)
         if idx.size == 0:
             continue
-        m, L, _, newton_errors = _newton_single(
-            lambda j, x, hessian: phi(idx[j], x, hessian),
-            eps, fits.means[idx], fits.chols[idx], nodes(order),
+        v, _, newton_errors = _newton_single(
+            lambda j, x, hessian: phi(idx[j], x, hessian), eps, v_all[idx], _gh_nodes(order, d)
         )
         for target, exc in zip(idx, newton_errors):
             errors[target] = exc
         ran = np.array([e is None for e in newton_errors])
-        idx, m, L = idx[ran], m[ran], L[ran]
-        fits.means[idx], fits.chols[idx] = m, L
-        v = _to_v(m, L, eps)
+        idx, v = idx[ran], v[ran]
+        v_all[idx] = v
         value, grad, free = kl(order, idx, v)
         ok = np.isfinite(value) & (np.max(np.abs(grad), axis=1) <= cfg.grad_tol)
         idx, v, value, grad, free = idx[ok], v[ok], value[ok], grad[ok], free[ok]
@@ -548,8 +537,8 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
             refine = np.abs(value - kl(ladder[-2], idx, v)[0])
         else:
             refine = math.nan
-        fits.values[idx], fits.refine[idx], fits.certified[idx] = free, refine, True
-    return fits
+        values[idx], refines[idx], certified[idx] = free, refine, True
+    return _SingleFits(*_from_v(v_all, d, eps), values, orders, refines, certified, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +600,8 @@ def minimize_mixture(
         raise InfeasibleConstraintError(
             f"weight floor xi1={xi1} infeasible for n={n} (needs 0 < xi1 <= {1.0 / n})"
         )
-    if xi2 <= 0:
-        raise InfeasibleConstraintError("separation xi2 must be positive")
+    if not (math.isfinite(xi2) and xi2 > 0):
+        raise InfeasibleConstraintError("separation xi2 must be positive and finite")
     log_z, mode_set = _resolve_log_z(mu, mode_set, log_z, cfg, extra_starts)
     rng = np.random.default_rng(cfg.seed)
 

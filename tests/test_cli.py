@@ -183,6 +183,20 @@ def test_approx_bad_eps(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("approx", "--problem", "double-well", "--eps", "nan"),
+    ("approx", "--problem", "double-well", "--eps", "inf"),
+    ("sweep", "--problem", "double-well", "--eps-list", "0.1,nan"),
+    ("sweep", "--problem", "double-well", "--eps-list", "inf,0.1"),
+    ("approx", "--problem", "double-well", "--eps", "0.01", "--family", "mixture", "--xi2", "nan"),
+    ("approx", "--problem", "double-well", "--eps", "0.01", "--family", "mixture", "--xi2", "inf"),
+])
+def test_non_finite_eps_and_xi2_are_validation_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # --- sweep ------------------------------------------------------------------------
 
 

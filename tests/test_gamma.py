@@ -290,3 +290,9 @@ def test_sweep_warm_start_tracks_one_well(double_well_family, double_well_modes)
     )
     signs = {math.copysign(1.0, r.result.params.mean[0]) for r in sw.records}
     assert len(signs) == 1  # warm starting keeps the sweep in one well
+
+
+@pytest.mark.parametrize("eps_list", [(0.1, math.nan), (math.inf, 0.1), (math.nan,)])
+def test_sweep_rejects_eps_that_is_not_finite(double_well_family, eps_list):
+    with pytest.raises(ValueError):
+        sweep(double_well_family, eps_list, kind="single")

@@ -226,6 +226,13 @@ def test_mixture_constraint_checks():
     assert not close.satisfies_constraints()
 
 
+@pytest.mark.parametrize("xi2", [math.nan, math.inf])
+def test_mixture_rejects_a_separation_that_is_not_finite(xi2):
+    comps = (std_normal(), std_normal())
+    with pytest.raises(ValueError):
+        MixtureParams(comps, np.array([0.5, 0.5]), xi=(0.05, xi2))
+
+
 def test_mixture_validates_simplex():
     comps = (std_normal(), std_normal())
     with pytest.raises(ValueError):

@@ -542,12 +542,12 @@ def test_bvm_failed_draws_keep_their_cause(monkeypatch):
     # the posterior modes of the draws with eta > 1, Newton's starts for them
     j_inv = np.linalg.inv(inv.jacobian(p, cfg.truth))
     _, modes, _, _ = inv._draw_modes(p, cfg.truth, etas, cfg.eps_list[0], quadratic(dim=1), j_inv)
-    failing = {tuple(m) for m in modes[etas[:, 0] > 1.0]}
+    failing = {tuple(m) for m in modes[etas[:, 0] > 1.0] / math.sqrt(cfg.eps_list[0])}
 
-    def failing_newton(phi, eps, means, chols, nodes):
-        *out, errs = newton_single(phi, eps, means, chols, nodes)
-        return (*out, [np.linalg.LinAlgError("singular") if tuple(m) in failing else e
-                       for m, e in zip(means, errs)])
+    def failing_newton(phi, eps, v, nodes):
+        *out, errs = newton_single(phi, eps, v, nodes)
+        return (*out, [np.linalg.LinAlgError("singular") if tuple(row[:1]) in failing else e
+                       for row, e in zip(v, errs)])
 
     monkeypatch.setattr(optim, "_newton_single", failing_newton)
     level = inv.bvm_experiment(p, cfg).levels[0]
@@ -859,7 +859,7 @@ def test_newton_single_chunks_are_bit_identical(monkeypatch):
     def run():
         return optim._newton_single(
             lambda idx, x, hessian: inv._misfit_derivatives(p, Y[idx], prior, eps, x, hessian),
-            eps, modes, chols, objective._gh_nodes(20, 2),
+            eps, objective._to_v(modes, chols, eps), objective._gh_nodes(20, 2),
         )
 
     whole = run()
@@ -874,9 +874,9 @@ def test_newton_single_chunks_are_bit_identical(monkeypatch):
     monkeypatch.setattr(objective, "_SINGLE_CHUNK_POINTS", 1000)
     chunked = run()
     assert calls[:3] == [2, 2, 1]
-    assert chunked[3] == whole[3] == [None] * cfg.draws
-    assert whole[2].max() >= 2
-    for a, b in zip(chunked[:3], whole[:3]):
+    assert chunked[2] == whole[2] == [None] * cfg.draws
+    assert whole[1].max() >= 2
+    for a, b in zip(chunked[:2], whole[:2]):
         assert np.array_equal(a, b)
 
 
@@ -887,7 +887,7 @@ def test_single_evaluate_splits_a_rule_above_the_chunk(monkeypatch):
     p, eps, prior = problem(M=2, f=100.0), 1e-2, quadratic(dim=2)
     rng = np.random.default_rng(8)
     Y = inv.forward(p, np.zeros(2)) + math.sqrt(eps) * rng.standard_normal((3, 2))
-    v = np.array([[0.1, -0.2, 0.9, 0.1, 1.1], [0.0, 0.3, 1.2, -0.2, 0.8], [-0.1, 0.0, 1.0, 0.0, 1.0]])
+    v = np.array([[0.1, -0.2, 0.9, 1.1, 0.1], [0.0, 0.3, 1.2, 0.8, -0.2], [-0.1, 0.0, 1.0, 1.0, 0.0]])
     calls = []
 
     def phi(idx, x, hessian):
@@ -915,8 +915,8 @@ def test_bvm_newton_failure_fails_every_draw(monkeypatch):
     newton_single = optim._newton_single
 
     def failing_newton(*args, **kwargs):
-        means, chols, steps, errors = newton_single(*args, **kwargs)
-        return means, chols, steps, [ArithmeticError("forced")] * len(errors)
+        v, steps, errors = newton_single(*args, **kwargs)
+        return v, steps, [ArithmeticError("forced")] * len(errors)
 
     def no_minimize_single(*args, **kwargs):
         raise AssertionError("the panel called minimize_single")
@@ -1131,13 +1131,14 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
     failing, fits = [0, 4], []
     newton_single, newton_singles = optim._newton_single, optim._newton_singles
 
-    def draw_of(mode):
-        return next(i for i in range(len(modes)) if np.array_equal(mode, modes[i]))
+    def draw_of(row):
+        # Newton's v starts at the mode in concentration units
+        return next(i for i in range(len(modes)) if np.array_equal(row[:3], modes[i] / math.sqrt(eps)))
 
-    def failing_newton(phi, eps, means, chols, nodes):
-        *out, errs = newton_single(phi, eps, means, chols, nodes)
-        return (*out, [ArithmeticError("forced") if draw_of(m) in failing else e
-                       for m, e in zip(means, errs)])
+    def failing_newton(phi, eps, v, nodes):
+        *out, errs = newton_single(phi, eps, v, nodes)
+        return (*out, [ArithmeticError("forced") if draw_of(row) in failing else e
+                       for row, e in zip(v, errs)])
 
     def recording(*args):
         fits.append(newton_singles(*args))
@@ -1165,10 +1166,11 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
         chol0 = np.linalg.cholesky(np.linalg.inv(h_effs[i]))[None]
         order = optim._select_order(
             make, ladder, make(ladder[0]).pack(np.ones(1), modes[i : i + 1], chol0), opt_cfg.grad_tol)
-        means, chols, _, errs = newton_single(
+        v, _, errs = newton_single(
             lambda j, x, hessian: inv._misfit_derivatives(p, Y[i : i + 1][j], prior, eps, x, hessian),
-            eps, modes[i : i + 1], chol0, objective._gh_nodes(order, 3))
+            eps, objective._to_v(modes[i : i + 1], chol0, eps), objective._gh_nodes(order, 3))
         assert errs == [None]
+        means, chols = objective._from_v(v, 3, eps)
         theta = make(order).pack(np.ones(1), means, chols)
         value, grad = make(order).value_grad(theta)
         assert np.max(np.abs(grad)) <= opt_cfg.grad_tol
@@ -1241,6 +1243,12 @@ def test_bvm_m3_level_reports_its_oracle_error():
     (lv,) = inv.bvm_experiment(p, cfg).levels
     assert lv.logz_rel_error > 1e-3
     assert lv.grid_points == cfg.draws * 65**3
+
+
+@pytest.mark.parametrize("eps_list", [(0.1, math.nan), (math.inf, 0.1), (math.nan,)])
+def test_bvm_config_rejects_eps_that_is_not_finite(eps_list):
+    with pytest.raises(ValueError):
+        inv.BvMConfig(truth=np.array([0.0]), eps_list=eps_list, draws=30)
 
 
 def test_bvm_validation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -715,9 +716,34 @@ def test_load_problem_from_json(tmp_path):
     assert ms.n == 2
 
 
+def test_load_problem_marks_v1_as_the_dominant_family(monkeypatch):
+    # a v1 built outside the dominant family (linear) comes back as the same
+    # potential marked v1_family: same name, spec, metadata and callables
+    built = []
+
+    def recording(spec, dim):
+        built.append(P.potential_from_spec(spec, dim))
+        return built[-1]
+
+    monkeypatch.setattr(measure, "potential_from_spec", recording)
+    spec = {"id": "linear", "params": {"slope": [2.0]}}
+    fam = load_problem({"name": "tilt", "dim": 1, "v1": spec, "v2": {"id": "zero"}})
+    plain, v1 = built[0], fam.v1_limit
+    assert not plain.v1_family and v1.v1_family
+    # Potential equality compares every field but spec, the callables by identity
+    assert v1 == replace(plain, v1_family=True)
+    assert v1.spec == plain.spec == spec
+
+
 def test_load_problem_validates():
     with pytest.raises(ValueError):
         load_problem({"name": "x", "dim": 1, "v1": {"id": "double-well"}})
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_target_measure_rejects_eps_that_is_not_finite(eps):
+    with pytest.raises(ValueError):
+        kg.TargetMeasure(v1=P.zero(1), v2=P.zero(1), epsilon=eps)
 
 
 def test_builtin_problem_unknown():

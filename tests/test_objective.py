@@ -14,8 +14,14 @@ from klgauss.objective import (
     expectation_under_gaussian,
     f_eps,
     g_eps,
+    _from_v,
+    _gh_nodes,
     _mc_nodes,
     _nodes,
+    _Objective,
+    _ONE,
+    _single_kl,
+    _to_v,
     gaussian_entropy_term,
     kl_single,
     mixture_entropy,
@@ -529,3 +535,54 @@ def test_kl_estimate_json_serialization(quadratic_family):
     assert doc["method"] == GAUSS_HERMITE
     assert doc["value"] == pytest.approx(sum(doc["detail"].values()))
     assert set(doc["detail"]) == {"v1_term", "v2_term", "entropy_term", "log_z"}
+
+
+# --- the packing of a single Gaussian ---------------------------------------------
+
+
+def single_case(d, seed=0):
+    """A mean and a lower-triangular factor with positive diagonal, in dimension d."""
+    rng = np.random.default_rng(seed + d)
+    L = np.tril(rng.standard_normal((d, d)))
+    L[np.diag_indices(d)] = rng.uniform(0.5, 2.0, d)
+    return rng.standard_normal(d), L
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_from_v_inverts_to_v(d):
+    # eps a power of 4, so that dividing the mean by sqrt(eps) and
+    # multiplying it back is exact
+    m, L = single_case(d)
+    eps = 4.0**-3
+    means, chols = _from_v(_to_v(m[None], L[None], eps), d, eps)
+    assert np.array_equal(means[0], m) and np.array_equal(chols[0], L)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_single_theta_is_v_with_log_diagonal(d):
+    # one packing: _Objective's theta at n = 1 is Newton's v with log L_aa,
+    # and the L_aa are v[:, d:2d]
+    m, L = single_case(d)
+    eps = 1e-3
+    obj = _Objective(kg.TargetMeasure(P.quadratic(dim=d), P.zero(d), eps), 0.0, _gh_nodes(2, d))
+    v = _to_v(m[None], L[None], eps)[0]
+    assert np.array_equal(v[d : 2 * d], np.diag(L))
+    want = v.copy()
+    want[d : 2 * d] = np.log(want[d : 2 * d])
+    assert np.array_equal(obj.pack(_ONE, [m], [L]), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_single_value_grad_is_single_kl(d):
+    # at n = 1 value_grad is _single_kl at theta with its L_aa exponentiated,
+    # bit for bit
+    m, L = single_case(d)
+    eps = 0.05
+    mu = kg.TargetMeasure(P.quadratic(dim=d, scale=2.0, center=np.full(d, 0.3)), P.linear(dim=d), eps)
+    obj = _Objective(mu, 0.4, _gh_nodes(5, d))
+    theta = obj.pack(_ONE, [m], [L])
+    v = theta.copy()
+    v[d : 2 * d] = np.exp(v[d : 2 * d])
+    value, grad = _single_kl(obj._phi, eps, obj.nodes, 0.4, v[None])
+    got_value, got_grad = obj.value_grad(theta)
+    assert got_value == value[0] and np.array_equal(got_grad, grad[0])

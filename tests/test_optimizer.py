@@ -5,7 +5,7 @@ import pytest
 
 import klgauss as kg
 from klgauss import optimizer
-from klgauss.objective import _gh_nodes, _single_kl, _to_v
+from klgauss.objective import _from_v, _gh_nodes, _single_kl, _to_v
 from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
@@ -178,6 +178,12 @@ def test_mixture_infeasible_xi1_rejected(double_well_family):
         minimize_mixture(mu, 2, (0.6, 1.0))
     with pytest.raises(InfeasibleConstraintError):
         minimize_mixture(mu, 2, (0.05, -1.0))
+
+
+@pytest.mark.parametrize("xi2", [math.nan, math.inf])
+def test_mixture_non_finite_xi2_rejected(double_well_family, xi2):
+    with pytest.raises(InfeasibleConstraintError):
+        minimize_mixture(double_well_family.at(0.01), 2, (0.05, xi2))
 
 
 def test_mixture_canonical_component_order(double_well_family):
@@ -475,9 +481,10 @@ def test_newton_single_quadratic_closed_form(d):
     # N(c_i, eps A_i^-1), and the order-3 rule integrates the objective exactly
     eps = 1e-3
     centers, precisions, means0, chols0 = _quadratic_batch(d)
-    means, chols, steps, errors = optimizer._newton_single(
-        _quadratic_phi(centers, precisions, eps), eps, means0, chols0, _gh_nodes(3, d)
+    v, steps, errors = optimizer._newton_single(
+        _quadratic_phi(centers, precisions, eps), eps, _to_v(means0, chols0, eps), _gh_nodes(3, d)
     )
+    means, chols = _from_v(v, d, eps)
     assert errors == [None] * len(centers)
     assert np.all(steps <= 20)
     np.testing.assert_allclose(means, centers, rtol=0, atol=1e-12)
@@ -492,9 +499,10 @@ def test_newton_single_mixed_batch_converges_the_good_draws():
     d, eps = 2, 1e-2
     centers, precisions, means0, chols0 = _quadratic_batch(d)
     precisions[1] = -precisions[1]
-    means, chols, _, errors = optimizer._newton_single(
-        _quadratic_phi(centers, precisions, eps), eps, means0, chols0, _gh_nodes(3, d)
+    v, _, errors = optimizer._newton_single(
+        _quadratic_phi(centers, precisions, eps), eps, _to_v(means0, chols0, eps), _gh_nodes(3, d)
     )
+    means, chols = _from_v(v, d, eps)
     assert isinstance(errors[1], ArithmeticError)
     good = [0, 2, 3]
     assert [errors[i] for i in good] == [None] * 3
@@ -563,7 +571,8 @@ def test_newton_singles_certified_on_the_ladder(monkeypatch):
     assert abs(obj_value - (fits.values[0] + log_z)) <= 1e-13
     assert np.max(np.abs(obj_grad)) <= cfg.grad_tol
     # an objective on which the orders agree only at the start: the Newton
-    # point fails the certificate, and the target is left to minimize_single
+    # point fails the certificate, and the target is not certified: Newton
+    # has no fallback
     v0 = optimizer._to_v(ms.modes, np.linalg.cholesky(np.linalg.inv(ms.hessians)), mu.epsilon)
     single_kl = optimizer._single_kl
     monkeypatch.setattr(optimizer, "_single_kl", _orders_agree_at_start_only(v0))

@@ -28,7 +28,6 @@ from .measure import (
 )
 from .objective import GAUSS_HERMITE, MONTE_CARLO, EstimatorConfig, g_eps, kl_single
 from .optimizer import (
-    InfeasibleConstraintError,
     OptimizerConfig,
     _locate_modes,
     minimize_mixture,
@@ -249,10 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, InfeasibleConstraintError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError, InfeasibleConstraintError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DegenerateModeError, ModeSearchError) as exc:

@@ -322,6 +322,16 @@ def _mixture_record(ms, eps, result, limit_min):
     )
 
 
+def _warm_start(result):
+    """The start a sweep's next level takes from ``result``: (mean, rescaled
+    covariance) for a single Gaussian, or (weights, means, Cholesky factors
+    of the rescaled covariances) for a mixture."""
+    if result.kind == "single":
+        return result.params.mean, result.rescaled_covariances
+    cov = result.rescaled_covariances
+    return result.params.weights, result.params.means, [np.linalg.cholesky(c) for c in cov]
+
+
 def sweep(
     family: MeasureFamily,
     eps_list,
@@ -371,7 +381,7 @@ def sweep(
         _, _, limit_min = limit_minimizer_single(mode_set)
 
     records = []
-    warm = None
+    start = {"cfg": cfg, "mode_set": mode_set}
     warm_cfg = replace(cfg, multistart=1)
     for eps in eps_list:
         mu = family.at(eps)
@@ -380,34 +390,13 @@ def sweep(
         else:
             log_z = log_laplace_normalization(mode_set, eps)
         if kind == "single":
-            if warm is None:
-                result = minimize_single(mu, cfg, mode_set=mode_set, log_z=log_z)
-            else:
-                # recovery-sequence warm start: track the established well
-                extra = [(warm.params.mean, warm.rescaled_covariances)]
-                result = minimize_single(
-                    mu, warm_cfg, mode_set=None, log_z=log_z, extra_starts=extra
-                )
+            result = minimize_single(mu, log_z=log_z, **start)
             records.append(_single_record(mode_set, eps, result, limit_min))
         else:
-            if warm is None:
-                result = minimize_mixture(
-                    mu, n, xi, cfg, mode_set=mode_set, log_z=log_z
-                )
-            else:
-                mix = warm.params
-                extra = [
-                    (
-                        mix.weights,
-                        mix.means,
-                        [np.linalg.cholesky(c) for c in warm.rescaled_covariances],
-                    )
-                ]
-                result = minimize_mixture(
-                    mu, n, xi, warm_cfg, mode_set=None, log_z=log_z, extra_starts=extra
-                )
+            result = minimize_mixture(mu, n, xi, log_z=log_z, **start)
             records.append(_mixture_record(mode_set, eps, result, limit_min))
-        warm = result
+        # recovery-sequence warm start: track the established well
+        start = {"cfg": warm_cfg, "mode_set": None, "extra_starts": [_warm_start(result)]}
         if estimator is not None and estimator.method == "monte-carlo":
             _reestimate_record(records[-1], family, eps, result, log_z, estimator)
 

@@ -372,8 +372,8 @@ def find_modes(
 
 def laplace_normalization(ms: ModeSet, epsilon: float) -> float:
     """Leading-order Laplace value (2*pi*eps)^(d/2) * sum_i beta^i."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     return float(
         (2.0 * math.pi * epsilon) ** (ms.dim / 2.0) * np.sum(ms.raw_weights)
     )
@@ -386,8 +386,8 @@ def log_laplace_normalization(ms: ModeSet, epsilon: float) -> float:
 def _log_laplace(dim, raw_weights, epsilon):
     """log of the Laplace value (2 pi eps)^(d/2) sum_i beta^i of mode sets
     with raw weights beta (..., n)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     return 0.5 * dim * math.log(2.0 * math.pi * epsilon) + np.log(np.sum(raw_weights, axis=-1))
 
 

@@ -353,10 +353,15 @@ class _Objective:
             v = np.array(theta, dtype=float, ndmin=2)
             v[:, d : 2 * d] = np.exp(np.clip(v[:, d : 2 * d], -_LOGDIAG_CAP, _LOGDIAG_CAP))
             try:
-                value, grad = _single_kl(self._phi, eps, self.nodes, self.log_z, v)
+                # a trial step may overflow the potential, so that the value
+                # is finite and the gradient not: both count as +inf
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value, grad = _single_kl(self._phi, eps, self.nodes, self.log_z, v)
             except (EvaluationError, FloatingPointError):
                 return math.inf, np.zeros_like(theta)
-            return (float(value[0]), grad[0]) if np.isfinite(value[0]) else (math.inf, np.zeros_like(theta))
+            if np.isfinite(value[0]) and np.all(np.isfinite(grad)):
+                return float(value[0]), grad[0]
+            return math.inf, np.zeros_like(theta)
         alpha, means, chols = self.split(theta)
         if self.xi is not None:
             penalty, pen_alpha, pen_means = self._penalty(alpha, means)

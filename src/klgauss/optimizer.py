@@ -13,15 +13,16 @@ parameterization, lives in ``objective.py``:
 
 BFGS minimizes it on fixed Gauss-Hermite nodes, where it is smooth and
 deterministic and its gradient exact.  Multistart globalization seeds means
-at the located modes with covariances from the inverse mode Hessians.  Where the ``gh_order`` rule is large, BFGS runs at the lowest of
-its halved orders that is certified against the next finer one (see
-OptimizerConfig).
+at the located modes with covariances from the inverse mode Hessians.  Where
+the ``gh_order`` rule is large, BFGS runs at the lowest of its halved orders
+that is certified against the next finer one (see OptimizerConfig).
 
 For a batch of single-Gaussian targets given by the derivatives of their
 potentials (the BvM noise panel), ``_newton_singles`` runs damped Newton on
-``_single_evaluate`` instead of BFGS, and certifies every endpoint as a BFGS
-endpoint is certified, in batched evaluations; a target whose Newton search
-fails or whose endpoint fails the certificate has no fit.
+``_single_evaluate`` instead of BFGS, and certifies its endpoints through the
+one certificate of a BFGS endpoint, ``_certify``, in batched evaluations; a
+target whose Newton search fails or whose endpoint fails the certificate has
+no fit.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ class OptimizerConfig:
     -> 2) whose value and gradient agree with the next ladder order at the
     first start: values to 1e-10 relative, gradients to 1e-2 * grad_tol.
     Every start's endpoint is certified the same way against the next order
-    before the starts are ranked; where it fails, BFGS continues from it at
-    that order, up to gh_order.  No rule of more than
+    (_certify) before the starts are ranked; where it fails, BFGS continues
+    from it at that order, up to gh_order, where the gap to the half order
+    is recorded instead.  ``grad_tol`` must be positive and finite.  No
+    rule of more than
     quadrature.MAX_GH_NODES (1e6) nodes is built: where selection or
     certification needs one, NodeBudgetError is raised.
     """
@@ -92,8 +95,8 @@ class OptimizerConfig:
     gh_order: int = 20
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be positive and finite")
         if self.multistart < 1:
             raise ValueError("multistart count must be >= 1")
 
@@ -217,7 +220,7 @@ class _Best(NamedTuple):
     ok: bool
     nit: int
     order: int  # the GH order BFGS ended at
-    refine: float | None  # |value - value at the next ladder order|
+    refine: float  # _certify's refine at the endpoint: NaN for a one-order ladder
 
 
 def _at_order(mu, log_z, **kwargs):
@@ -287,20 +290,42 @@ def _select_order(make, ladder, theta0, grad_tol):
     return int(order)
 
 
+def _certify(evaluate, ladder, order, coarse, grad_tol):
+    """Certify endpoints that ended at the GH ``order`` against the ladder.
+
+    ``coarse`` holds the endpoints' values (k,) and gradients (k, p) at
+    ``order``, and ``evaluate(o)`` returns the same pair at order o; a
+    single endpoint, with a scalar value and a gradient (p,), works as well.
+    Below the reference order ladder[-1], an endpoint passes where it agrees
+    with the next ladder order (_agree), and ``refine`` is |value - next
+    value|.  At the reference order every endpoint passes, and ``refine`` is
+    |value - half-order value|, or NaN where the ladder is the reference
+    order alone.  Returns (ok, refine, fine), with ``fine`` the evaluation
+    refine was measured against (None for a one-order ladder).
+    """
+    ok = np.ones(np.shape(coarse[0]), dtype=bool)
+    if len(ladder) == 1:
+        return ok, np.full(ok.shape, math.nan), None
+    below = order < ladder[-1]
+    fine = evaluate(ladder[ladder.index(order) + 1] if below else ladder[-2])
+    return (_agree(coarse, fine, grad_tol) if below else ok), np.abs(coarse[0] - fine[0]), fine
+
+
 def _run_starts(make, ladder, order, starts, cfg, grad_tol):
     """BFGS from every start, each endpoint certified; the best endpoint.
 
     ``make(order)`` builds the objective at a GH order.  Every start runs at
-    ``order``; its endpoint is evaluated at the next ladder order and, while
-    the two disagree, BFGS continues from it at that order, up to the
-    reference order ladder[-1].  Starts are ranked by their certified
-    values.  Returns (best, traces), one trace per BFGS run.
+    ``order``; its finite endpoint is certified by _certify and, while it
+    fails, BFGS continues from it at the next ladder order, up to the
+    reference order ladder[-1].  A run that ends at a value that is not
+    finite ends its start.  Starts are ranked by their certified values.
+    Returns (best, traces), one trace per BFGS run.
     """
     make = functools.cache(make)
     traces = []
     best = None
     for theta in starts:
-        i, nit, refine = ladder.index(order), 0, None
+        i, nit = ladder.index(order), 0
         f0, _ = make(order).value_grad(theta)
         while True:
             res = _scipy_minimize(
@@ -322,36 +347,19 @@ def _run_starts(make, ladder, order, starts, cfg, grad_tol):
                     converged=ok,
                 )
             )
-            if i + 1 == len(ladder) or not np.isfinite(res.fun):
+            if not np.isfinite(res.fun):
                 break
-            refine, fine = _next_order_refine(make, ladder, ladder[i], res.x, (res.fun, res.jac), grad_tol)
-            if refine is not None:
+            passed, refine, fine = _certify(
+                lambda o: make(o).value_grad(res.x), ladder, ladder[i], (res.fun, res.jac), grad_tol
+            )
+            if passed:
                 break
             i, theta, f0 = i + 1, res.x, fine[0]
         if np.isfinite(res.fun) and (best is None or res.fun < best.value):
-            best = _Best(float(res.fun), np.asarray(res.x), ok, nit, ladder[i], refine)
+            best = _Best(float(res.fun), np.asarray(res.x), ok, nit, ladder[i], float(refine))
     if best is None:
         raise RuntimeError("all optimizer starts failed to produce a finite value")
-    if best.refine is None:
-        best = best._replace(refine=_reference_refine(make, ladder, best.value, best.theta))
     return best, traces
-
-
-def _next_order_refine(make, ladder, order, theta, coarse, grad_tol):
-    """Certify ``coarse``, the value and gradient at theta at a ladder order
-    below the reference, against the next ladder order.
-
-    Returns (refine, fine): fine is the next order's evaluation, and refine
-    is |value - fine value| where the two agree (_agree) and None where not.
-    """
-    fine = make(ladder[ladder.index(order) + 1]).value_grad(theta)
-    return (abs(coarse[0] - fine[0]) if _agree(coarse, fine, grad_tol) else None), fine
-
-
-def _reference_refine(make, ladder, value, theta):
-    """At the reference order: |value - value at the half order|, or None
-    where the ladder is the reference order alone."""
-    return abs(value - make(ladder[-2]).value_grad(theta)[0]) if len(ladder) > 1 else None
 
 
 def _single_result(obj, best, traces=()):
@@ -368,7 +376,7 @@ def _single_result(obj, best, traces=()):
         log_z=obj.log_z,
         gh_order=best.order,
         traces=list(traces),
-        gh_refine_error=best.refine,
+        gh_refine_error=None if math.isnan(best.refine) else best.refine,
     )
 
 
@@ -485,9 +493,8 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
     order minimize_single would select there (_select_orders over the
     batch), one batch per order.  The certificate is minimize_single's
     objective at that order, one _single_kl call for all targets of the
-    order: a finite value, a gradient of at most cfg.grad_tol, and below
-    gh_order agreement with the next ladder order (_agree); at gh_order the
-    refinement error against the half order is recorded.  Each target ends
+    order: a finite value, a gradient of at most cfg.grad_tol, and one
+    _certify call on the batch, as for a BFGS endpoint.  Each target ends
     certified or failed; nothing falls back to BFGS.
 
     Returns _SingleFits.
@@ -514,7 +521,7 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
     for i in live[orders[live] == 0]:
         errors[i] = exc
 
-    for i, order in enumerate(ladder):
+    for order in ladder:
         idx = np.flatnonzero(orders == order)
         if idx.size == 0:
             continue
@@ -529,15 +536,10 @@ def _newton_singles(phi, eps, log_zs, modes, hessians, cfg):
         value, grad, free = kl(order, idx, v)
         ok = np.isfinite(value) & (np.max(np.abs(grad), axis=1) <= cfg.grad_tol)
         idx, v, value, grad, free = idx[ok], v[ok], value[ok], grad[ok], free[ok]
-        if order < ladder[-1]:
-            fine = kl(ladder[i + 1], idx, v)
-            ok = _agree((value, grad), fine[:2], cfg.grad_tol)
-            idx, free, refine = idx[ok], free[ok], np.abs(value - fine[0])[ok]
-        elif len(ladder) > 1:
-            refine = np.abs(value - kl(ladder[-2], idx, v)[0])
-        else:
-            refine = math.nan
-        values[idx], refines[idx], certified[idx] = free, refine, True
+        ok, refine, _ = _certify(
+            lambda o: kl(o, idx, v)[:2], ladder, order, (value, grad), cfg.grad_tol
+        )
+        values[idx[ok]], refines[idx[ok]], certified[idx[ok]] = free[ok], refine[ok], True
     return _SingleFits(*_from_v(v_all, d, eps), values, orders, refines, certified, errors)
 
 
@@ -642,5 +644,5 @@ def minimize_mixture(
         log_z=log_z,
         gh_order=best.order,
         traces=traces,
-        gh_refine_error=best.refine,
+        gh_refine_error=None if math.isnan(best.refine) else best.refine,
     )

@@ -1174,11 +1174,9 @@ def test_bvm_level_m3_ladder_with_mixed_outcomes(monkeypatch):
         theta = make(order).pack(np.ones(1), means, chols)
         value, grad = make(order).value_grad(theta)
         assert np.max(np.abs(grad)) <= opt_cfg.grad_tol
-        if order < ladder[-1]:
-            refine, _ = optim._next_order_refine(
-                make, ladder, order, theta, (value, grad), opt_cfg.grad_tol)
-        else:
-            refine = optim._reference_refine(make, ladder, value, theta)
+        ok, refine, _ = optim._certify(
+            lambda o: make(o).value_grad(theta), ladder, order, (value, grad), opt_cfg.grad_tol)
+        assert ok
         assert fit.orders[i] == order
         assert abs(fit.refine[i] - refine) <= 1e-10
         assert np.max(np.abs(fit.means[i] - means[0])) <= 1e-10

@@ -222,6 +222,14 @@ def test_laplace_standard_normal_2d():
     assert kg.laplace_normalization(ms, 1.0) == pytest.approx(2 * math.pi)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_laplace_rejects_eps_that_is_not_finite(double_well_modes, eps):
+    with pytest.raises(ValueError):
+        kg.laplace_normalization(double_well_modes, eps)
+    with pytest.raises(ValueError):
+        measure.log_laplace_normalization(double_well_modes, eps)
+
+
 # --- quadrature_normalization ---------------------------------------------------
 
 

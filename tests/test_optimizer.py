@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from klgauss.optimizer import (
     InfeasibleConstraintError,
     OptimizerConfig,
     _agree,
+    _certify,
     _Objective,
     minimize_mixture,
     minimize_single,
@@ -299,7 +301,9 @@ def test_small_rules_run_at_gh_order_only(monkeypatch, d):
     # value is one evaluation of its unpenalized objective
     assert len(_OrderLog.orders) == sum(nfev) + len(nfev) + 1
     for res in (single, mix):
+        # the ladder is [20] alone: _certify's NaN gap reads None
         assert res.gh_order == 20 and res.gh_refine_error is None
+        assert res.to_json(verbose=True)["gh_refine_error"] is None
 
 
 class _LowOrdersAgreeAtStartOnly(_Objective):
@@ -350,6 +354,74 @@ def test_agreement_bounds():
     assert _agree((1.0, g), (1.0, g + 1e-10), 1e-8)
     assert not _agree((1.0, g), (1.0, g + 1e-9), 1e-8)
     assert not _agree((math.inf, g), (math.inf, g), 1e-8)
+
+
+def _fake_ladder_evaluations(k=3, p=2):
+    """Values (k,) and gradients (k, p) at the orders 2, 5, 10, 20: endpoint
+    0 agrees at every pair of adjacent orders, endpoint 1 differs in value
+    and endpoint 2 in gradient between every pair."""
+    evals = {}
+    for step, order in enumerate([2, 5, 10, 20]):
+        value = np.array([1.0 + 1e-12 * step, 2.0 + 1e-6 * step, 3.0])
+        grad = np.zeros((k, p))
+        grad[2, 1] = 1e-6 * step
+        evals[order] = (value, grad)
+    return evals
+
+
+def test_certify_on_a_four_order_ladder():
+    evals, ladder, grad_tol = _fake_ladder_evaluations(), [2, 5, 10, 20], 1e-8
+    asked = []
+
+    def evaluate(order):
+        asked.append(order)
+        return evals[order]
+
+    # below the reference order: against the next order, once
+    for order, finer in zip(ladder, ladder[1:]):
+        asked.clear()
+        ok, refine, fine = _certify(evaluate, ladder, order, evals[order], grad_tol)
+        assert asked == [finer] and fine is evals[finer]
+        assert np.array_equal(ok, _agree(evals[order], evals[finer], grad_tol))
+        assert ok.tolist() == [True, False, False]
+        assert np.array_equal(refine, np.abs(evals[order][0] - evals[finer][0]))
+    # at the reference order: every endpoint passes, with the half-order gap
+    asked.clear()
+    ok, refine, fine = _certify(evaluate, ladder, 20, evals[20], grad_tol)
+    assert asked == [10] and fine is evals[10]
+    assert ok.tolist() == [True, True, True]
+    assert np.array_equal(refine, np.abs(evals[20][0] - evals[10][0]))
+    # a BFGS endpoint is the one-point case
+    ok, refine, _ = _certify(lambda o: (evals[o][0][1], evals[o][1][1]), ladder, 5,
+                             (evals[5][0][1], evals[5][1][1]), grad_tol)
+    assert not ok and refine == abs(evals[5][0][1] - evals[10][0][1])
+    # a one-order ladder: nothing is evaluated, and there is no gap
+    asked.clear()
+    ok, refine, fine = _certify(evaluate, [20], 20, evals[20], grad_tol)
+    assert asked == [] and fine is None
+    assert ok.tolist() == [True, True, True] and np.isnan(refine).all()
+
+
+@pytest.mark.parametrize("grad_tol", [math.nan, math.inf])
+def test_config_rejects_grad_tol_that_is_not_finite(grad_tol):
+    # a NaN tolerance stopped BFGS at once and reported the start converged
+    with pytest.raises(ValueError):
+        OptimizerConfig(grad_tol=grad_tol)
+
+
+def test_overflowing_trial_steps_warn_nothing():
+    # trial steps on this 2-D elliptic posterior reach q > 709, where the
+    # coefficient exp(q) overflows: the misfit stays finite and its gradient
+    # is 0 * inf = NaN; the objective counts such a point as +inf, silently
+    eta = [-1.6038368053963015, 0.06409991400376411]
+    doc = {"name": "elliptic-m2", "dim": 2, "v2": {"id": "quadratic"},
+           "v1": {"id": "elliptic-exp", "params": {"M": 2, "f": [100, 100], "eta": eta}}}
+    mu = kg.load_problem(doc).at(0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = minimize_single(mu, OptimizerConfig(multistart=4, seed=0))
+    assert res.converged and res.gh_order == 20
+    assert res.value == pytest.approx(0.08198121017357929, rel=1e-12, abs=0)
 
 
 def test_start_value_is_the_objective_at_the_start(double_well_family):

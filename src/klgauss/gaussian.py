@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # Cholesky diagonal floor: keeps log det finite in double precision.  The
 # theory assigns KL = +inf to degenerate covariances; construction simply
@@ -82,6 +81,8 @@ class GaussianParams:
 
     def log_density(self, x):
         """Exact log N(x; mean, Sigma) via triangular solves."""
+        from scipy.linalg import solve_triangular
+
         from .potentials import as_points
 
         pts, single = as_points(x, self.dim)
@@ -116,6 +117,8 @@ def kl_gaussian_gaussian(a: GaussianParams, b: GaussianParams) -> float:
         raise ValueError("dimension mismatch")
     if a is b or (np.array_equal(a.mean, b.mean) and np.array_equal(a.chol, b.chol)):
         return 0.0
+    from scipy.linalg import solve_triangular
+
     d = a.dim
     m = solve_triangular(b.chol, a.chol, lower=True)
     trace = float(np.sum(m * m))

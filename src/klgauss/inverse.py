@@ -20,9 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here since the posterior mode is found by Newton; kept because
-# perfbench/tracer.py patches this name in every BFGS-calling module
-from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from .gamma import RateFit, fit_rate, sweep
 from .gaussian import LOG_2PI
@@ -37,11 +34,21 @@ from .measure import (
     oracle_integrals,
 )
 from .optimizer import OptimizerConfig, _newton_singles
-from .potentials import Potential, as_points, potential_from_spec, quadratic
+from .potentials import Potential, potential_from_spec, quadratic
 from .quadrature import integrate_exp_stack
 
 VARIANTS = ("exp", "square")
 _PINSKER_SLACK = 1e-3  # a draw violates Pinsker where TV > sqrt(KL / 2) + this
+
+
+def __getattr__(name):
+    # perfbench/tracer.py wraps this name in each BFGS caller it lists; this
+    # module runs no BFGS, so it is scipy's minimize, imported when first read
+    if name == "_scipy_minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -263,35 +270,6 @@ def posterior(p: EllipticProblem, truth, eta, epsilon: float, prior: Potential |
     """Posterior at a fixed noise scale, the TargetMeasure
     exp(-|y - G(x)|^2/(2 eps) - V0(x))."""
     return posterior_family(p, truth, eta, prior).at(epsilon)
-
-
-def large_data_log_density(p: EllipticProblem, truth, etas, prior, x):
-    """Unnormalized log posterior for N repeated observations
-    y_i = G(truth) + eta_i (raw sum form)."""
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    prior = prior if prior is not None else quadratic(dim=p.M)
-    pts, single = as_points(x, p.M)
-    misfits, _, _ = _misfit(p, forward(p, truth) + etas, pts[None], 0)
-    out = -np.sum(misfits, axis=0) - prior.value(pts)
-    return float(out[0]) if single else out
-
-
-def large_data_posterior(p: EllipticProblem, truth, etas, prior=None):
-    """Completed-square equivalent of the repeated-observation posterior.
-
-    Returns (measure, log_offset) with eps = 1/N and effective noise
-    sqrt(N) * mean(etas); the raw-sum log density equals the measure's
-    unnormalized log density plus ``log_offset`` pointwise.
-    """
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    n_obs = etas.shape[0]
-    eta_bar = np.mean(etas, axis=0)
-    eps = 1.0 / n_obs
-    measure = posterior(p, truth, math.sqrt(n_obs) * eta_bar, eps, prior)
-    log_offset = 0.5 * n_obs * float(eta_bar @ eta_bar) - 0.5 * float(
-        np.sum(etas * etas)
-    )
-    return measure, log_offset
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-# unused here since modes are found by Newton; kept because
-# perfbench/tracer.py patches this name in every BFGS-calling module
-from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from .potentials import Potential, potential_from_spec, zero
 from .quadrature import (
@@ -38,6 +35,16 @@ from .quadrature import (
     _valid_boxes,
     integrate_exp,
 )
+
+
+def __getattr__(name):
+    # perfbench/tracer.py wraps this name in each BFGS caller it lists; this
+    # module runs no BFGS, so it is scipy's minimize, imported when first read
+    if name == "_scipy_minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ModeSearchError(RuntimeError):

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .gaussian import GaussianParams, MixtureParams
 from .measure import (
@@ -309,6 +308,15 @@ def _certify(evaluate, ladder, order, coarse, grad_tol):
     below = order < ladder[-1]
     fine = evaluate(ladder[ladder.index(order) + 1] if below else ladder[-2])
     return (_agree(coarse, fine, grad_tol) if below else ok), np.abs(coarse[0] - fine[0]), fine
+
+
+def _scipy_minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on its first call: a process that
+    runs no BFGS (the BvM panel, ``klgauss modes``) never loads scipy.optimize.
+    The module global is not rebound, so a patch of it stays in place."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _run_starts(make, ladder, order, starts, cfg, grad_tol):

@@ -476,3 +476,31 @@ def test_bvm_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # floating-point posterior width
     outputs = cli_bytes_per_thread_count(tmp_path, ["bvm", "--config", "bvm-m1.json", "--draws", "30"])
     assert outputs[0] == outputs[1]
+
+
+# --- imports ----------------------------------------------------------------------
+
+
+def test_modes_and_bvm_run_without_scipy(tmp_path):
+    # scipy is imported on first use, by BFGS and the Gaussian triangular
+    # solves; the modes and the BvM panel come from the batched Newton and
+    # Simpson, so a fresh process that runs only them never loads it
+    script = """if True:
+        import json, sys
+        import klgauss
+        from klgauss import cli
+        codes = [cli.main(["modes", "--problem", "double-well"]),
+                 cli.main(["bvm", "--config", "bvm-m1.json", "--draws", "30", "--out", sys.argv[1]])]
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        klgauss.minimize_single(klgauss.builtin_problem("double-well").at(0.01))
+        print(json.dumps([codes, loaded, "scipy.optimize" in sys.modules]))
+    """
+    src = str(Path(klgauss.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bvm.csv")],
+                         env=env, check=True, timeout=300, capture_output=True, text=True)
+    codes, loaded, bfgs_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []
+    assert bfgs_loaded

@@ -216,17 +216,38 @@ def test_misfit_kernel_matches_dense_reference(variant, M, rng):
     assert np.max(np.abs(hess - rest - ref_gn)) <= 1e-11 * np.max(np.abs(hess))
 
 
+def large_data_log_density(p, truth, etas, prior, x):
+    """Unnormalized log posterior for N repeated observations
+    y_i = G(truth) + eta_i (raw sum form), at the points x, shape (n, M)."""
+    misfits, _, _ = inv._misfit(p, inv.forward(p, truth) + etas, x[None], 0)
+    return -np.sum(misfits, axis=0) - prior.value(x)
+
+
+def large_data_posterior(p, truth, etas, prior):
+    """Completed-square equivalent of the repeated-observation posterior.
+
+    Returns (measure, log_offset) with eps = 1/N and effective noise
+    sqrt(N) * mean(etas); the raw-sum log density equals the measure's
+    unnormalized log density plus ``log_offset`` pointwise.
+    """
+    n_obs = etas.shape[0]
+    eta_bar = np.mean(etas, axis=0)
+    measure = inv.posterior(p, truth, math.sqrt(n_obs) * eta_bar, 1.0 / n_obs, prior)
+    log_offset = 0.5 * n_obs * float(eta_bar @ eta_bar) - 0.5 * float(np.sum(etas * etas))
+    return measure, log_offset
+
+
 def test_large_data_completed_square_identity(rng):
     # posterior with N i.i.d. draws equals the small-noise form with the
-    # mean noise, up to an x-independent constant
+    # mean noise, up to an x-independent constant: the paper's eps = 1/N
     p = problem(M=2, f=5.0)
     truth = np.array([0.3, -0.1])
     etas = rng.standard_normal((16, 2))
     prior = quadratic(dim=2)
-    measure, offset = inv.large_data_posterior(p, truth, etas, prior)
+    measure, offset = large_data_posterior(p, truth, etas, prior)
     assert measure.epsilon == pytest.approx(1.0 / 16.0)
     pts = rng.uniform(-2, 2, size=(50, 2))
-    raw = inv.large_data_log_density(p, truth, etas, prior, pts)
+    raw = large_data_log_density(p, truth, etas, prior, pts)
     small = kg.unnormalized_log_density(measure, pts)
     assert np.max(np.abs(raw - (small + offset))) <= 1e-10
 

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import klgauss as kg
-from klgauss import optimizer
+from klgauss import inverse, measure, optimizer
 from klgauss.objective import _from_v, _gh_nodes, _single_kl, _to_v
 from klgauss.optimizer import (
     InfeasibleConstraintError,
@@ -692,3 +693,32 @@ def test_single_kl_matches_objective_on_quadratics(d, eps):
             if means is centers:
                 assert np.max(np.abs(values)) <= 1e-13
                 assert np.max(np.abs(grads)) <= 1e-2 * grad_tol
+
+
+# --- the BFGS entry point ----------------------------------------------------------
+
+
+def test_scipy_minimize_aliases_are_scipys_own():
+    # optimizer, the one BFGS caller, imports scipy.optimize on its first
+    # call; inverse and measure run no BFGS and give the name as scipy's own
+    # function
+    assert inverse._scipy_minimize is measure._scipy_minimize is scipy.optimize.minimize
+    for module in (inverse, measure):
+        assert not hasattr(module, "no_such_name")
+        with pytest.raises(AttributeError, match=f"'{module.__name__}' has no attribute 'no_such_name'"):
+            module.no_such_name
+    center = np.array([0.5, -2.0, 3.0])
+
+    def value_grad(x):
+        r = x - center
+        return float(r @ r + 0.1 * r[0] ** 4), 2.0 * r + np.array([0.4 * r[0] ** 3, 0.0, 0.0])
+
+    args = (value_grad, np.zeros(3))
+    kwargs = {"jac": True, "method": "BFGS", "options": {"gtol": 1e-10}}
+    bfgs = optimizer._scipy_minimize
+    assert bfgs is not scipy.optimize.minimize
+    ours, ref = bfgs(*args, **kwargs), scipy.optimize.minimize(*args, **kwargs)
+    # the call does not rebind the global, which a patch saves and restores
+    assert optimizer._scipy_minimize is bfgs
+    assert np.array_equal(ours.x, ref.x) and ours.fun == ref.fun and ours.nfev == ref.nfev
+    assert np.allclose(ours.x, center, atol=1e-8)

@@ -94,30 +94,46 @@ class EllipticProblem:
         return np.exp(q) if self.variant == "exp" else np.full_like(q, 2.0)
 
 
-def _solve(p: EllipticProblem, qs, rhs) -> np.ndarray:
-    """x = (A + diag(c(q)))^(-1) rhs for each row q of ``qs``, shape (n, M).
+def _factor(p: EllipticProblem, qs) -> np.ndarray:
+    """The Thomas factorization of h^2 (A + diag(c(q))) for each row q of
+    ``qs`` (n, M): the inverse pivots, shape (M, n), grid axis first.
+
+    The scaled system's off-diagonal is -1, so the pivots follow from the
+    diagonal 2 + h^2 c alone.  That diagonal is at least 2, so every pivot is
+    at least 1 and no pivoting is needed.  The grid axis is first so that
+    each elimination step works on contiguous rows.
+    """
+    diag = 2.0 + p.h**2 * p.coefficient(np.ascontiguousarray(qs.T))
+    inv_pivot = np.empty_like(diag)
+    inv_pivot[0] = 1.0 / diag[0]
+    for i in range(1, p.M):
+        inv_pivot[i] = 1.0 / (diag[i] - inv_pivot[i - 1])
+    return inv_pivot
+
+
+def _substitute(p: EllipticProblem, inv_pivot, rhs) -> np.ndarray:
+    """x = (A + diag(c(q)))^(-1) rhs on the factorization ``inv_pivot`` of
+    _factor: the forward and back sweeps, batched over its n rows.
 
     ``rhs`` has shape (n, M) or (n, M, k); a leading axis of length 1
-    broadcasts over the batch.  Thomas elimination on the scaled system
-    h^2 (A + diag(c)), whose off-diagonal is -1, vectorized over the batch
-    and the k columns.  The diagonal 2 + h^2 c is at least 2, so every pivot
-    is at least 1 and no pivoting is needed.  The grid axis is moved first so
-    that each elimination step works on contiguous rows.
+    broadcasts over the batch.  Returns x of shape (n, M) or (n, M, k).
     """
     h2 = p.h**2
     b = np.swapaxes(np.asarray(rhs, dtype=float), 0, 1)
-    diag = 2.0 + h2 * p.coefficient(np.ascontiguousarray(qs.T))
-    diag = diag.reshape(diag.shape + (1,) * (b.ndim - 2))
-    inv_pivot = np.empty_like(diag)
-    x = np.empty(diag.shape[:2] + b.shape[2:])
-    inv_pivot[0] = 1.0 / diag[0]
+    inv_pivot = inv_pivot.reshape(inv_pivot.shape + (1,) * (b.ndim - 2))
+    x = np.empty(inv_pivot.shape[:2] + b.shape[2:])
     x[0] = h2 * b[0] * inv_pivot[0]
     for i in range(1, p.M):
-        inv_pivot[i] = 1.0 / (diag[i] - inv_pivot[i - 1])
         x[i] = (h2 * b[i] + x[i - 1]) * inv_pivot[i]
     for i in range(p.M - 2, -1, -1):
         x[i] += inv_pivot[i] * x[i + 1]
     return x.swapaxes(0, 1)
+
+
+def _solve(p: EllipticProblem, qs, rhs) -> np.ndarray:
+    """x = (A + diag(c(q)))^(-1) rhs for each row q of ``qs``, shape (n, M):
+    Thomas elimination, _factor then _substitute (see those for shapes)."""
+    return _substitute(p, _factor(p, qs), rhs)
 
 
 def forward(p: EllipticProblem, q) -> np.ndarray:
@@ -167,14 +183,19 @@ def _misfit(p: EllipticProblem, Y, X, order: int):
 
         J^T J + diag(b) J + J^T diag(b) + diag(u w c''(x)).
 
-    Below order 2, u comes from ``forward`` and w from one adjoint solve; at
-    order 2, u, J and S = (A+Q)^(-1) come from one pass
-    (_forward_and_jacobian), and w = S r.
+    At order 0, u comes from ``forward``.  At order 1, A+Q is factored once
+    (_factor), and u and the adjoint w are two substitutions on that
+    factorization, with the bits of ``forward`` and of _solve.  At order 2,
+    u, J and S = (A+Q)^(-1) come from one pass (_forward_and_jacobian), and
+    w = S r.
     """
     n, K, M = X.shape
     q = X.reshape(n * K, M)
-    if order < 2:
+    if order == 0:
         u = forward(p, q)
+    elif order == 1:
+        inv_pivot = _factor(p, q)
+        u = _substitute(p, inv_pivot, p.f[None, :])
     else:
         u, J, S = _forward_and_jacobian(p, q)
     r = Y[:, None, :] - u.reshape(n, K, M)
@@ -182,7 +203,7 @@ def _misfit(p: EllipticProblem, Y, X, order: int):
     if order == 0:
         return value, None, None
     r = r.reshape(n * K, M)
-    w = _solve(p, q, r) if order == 1 else np.einsum("nij,nj->ni", S, r)
+    w = _substitute(p, inv_pivot, r) if order == 1 else np.einsum("nij,nj->ni", S, r)
     c1 = p.coefficient_derivative(q)
     grad = (u * c1 * w).reshape(n, K, M)
     if order == 1:
@@ -195,17 +216,26 @@ def _misfit(p: EllipticProblem, Y, X, order: int):
 
 
 def misfit_potential(p: EllipticProblem, y, name: str = "") -> Potential:
-    """V1(q) = |y - G(q)|^2 / 2 with exact gradient and Hessian (_misfit)."""
+    """V1(q) = |y - G(q)|^2 / 2 with exact gradient and Hessian (_misfit).
+
+    Its value and gradient together (Potential.value_and_gradient) are one
+    _misfit at order 1: one factorization for the forward and adjoint solves.
+    """
     Y = np.asarray(y, dtype=float)[None]
 
     def derivative(order):
         return lambda x: _misfit(p, Y, x[None], order)[order][0]
+
+    def value_and_gradient(x):
+        value, grad, _ = _misfit(p, Y, x[None], 1)
+        return value[0], grad[0]
 
     return Potential(
         dim=p.M,
         value_fn=derivative(0),
         grad_fn=derivative(1),
         hess_fn=derivative(2),
+        value_grad_fn=value_and_gradient,
         name=name or f"elliptic-{p.variant}-misfit",
         growth_bound=float(np.sum(p.f**2)),
         v1_family=True,

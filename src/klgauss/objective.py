@@ -11,7 +11,9 @@ Laplace for speed, the Simpson grid oracle for exactness.
 
 ``_Objective`` evaluates this sum on a node set: standard nodes z that every
 component maps through its own mean and Cholesky factor.  The n components'
-points form one (n, K, d) stack, which V1 and V2 take in one call each.  A
+points form one (n, K, d) stack, at which V1 and V2 each give their value
+and gradient in one ``value_and_gradient`` call (one forward-operator
+factorization for the elliptic misfit).  A
 node set is either the tensor Gauss-Hermite rule (deterministic, exact on
 quadratics) or N Monte Carlo draws of weight 1/N, shared by all components
 (common random numbers).  The optimizer minimizes its value and exact
@@ -371,13 +373,11 @@ class _Objective:
             # every component's points at once, (n, K, d)
             x = means[:, None, :] + self.scale * (self.z @ chols.transpose(0, 2, 1))
             pts = x.reshape(-1, d)
-            v1 = self.mu.v1.value(pts).reshape(n, -1)
-            v2 = self.mu.v2.value(pts).reshape(n, -1)
-            g1 = self.mu.v1.gradient(pts)
-            g2 = self.mu.v2.gradient(pts)
+            v1, g1 = self.mu.v1.value_and_gradient(pts)
+            v2, g2 = self.mu.v2.value_and_gradient(pts)
         except (EvaluationError, FloatingPointError):
             return math.inf, np.zeros_like(theta)
-        pot = (v1 @ w) / eps + v2 @ w
+        pot = (v1.reshape(n, -1) @ w) / eps + v2.reshape(n, -1) @ w
         gx = (g1 / eps + g2).reshape(n, -1, d)  # gradient of the potential part
         value, g_alpha, g_means, g_chols, g_logdiag = self._mixture_terms(
             alpha, means, chols, x, pot, gx
@@ -395,10 +395,13 @@ class _Objective:
 
     def _phi(self, idx, x, hessian):
         """Phi = V1/eps + V2 and its gradient at the points x (1, K, d), for
-        _single_kl: one value and one gradient call of V1 and of V2."""
+        _single_kl: one value_and_gradient call of V1 and one of V2, so the
+        elliptic misfit factors its forward operator once."""
         pts, eps = x.reshape(-1, self.d), self.mu.epsilon
-        value = self.mu.v1.value(pts) / eps + self.mu.v2.value(pts)
-        grad = self.mu.v1.gradient(pts) / eps + self.mu.v2.gradient(pts)
+        v1, g1 = self.mu.v1.value_and_gradient(pts)
+        v2, g2 = self.mu.v2.value_and_gradient(pts)
+        value = v1 / eps + v2
+        grad = g1 / eps + g2
         return value.reshape(x.shape[:2]), grad.reshape(x.shape), None
 
     def _mixture_terms(self, alpha, means, chols, x, pot, gx):

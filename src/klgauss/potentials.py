@@ -4,7 +4,9 @@ A :class:`Potential` bundles value, gradient and Hessian callables together
 with the validity metadata the theory attaches to the dominant potential
 family (growth bound, coercivity constants, declared nonnegativity).  All
 callables are vectorized over a leading batch axis: value maps (N, d) ->
-(N,), gradient -> (N, d), Hessian -> (N, d, d).
+(N,), gradient -> (N, d), Hessian -> (N, d, d).  A potential whose value
+and gradient share work (the elliptic misfit's forward solve) may also
+supply both from one callable, which ``value_and_gradient`` uses.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class Potential:
     ``growth_bound`` (M_V) and ``coercivity`` ((c0, c1)) are informational
     metadata; they are stored, never enforced.  ``v1_family`` marks a
     potential as a member of the dominant family, which is required to be
-    nonnegative.
+    nonnegative.  ``value_grad_fn``, where given, maps (N, d) to the pair
+    (value_fn, grad_fn) at once.
     """
 
     dim: int
@@ -55,25 +58,43 @@ class Potential:
     coercivity: tuple[float, float] | None = None
     v1_family: bool = False
     spec: dict | None = field(default=None, compare=False)
+    value_grad_fn: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("potential dimension must be >= 1")
 
-    def value(self, x):
-        pts, single = as_points(x, self.dim)
-        v = np.asarray(self.value_fn(pts), dtype=float).reshape(pts.shape[0])
+    def _checked_values(self, pts, v):
+        """v as (N,) floats; a non-finite entry raises EvaluationError."""
+        v = np.asarray(v, dtype=float).reshape(pts.shape[0])
         if not np.all(np.isfinite(v)):
             raise EvaluationError(
                 f"potential {self.name or '<anonymous>'} returned a non-finite value",
                 pts[~np.isfinite(v)],
             )
+        return v
+
+    def value(self, x):
+        pts, single = as_points(x, self.dim)
+        v = self._checked_values(pts, self.value_fn(pts))
         return float(v[0]) if single else v
 
     def gradient(self, x):
         pts, single = as_points(x, self.dim)
         g = np.asarray(self.grad_fn(pts), dtype=float).reshape(pts.shape[0], self.dim)
         return g[0] if single else g
+
+    def value_and_gradient(self, x):
+        """(value(x), gradient(x)), with the same checks: from one call of
+        ``value_grad_fn`` where the potential has one, else from value and
+        then gradient."""
+        if self.value_grad_fn is None:
+            return self.value(x), self.gradient(x)
+        pts, single = as_points(x, self.dim)
+        v, g = self.value_grad_fn(pts)
+        v = self._checked_values(pts, v)
+        g = np.asarray(g, dtype=float).reshape(pts.shape[0], self.dim)
+        return (float(v[0]), g[0]) if single else (v, g)
 
     def hessian(self, x):
         pts, single = as_points(x, self.dim)

@@ -23,13 +23,14 @@ Per chunk the kernel works on whole arrays and reproduces the one-box
 arithmetic bit for bit: the points are np.linspace's values broadcast into
 place, exp is skipped where it can only give 0.0 (numpy's exp is slow
 there), the stride-2 coarse values are gathered once as contiguous rows, and
-each box keeps its own np.dot per rule.
+each box keeps its own dot product per rule (_row_dots), taken for the
+whole chunk in one np.matmul.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +49,10 @@ DEFAULT_POINTS = {1: 4097, 2: 257, 3: 65}
 # caps the temporaries of one evaluation (on bvm-m1, 2^16 points raised the
 # peak RSS by 7 % over 2^14 and ran no faster)
 SIMPSON_CHUNK_POINTS = 1 << 14
+
+# the floor of the Simpson error estimate, relative to the integral: the
+# roundoff of its sum
+_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 class OracleDimensionError(ValueError):
@@ -298,6 +303,13 @@ def _grid_box(grid):
     return grid.lo[None], grid.hi[None], grid.points_per_dim
 
 
+def _row_dots(a, b) -> np.ndarray:
+    """Per row j of the C-contiguous (k, N) arrays a and b, np.dot(a[j],
+    b[j]) bit for bit: a stack of (1, N) @ (N, 1) products, each one dot
+    product, where a (k, N) @ (N, k) product would sum in another order."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _evaluate(fn, idx, pts):
     # C order: np.dot of a strided row sums in another order than of a
     # contiguous one, so the per-box sums would depend on the layout
@@ -342,8 +354,7 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int, log_q=None) -> list:
         logv = _evaluate(log_f, idx, pts)
         logq = None if log_q is None else _evaluate(log_q, idx, pts)
         grid_shape = (len(idx),) + (n,) * dim
-        # one dot product per box on these weights: a stacked product sums
-        # in another order and moves the last digits
+        # one dot product per box on these weights (_row_dots)
         fine_w = _stack_weights(box_lo, box_hi, n)
         coarse_w = _stack_weights(box_lo, box_hi, (n + 1) // 2)
         shift = np.max(logv, axis=1)
@@ -358,28 +369,28 @@ def integrate_exp_stack(log_f, lo, hi, points_per_dim: int, log_q=None) -> list:
              for a in range(1, dim + 1)],
             axis=0,
         )
+        ok = np.flatnonzero(finite)
+        peak = shift[ok]
+        fine = _row_dots(fine_w, f)[ok]
+        coarse = _row_dots(coarse_w, f_coarse)[ok]
+        # Richardson estimate with a summation-roundoff floor
+        err = np.maximum(np.abs(fine - coarse) / 15.0, _ROUNDOFF * np.abs(fine))
+        scale = np.exp(peak)
         log_values = np.full(len(idx), math.nan)
-        for j, i in enumerate(idx):
-            if not finite[j]:
-                out[i] = ValueError("log integrand is not finite anywhere on the grid")
-                continue
-            fine = float(np.dot(fine_w[j], f[j]))
-            coarse = float(np.dot(coarse_w[j], f_coarse[j]))
-            # Richardson estimate with a summation-roundoff floor
-            err = max(abs(fine - coarse) / 15.0, 8.0 * np.finfo(float).eps * abs(fine))
-            scale = np.exp(shift[j])
-            out[i] = GridIntegral(
-                value=float(scale * fine),
-                log_value=float(shift[j] + np.log(fine) if fine > 0 else -np.inf),
-                error_estimate=float(scale * err),
-                boundary_ratio=float(np.exp(boundary_max[j] - shift[j])),
-                grid=Grid(box_lo[j].copy(), box_hi[j].copy(), n),
-            )
-            log_values[j] = out[i].log_value
+        with np.errstate(divide="ignore"):  # log(0), where fine is 0, is discarded
+            log_values[ok] = np.where(fine > 0, peak + np.log(fine), -np.inf)
+        ratio = np.exp(boundary_max[ok] - peak)
+        tv = np.full(len(idx), math.nan)
         if logq is not None:
             tv = _tv_rows(fine_w, logv - log_values[:, None], logq)
-            for j in np.flatnonzero(finite):
-                out[idx[j]] = replace(out[idx[j]], tv=tv[j])
+        for i in idx[~finite]:
+            out[i] = ValueError("log integrand is not finite anywhere on the grid")
+        for j, value, log_value, error, boundary, tv_j in zip(
+            ok.tolist(), (scale * fine).tolist(), log_values[ok].tolist(),
+            (scale * err).tolist(), ratio.tolist(), tv[ok].tolist(),
+        ):
+            grid = Grid(box_lo[j].copy(), box_hi[j].copy(), n)
+            out[idx[j]] = GridIntegral(value, log_value, error, boundary, grid, tv_j)
     return out
 
 
@@ -407,11 +418,10 @@ def integrate_exp(log_f, grid: Grid) -> GridIntegral:
     return result
 
 
-def _tv_rows(w, log_p, log_q) -> list:
+def _tv_rows(w, log_p, log_q) -> np.ndarray:
     """(1/2) int |p - q| on each grid of a chunk: per row, its Simpson
     weights w, with the cell volume, and the log densities at its points."""
-    diff = np.abs(_exp(log_p) - _exp(log_q))
-    return [float(0.5 * np.dot(w[j], diff[j])) for j in range(len(w))]
+    return 0.5 * _row_dots(w, np.abs(_exp(log_p) - _exp(log_q)))
 
 
 def tv_distance_stack(log_p, log_q, lo, hi, points_per_dim: int) -> np.ndarray:

@@ -216,6 +216,58 @@ def test_misfit_kernel_matches_dense_reference(variant, M, rng):
     assert np.max(np.abs(hess - rest - ref_gn)) <= 1e-11 * np.max(np.abs(hess))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", ["exp", "square"])
+def test_misfit_potential_value_and_gradient_are_value_then_gradient(variant, M, rng):
+    # the fused call is one _misfit at order 1; it returns the bits of the
+    # separate value and gradient calls, at a batch and at a single point
+    p = problem(M=M, f=5.0, variant=variant)
+    pot = inv.misfit_potential(p, inv.forward(p, rng.uniform(-0.5, 0.5, M)) + 0.3)
+    x = rng.uniform(-1.5, 1.5, size=(40, M))
+    value, grad = pot.value_and_gradient(x)
+    assert same_bits(value, pot.value(x)) and same_bits(grad, pot.gradient(x))
+    value, grad = pot.value_and_gradient(x[3])
+    assert isinstance(value, float)
+    assert same_bits(value, pot.value(x[3])) and same_bits(grad, pot.gradient(x[3]))
+
+
+@pytest.mark.parametrize("variant", ["exp", "square"])
+def test_misfit_order_1_is_forward_and_one_adjoint_solve(variant, rng):
+    # u and the adjoint w share one factorization; the bits are those of
+    # forward and of a separate Thomas solve for w
+    p = problem(M=4, f=5.0, variant=variant)
+    n, K = 2, 6
+    Y = inv.forward(p, rng.uniform(-0.5, 0.5, 4)) + 0.3 * rng.standard_normal((n, 4))
+    X = rng.uniform(-1, 1, size=(n, K, 4))
+    q = X.reshape(n * K, 4)
+    u = inv.forward(p, q)
+    r = np.repeat(Y, K, axis=0) - u
+    w = inv._solve(p, q, r)
+    value, grad, _ = inv._misfit(p, Y, X, 1)
+    assert same_bits(value, 0.5 * np.sum((r * r).reshape(n, K, 4), axis=2))
+    assert same_bits(grad, (u * p.coefficient_derivative(q) * w).reshape(n, K, 4))
+
+
+def test_objective_evaluation_factors_the_forward_operator_once(monkeypatch):
+    # one single-Gaussian objective evaluation on a posterior: the misfit's
+    # value and gradient share one factorization of A + diag(c(q))
+    p = problem(M=2, f=100.0)
+    mu = inv.posterior(p, np.zeros(2), np.array([0.3, -0.2]), 1e-2)
+    obj = objective._Objective(mu, 0.0, objective._gh_nodes(5, 2))
+    theta = obj.pack(np.ones(1), [np.zeros(2)], [0.1 * np.eye(2)])
+    factors = []
+    factor = inv._factor
+    monkeypatch.setattr(inv, "_factor", lambda p, qs: factors.append(len(qs)) or factor(p, qs))
+    value, grad = obj.value_grad(theta)
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    assert factors == [25]
+
+
 def large_data_log_density(p, truth, etas, prior, x):
     """Unnormalized log posterior for N repeated observations
     y_i = G(truth) + eta_i (raw sum form), at the points x, shape (n, M)."""

@@ -54,6 +54,54 @@ def test_nonfinite_value_raises_with_points():
     assert err.value.points[0, 0] == 2.0
 
 
+def test_value_and_gradient_falls_back_to_value_then_gradient():
+    calls = []
+    base = P.double_well()
+    pot = P.Potential(
+        dim=1,
+        value_fn=lambda x: calls.append("value") or base.value_fn(x),
+        grad_fn=lambda x: calls.append("grad") or base.grad_fn(x),
+        hess_fn=base.hess_fn,
+    )
+    xs = np.array([[-1.5], [0.2], [2.0]])
+    value, grad = pot.value_and_gradient(xs)
+    assert calls == ["value", "grad"]
+    assert np.array_equal(value, base.value(xs)) and np.array_equal(grad, base.gradient(xs))
+    value, grad = pot.value_and_gradient(np.array([0.5]))
+    assert isinstance(value, float) and grad.shape == (1,)
+
+
+def test_fused_nonfinite_value_raises_and_the_objective_is_inf():
+    from klgauss.measure import TargetMeasure
+    from klgauss.objective import _gh_nodes, _Objective
+
+    def fused(x):
+        return np.where(x[:, 0] > 0.5, np.nan, x[:, 0] ** 2), 2.0 * x
+
+    pot = P.Potential(
+        dim=1,
+        value_fn=lambda x: x[:, 0] ** 2,
+        grad_fn=lambda x: 2.0 * x,
+        hess_fn=lambda x: np.full((x.shape[0], 1, 1), 2.0),
+        name="bad",
+        value_grad_fn=fused,
+    )
+    with pytest.raises(P.EvaluationError) as err:
+        pot.value_and_gradient(np.array([[0.0], [1.0], [2.0]]))
+    assert err.value.points[:, 0].tolist() == [1.0, 2.0]
+    # value() does not use the fused callable: it is finite there
+    assert pot.value(np.array([1.0])) == 1.0
+    # a node past 0.5 makes the objective +inf with a zero gradient, for a
+    # single Gaussian and for a mixture
+    mu = TargetMeasure(v1=pot, v2=P.zero(1), epsilon=0.1)
+    for n in (1, 2):
+        obj = _Objective(mu, 0.0, _gh_nodes(10, 1), n)
+        theta = obj.pack(np.full(n, 1.0 / n), np.zeros((n, 1)), np.ones((n, 1, 1)))
+        value, grad = obj.value_grad(theta)
+        assert value == np.inf and not np.any(grad)
+        assert grad.shape == theta.shape
+
+
 def test_dimension_checks():
     pot = P.quadratic(dim=2)
     with pytest.raises(ValueError):

@@ -137,7 +137,8 @@ def test_stacked_kernel_matches_reference(d, n):
     # 7 boxes: several chunks at every resolution (3 boxes of 4,097 points,
     # one box of 257^2 or 65^3 points, all boxes of the coarse grids);
     # narrow Gaussians put most of a box below exp's underflow, box 2 has
-    # -inf entries and box 4 is -inf everywhere
+    # -inf entries and box 4 is -inf everywhere.  integrate_exp_stack's TV
+    # is checked with a NaN in box 5's log_q, which makes that TV NaN
     rng = np.random.default_rng(10 + d)
     k = 7
     lo = rng.uniform(-3.0, -0.5, (k, d))
@@ -162,11 +163,19 @@ def test_stacked_kernel_matches_reference(d, n):
             v = v - (pts[:, a] - 1.1 * centers[i, a]) ** 2 / (2.2 * widths[i])
         return v
 
+    def log_q_nan(pts, i):
+        v = log_q(pts, i)
+        if i == 5:
+            v[len(v) // 2] = np.nan
+        return v
+
     n = grids[0].points_per_dim
-    results = integrate_exp_stack(stack(log_p), lo, hi, n)
+    results = integrate_exp_stack(stack(log_p), lo, hi, n, log_q=stack(log_q_nan))
     tv = tv_distance_stack(stack(log_p), stack(log_q), lo, hi, n)
     for i, (grid, result) in enumerate(zip(grids, results)):
         ref = reference_integral(lambda pts: log_p(pts, i), grid)
+        pts = reference_points(grid.lo, grid.hi, grid.points_per_dim)
+        w = reference_weights(grid.lo, grid.hi, grid.points_per_dim)
         if ref is None:
             assert isinstance(result, ValueError)
         else:
@@ -174,10 +183,15 @@ def test_stacked_kernel_matches_reference(d, n):
             assert same_bits(got, ref)
             assert same_bits(result.grid.lo, grid.lo) and same_bits(result.grid.hi, grid.hi)
             assert result.grid.points_per_dim == n
-        pts = reference_points(grid.lo, grid.hi, grid.points_per_dim)
+            # the TV of the normalized integrand, taken in the same pass
+            diff = np.abs(np.exp(log_p(pts, i) - ref[1]) - np.exp(log_q_nan(pts, i)))
+            assert isinstance(result.tv, float)
+            if i == 5:
+                assert np.isnan(result.tv)
+            else:
+                assert same_bits(result.tv, float(0.5 * np.dot(w, diff)))
         diff = np.abs(np.exp(log_p(pts, i)) - np.exp(log_q(pts, i)))
-        ref_tv = 0.5 * np.dot(reference_weights(grid.lo, grid.hi, grid.points_per_dim), diff)
-        assert same_bits(tv[i], ref_tv)
+        assert same_bits(tv[i], 0.5 * np.dot(w, diff))
 
 
 @pytest.mark.parametrize("lo, hi", [
